@@ -13,7 +13,7 @@ use crate::coordinator::Coordinator;
 use dar_serve::json::{self, Json};
 use dar_serve::protocol::{self, Request};
 use dar_serve::ServerError;
-use std::io::{self, BufRead, BufReader, BufWriter, Write};
+use std::io::{self, BufRead, BufReader};
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::mpsc::{Receiver, TrySendError};
@@ -183,6 +183,8 @@ fn accept_loop(
         if shutdown.is_set() {
             break;
         }
+        // Every frame goes out in one write; don't hold its tail for an ACK.
+        let _ = stream.set_nodelay(true);
         match tx.try_send(stream) {
             Ok(()) => {}
             Err(TrySendError::Full(stream)) => refuse(stream, write_timeout),
@@ -191,12 +193,10 @@ fn accept_loop(
     }
 }
 
-fn refuse(stream: TcpStream, write_timeout: Duration) {
+fn refuse(mut stream: TcpStream, write_timeout: Duration) {
     let _ = stream.set_write_timeout(Some(write_timeout));
-    let mut writer = BufWriter::new(stream);
     let line = protocol::error_response("overloaded", "accept queue is full, retry later").encode();
-    let _ = writeln!(writer, "{line}");
-    let _ = writer.flush();
+    let _ = protocol::write_frame(&mut stream, line);
 }
 
 fn worker_loop(rx: &Mutex<Receiver<TcpStream>>, ctx: &WorkerCtx) {
@@ -214,11 +214,10 @@ fn worker_loop(rx: &Mutex<Receiver<TcpStream>>, ctx: &WorkerCtx) {
     }
 }
 
-fn serve_connection(stream: TcpStream, ctx: &WorkerCtx) -> io::Result<()> {
+fn serve_connection(mut stream: TcpStream, ctx: &WorkerCtx) -> io::Result<()> {
     stream.set_read_timeout(Some(ctx.read_timeout))?;
     stream.set_write_timeout(Some(ctx.write_timeout))?;
     let reader = BufReader::new(stream.try_clone()?);
-    let mut writer = BufWriter::new(stream);
     for line in reader.lines() {
         let line = match line {
             Ok(line) => line,
@@ -228,8 +227,7 @@ fn serve_connection(stream: TcpStream, ctx: &WorkerCtx) -> io::Result<()> {
             continue;
         }
         let (response, shutdown_after) = handle_line(&line, ctx);
-        writeln!(writer, "{}", response.encode())?;
-        writer.flush()?;
+        protocol::write_frame(&mut stream, response.encode())?;
         if shutdown_after {
             ctx.shutdown.trigger();
             break;

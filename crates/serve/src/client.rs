@@ -11,9 +11,9 @@
 //! connection is answered and then hung up on, so the old socket is dead).
 
 use crate::json::{self, Json};
-use crate::protocol::Request;
+use crate::protocol::{self, Request};
 use mining::RuleQuery;
-use std::io::{self, BufRead, BufReader, BufWriter, Write};
+use std::io::{self, BufRead, BufReader};
 use std::net::{SocketAddr, TcpStream, ToSocketAddrs};
 use std::time::{Duration, Instant};
 
@@ -102,7 +102,7 @@ pub struct Client {
     addr: SocketAddr,
     timeout: Duration,
     reader: BufReader<TcpStream>,
-    writer: BufWriter<TcpStream>,
+    writer: TcpStream,
 }
 
 impl Client {
@@ -120,8 +120,10 @@ impl Client {
         let stream = TcpStream::connect_timeout(&addr, timeout.max(Duration::from_millis(1)))?;
         stream.set_read_timeout(Some(timeout))?;
         stream.set_write_timeout(Some(timeout))?;
+        // Every frame goes out in one write; don't hold its tail for an ACK.
+        stream.set_nodelay(true)?;
         let reader = BufReader::new(stream.try_clone()?);
-        Ok(Client { addr, timeout, reader, writer: BufWriter::new(stream) })
+        Ok(Client { addr, timeout, reader, writer: stream })
     }
 
     /// Drops the current socket and dials the same address again.
@@ -149,8 +151,9 @@ impl Client {
     /// # Errors
     /// I/O failures, or a server that hung up without responding.
     pub fn round_trip_line(&mut self, line: &str) -> io::Result<String> {
-        writeln!(self.writer, "{line}")?;
-        self.writer.flush()?;
+        let mut frame = String::with_capacity(line.len() + 1);
+        frame.push_str(line);
+        protocol::write_frame(&mut self.writer, frame)?;
         let mut response = String::new();
         let n = self.reader.read_line(&mut response)?;
         if n == 0 {

@@ -9,8 +9,26 @@
 //! parser with position-carrying errors and a depth limit. `encode` →
 //! [`parse`] round-trips every finite value bit-exactly (there is a
 //! proptest property for this in `tests/json_roundtrip.rs`).
+//!
+//! Both directions avoid per-value allocation: the encoder writes numbers
+//! and escape-free string runs straight into one output buffer; the
+//! parser copies escape-free string runs in one slice, builds short plain
+//! integers without `str::parse`, and gives each container one
+//! exactly-sized allocation. The bytes are unchanged from the
+//! `format!`-per-number, push-per-char codec this replaced; the golden
+//! fixtures under `tests/fixtures/` pin them.
+//!
+//! **Pre-encoded fragments.** A full query answer carries tens of
+//! thousands of rules; building a [`Json`] object per rule only to
+//! flatten it again dominated the encode. [`write_rule`] streams a rule's
+//! wire object straight into a buffer, and [`Json::Raw`] carries such a
+//! fragment through the tree, copied verbatim by `encode`. The invariant:
+//! a [`RawJson`] holds exactly the bytes `encode` would produce for the
+//! value it stands for. Only this module's writers construct one (its
+//! field is private), and [`parse`] never produces one, so a parsed tree
+//! is always plain values.
 
-use std::fmt;
+use std::fmt::{self, Write as _};
 
 /// A parsed JSON value.
 ///
@@ -32,7 +50,18 @@ pub enum Json {
     Arr(Vec<Json>),
     /// An object, in insertion order.
     Obj(Vec<(String, Json)>),
+    /// A fragment pre-encoded by one of this module's writers ([`rule`],
+    /// [`rule_array`]), copied verbatim by `encode`. Accessors see it as
+    /// opaque (`get`, `as_array` return `None`), and it compares equal
+    /// only to the same fragment, never to the tree it encodes.
+    Raw(RawJson),
 }
+
+/// The payload of [`Json::Raw`]: bytes that are already valid JSON, in
+/// exactly the encoder's output form. The field is private so nothing
+/// outside this module can smuggle unchecked text onto the wire.
+#[derive(Debug, Clone, PartialEq)]
+pub struct RawJson(String);
 
 impl Json {
     /// Builds an object from key/value pairs (a readability helper).
@@ -59,7 +88,8 @@ impl Json {
     /// The value as a non-negative integer, if it is one exactly.
     pub fn as_u64(&self) -> Option<u64> {
         match self {
-            Json::Num(n) if *n >= 0.0 && n.fract() == 0.0 && *n <= u64::MAX as f64 => {
+            // `u64::MAX as f64` rounds up to 2^64, itself out of range.
+            Json::Num(n) if *n >= 0.0 && n.fract() == 0.0 && *n < u64::MAX as f64 => {
                 Some(*n as u64)
             }
             _ => None,
@@ -102,17 +132,7 @@ impl Json {
             Json::Null => out.push_str("null"),
             Json::Bool(true) => out.push_str("true"),
             Json::Bool(false) => out.push_str("false"),
-            Json::Num(n) => {
-                if n.is_finite() {
-                    // Rust's Display prints the shortest decimal that
-                    // parses back to the same f64 (and never uses exponent
-                    // notation), so this is both valid JSON and bit-exact
-                    // under round-trip.
-                    out.push_str(&format!("{n}"));
-                } else {
-                    out.push_str("null");
-                }
-            }
+            Json::Num(n) => write_num(*n, out),
             Json::Str(s) => write_string(s, out),
             Json::Arr(items) => {
                 out.push('[');
@@ -136,27 +156,124 @@ impl Json {
                 }
                 out.push('}');
             }
+            Json::Raw(raw) => out.push_str(&raw.0),
         }
     }
 }
 
+/// Integers below this magnitude are exact in an `f64`, so their
+/// shortest round-trip `Display` is just their decimal digits.
+const EXACT_INT: f64 = 9_007_199_254_740_992.0; // 2^53
+
+/// Writes a number exactly as `format!("{n}")` would (Rust's
+/// shortest-roundtrip `Display`, never exponent notation, so valid JSON
+/// and bit-exact under round-trip); non-finite values become `null`.
+/// Exact integers, the bulk of the wire's numbers, skip the formatter.
+fn write_num(n: f64, out: &mut String) {
+    if !n.is_finite() {
+        out.push_str("null");
+    } else if n.fract() == 0.0 && n.abs() < EXACT_INT {
+        if n.is_sign_negative() {
+            out.push('-'); // includes -0.0, which `Display` prints as "-0"
+        }
+        let mut v = n.abs() as u64;
+        let mut digits = [0u8; 16];
+        let mut at = digits.len();
+        loop {
+            at -= 1;
+            digits[at] = b'0' + (v % 10) as u8;
+            v /= 10;
+            if v == 0 {
+                break;
+            }
+        }
+        out.push_str(std::str::from_utf8(&digits[at..]).expect("ASCII digits"));
+    } else {
+        let _ = write!(out, "{n}");
+    }
+}
+
+/// Writes one rule's wire object — the unit `query` responses and
+/// rule-churn `event` frames share — into `out`. This is the only place
+/// a rule's bytes are produced. `value` is the rule's score under the
+/// ranking measure in force.
+pub fn write_rule(out: &mut String, rule: &mining::Dar, value: f64) {
+    out.push_str("{\"antecedent\":");
+    write_indices(&rule.antecedent, out);
+    out.push_str(",\"consequent\":");
+    write_indices(&rule.consequent, out);
+    out.push_str(",\"degree\":");
+    write_num(rule.degree, out);
+    out.push_str(",\"min_support\":");
+    write_num(rule.min_cluster_support as f64, out);
+    out.push_str(",\"measure\":");
+    write_num(value, out);
+    out.push('}');
+}
+
+fn write_indices(indices: &[usize], out: &mut String) {
+    out.push('[');
+    for (i, &index) in indices.iter().enumerate() {
+        if i > 0 {
+            out.push(',');
+        }
+        write_num(index as f64, out);
+    }
+    out.push(']');
+}
+
+/// One rule as a pre-encoded [`Json::Raw`] object ([`write_rule`]).
+pub fn rule(rule: &mining::Dar, value: f64) -> Json {
+    let mut out = String::with_capacity(RULE_BYTES_HINT);
+    write_rule(&mut out, rule, value);
+    Json::Raw(RawJson(out))
+}
+
+/// A rule array as one pre-encoded [`Json::Raw`] fragment, built in a
+/// single buffer: the same bytes as a [`Json::Arr`] of [`rule`]s.
+pub fn rule_array<'a>(rules: impl ExactSizeIterator<Item = (&'a mining::Dar, f64)>) -> Json {
+    let mut out = String::with_capacity(2 + rules.len() * RULE_BYTES_HINT);
+    out.push('[');
+    for (i, (r, value)) in rules.enumerate() {
+        if i > 0 {
+            out.push(',');
+        }
+        write_rule(&mut out, r, value);
+    }
+    out.push(']');
+    Json::Raw(RawJson(out))
+}
+
+/// A typical encoded rule's length (two short index lists, three
+/// numbers): the buffer presize, not a limit.
+const RULE_BYTES_HINT: usize = 128;
+
 fn write_string(s: &str, out: &mut String) {
     out.push('"');
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            '\u{0008}' => out.push_str("\\b"),
-            '\u{000C}' => out.push_str("\\f"),
-            c if (c as u32) < 0x20 => {
-                out.push_str(&format!("\\u{:04x}", c as u32));
-            }
-            c => out.push(c),
+    // Every byte that needs escaping is ASCII, and UTF-8 never uses an
+    // ASCII byte inside a multi-byte scalar, so `run` always starts and
+    // ends on char boundaries.
+    let mut run = 0;
+    for (i, b) in s.bytes().enumerate() {
+        if b >= 0x20 && b != b'"' && b != b'\\' {
+            continue;
         }
+        out.push_str(&s[run..i]);
+        match b {
+            b'"' => out.push_str("\\\""),
+            b'\\' => out.push_str("\\\\"),
+            b'\n' => out.push_str("\\n"),
+            b'\r' => out.push_str("\\r"),
+            b'\t' => out.push_str("\\t"),
+            0x08 => out.push_str("\\b"),
+            0x0C => out.push_str("\\f"),
+            _ => {
+                let _ = write!(out, "\\u{b:04x}");
+            }
+        }
+        run = i + 1;
     }
+    out.push_str(&s[run..]);
     out.push('"');
 }
 
@@ -182,13 +299,18 @@ impl std::error::Error for JsonError {}
 /// socket).
 const MAX_DEPTH: usize = 128;
 
+/// The longest digit string the parser's integer path takes: every
+/// 15-digit integer is below 2^53 and so exact in an `f64`.
+const EXACT_DIGITS: usize = 15;
+
 /// Parses a complete JSON document; trailing whitespace is allowed,
 /// trailing garbage is an error.
 ///
 /// # Errors
 /// Returns a [`JsonError`] naming the offending byte offset.
 pub fn parse(input: &str) -> Result<Json, JsonError> {
-    let mut p = Parser { bytes: input.as_bytes(), pos: 0 };
+    let mut p =
+        Parser { input, bytes: input.as_bytes(), pos: 0, items: Vec::new(), pairs: Vec::new() };
     p.skip_ws();
     let value = p.value(0)?;
     p.skip_ws();
@@ -199,8 +321,17 @@ pub fn parse(input: &str) -> Result<Json, JsonError> {
 }
 
 struct Parser<'a> {
+    input: &'a str,
     bytes: &'a [u8],
     pos: usize,
+    /// Scratch stacks for the elements of the arrays and objects being
+    /// parsed (inner containers finish first, so they nest as stacks).
+    /// A finished container moves its elements out in one allocation of
+    /// exactly their number, instead of growing its own `Vec` by
+    /// reallocation — a full answer has tens of thousands of small
+    /// objects, and the regrowth dominated its parse.
+    items: Vec<Json>,
+    pairs: Vec<(String, Json)>,
 }
 
 impl<'a> Parser<'a> {
@@ -255,21 +386,22 @@ impl<'a> Parser<'a> {
 
     fn array(&mut self, depth: usize) -> Result<Json, JsonError> {
         self.expect(b'[')?;
-        let mut items = Vec::new();
         self.skip_ws();
         if self.peek() == Some(b']') {
             self.pos += 1;
-            return Ok(Json::Arr(items));
+            return Ok(Json::Arr(Vec::new()));
         }
+        let base = self.items.len();
         loop {
             self.skip_ws();
-            items.push(self.value(depth + 1)?);
+            let item = self.value(depth + 1)?;
+            self.items.push(item);
             self.skip_ws();
             match self.peek() {
                 Some(b',') => self.pos += 1,
                 Some(b']') => {
                     self.pos += 1;
-                    return Ok(Json::Arr(items));
+                    return Ok(Json::Arr(self.items.split_off(base)));
                 }
                 _ => return Err(self.err("expected ',' or ']' in array")),
             }
@@ -278,12 +410,12 @@ impl<'a> Parser<'a> {
 
     fn object(&mut self, depth: usize) -> Result<Json, JsonError> {
         self.expect(b'{')?;
-        let mut pairs = Vec::new();
         self.skip_ws();
         if self.peek() == Some(b'}') {
             self.pos += 1;
-            return Ok(Json::Obj(pairs));
+            return Ok(Json::Obj(Vec::new()));
         }
+        let base = self.pairs.len();
         loop {
             self.skip_ws();
             let key = self.string()?;
@@ -291,13 +423,13 @@ impl<'a> Parser<'a> {
             self.expect(b':')?;
             self.skip_ws();
             let value = self.value(depth + 1)?;
-            pairs.push((key, value));
+            self.pairs.push((key, value));
             self.skip_ws();
             match self.peek() {
                 Some(b',') => self.pos += 1,
                 Some(b'}') => {
                     self.pos += 1;
-                    return Ok(Json::Obj(pairs));
+                    return Ok(Json::Obj(self.pairs.split_off(base)));
                 }
                 _ => return Err(self.err("expected ',' or '}' in object")),
             }
@@ -308,6 +440,14 @@ impl<'a> Parser<'a> {
         self.expect(b'"')?;
         let mut out = String::new();
         loop {
+            // Copy the escape-free run up to the next quote, backslash or
+            // control byte in one slice: those bytes are ASCII, so the run
+            // ends on a char boundary of the (valid UTF-8) input.
+            let run = self.pos;
+            while matches!(self.peek(), Some(b) if b != b'"' && b != b'\\' && b >= 0x20) {
+                self.pos += 1;
+            }
+            out.push_str(&self.input[run..self.pos]);
             match self.peek() {
                 None => return Err(self.err("unterminated string")),
                 Some(b'"') => {
@@ -357,22 +497,7 @@ impl<'a> Parser<'a> {
                     }
                     self.pos += 1;
                 }
-                Some(b) if b < 0x20 => {
-                    return Err(self.err("unescaped control character in string"));
-                }
-                Some(_) => {
-                    // Consume one full UTF-8 scalar (input is &str, so the
-                    // bytes are valid UTF-8; find the next char boundary).
-                    let start = self.pos;
-                    let mut end = start + 1;
-                    while end < self.bytes.len() && (self.bytes[end] & 0xC0) == 0x80 {
-                        end += 1;
-                    }
-                    let s = std::str::from_utf8(&self.bytes[start..end])
-                        .map_err(|_| self.err("invalid UTF-8"))?;
-                    out.push_str(s);
-                    self.pos = end;
-                }
+                Some(_) => return Err(self.err("unescaped control character in string")),
             }
         }
     }
@@ -404,6 +529,7 @@ impl<'a> Parser<'a> {
         if self.pos == digits_start {
             return Err(self.err("expected digits"));
         }
+        let plain = !matches!(self.peek(), Some(b'.' | b'e' | b'E'));
         if self.peek() == Some(b'.') {
             self.pos += 1;
             let frac_start = self.pos;
@@ -427,9 +553,13 @@ impl<'a> Parser<'a> {
                 return Err(self.err("expected exponent digits"));
             }
         }
-        let text =
-            std::str::from_utf8(&self.bytes[start..self.pos]).expect("number bytes are ASCII");
-        let n: f64 = text.parse().map_err(|_| self.err("invalid number"))?;
+        if plain && self.pos - digits_start <= EXACT_DIGITS {
+            // Exact, so the same value `str::parse` rounds to.
+            let digits = &self.bytes[digits_start..self.pos];
+            let n = digits.iter().fold(0u64, |v, d| v * 10 + u64::from(d - b'0')) as f64;
+            return Ok(Json::Num(if digits_start > start { -n } else { n }));
+        }
+        let n: f64 = self.input[start..self.pos].parse().map_err(|_| self.err("invalid number"))?;
         Ok(Json::Num(n))
     }
 }
@@ -509,5 +639,34 @@ mod tests {
         assert_eq!(Json::Num(7.5).as_u64(), None);
         assert_eq!(Json::Num(-1.0).as_u64(), None);
         assert_eq!(Json::Str("7".into()).as_u64(), None);
+    }
+
+    #[test]
+    fn integer_accessor_rejects_two_to_the_64() {
+        // `u64::MAX as f64` is 2^64 itself; it must not saturate to u64::MAX.
+        assert_eq!(Json::Num(18_446_744_073_709_551_616.0).as_u64(), None);
+        assert_eq!(parse("18446744073709551616").unwrap().as_u64(), None);
+        assert_eq!(parse("9223372036854775808").unwrap().as_u64(), Some(1 << 63));
+    }
+
+    #[test]
+    fn raw_fragments_encode_verbatim_and_stay_opaque() {
+        let rule = mining::Dar {
+            antecedent: vec![3, 14],
+            consequent: vec![0],
+            degree: 0.25,
+            min_cluster_support: 60,
+        };
+        let raw = super::rule(&rule, -0.0);
+        let text =
+            r#"{"antecedent":[3,14],"consequent":[0],"degree":0.25,"min_support":60,"measure":-0}"#;
+        assert_eq!(raw.encode(), text);
+        assert_eq!(raw.get("degree"), None, "a fragment is opaque to accessors");
+        assert_eq!(
+            rule_array([(&rule, -0.0), (&rule, -0.0)].into_iter()).encode(),
+            format!("[{text},{text}]")
+        );
+        assert_eq!(rule_array(std::iter::empty()).encode(), "[]");
+        assert!(!matches!(parse(text).unwrap(), Json::Raw(_)), "parse never yields a fragment");
     }
 }

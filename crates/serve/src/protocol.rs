@@ -89,10 +89,11 @@
 //! (insertion-ordered keys, shortest round-trip floats), so equal rule
 //! sets encode to equal bytes.
 
-use crate::json::Json;
+use crate::json::{self, Json};
 use dar_core::ClusterSummary;
 use dar_engine::{EngineStats, QueryOutcome};
 use mining::{DensitySpec, Measure, RuleQuery};
+use std::io::{self, Write};
 
 /// One decoded client request.
 #[derive(Debug, Clone, PartialEq)]
@@ -384,6 +385,20 @@ fn parse_query_with(value: &Json, base: &RuleQuery) -> Result<RuleQuery, String>
     Ok(query)
 }
 
+/// Writes one frame — `line` plus its `\n` terminator — in a single
+/// `write_all` and returns its length in bytes. Writing the newline
+/// separately would send a large frame as two segments, and the second,
+/// 1-byte one then waits on the peer's delayed ACK (Nagle) for tens of
+/// milliseconds.
+///
+/// # Errors
+/// The underlying write's failure.
+pub fn write_frame(out: &mut impl Write, mut line: String) -> io::Result<u64> {
+    line.push('\n');
+    out.write_all(line.as_bytes())?;
+    Ok(line.len() as u64)
+}
+
 /// A structured error response: `{"ok":false,"error":…,"message":…}`.
 pub fn error_response(code: &str, message: &str) -> Json {
     Json::obj(vec![
@@ -412,12 +427,7 @@ pub fn ingest_response(tuples: u64, total: u64) -> Json {
 /// `"approx":true` and its honest `"coverage"` fraction; exact answers
 /// omit both keys entirely.
 pub fn query_response(outcome: &QueryOutcome) -> Json {
-    let rules: Vec<Json> = outcome
-        .rules
-        .iter()
-        .zip(&outcome.values)
-        .map(|(rule, &value)| rule_json(rule, value))
-        .collect();
+    let rules = json::rule_array(outcome.rules.iter().zip(outcome.values.iter().copied()));
     let mut pairs = vec![
         ("ok", Json::Bool(true)),
         ("verb", Json::Str("query".into())),
@@ -426,7 +436,7 @@ pub fn query_response(outcome: &QueryOutcome) -> Json {
         ("cached", Json::Bool(outcome.cached)),
         ("truncated", Json::Bool(outcome.truncated)),
         ("measure", Json::Str(outcome.measure.as_str().into())),
-        ("rules", Json::Arr(rules)),
+        ("rules", rules),
     ];
     if let Some(coverage) = outcome.coverage {
         if coverage < 1.0 {
@@ -440,15 +450,11 @@ pub fn query_response(outcome: &QueryOutcome) -> Json {
 /// One rule as its wire object — the unit `query` responses and
 /// rule-churn `event` frames share, so a rule encodes to the same bytes
 /// everywhere it appears. `value` is the rule's score under the ranking
-/// measure in force (its degree under the default measure).
+/// measure in force (its degree under the default measure). Pre-encoded
+/// by [`json::write_rule`]: the object's keys are `antecedent`,
+/// `consequent`, `degree`, `min_support` and `measure`.
 pub fn rule_json(rule: &mining::Dar, value: f64) -> Json {
-    Json::obj(vec![
-        ("antecedent", Json::Arr(rule.antecedent.iter().map(|&i| Json::Num(i as f64)).collect())),
-        ("consequent", Json::Arr(rule.consequent.iter().map(|&i| Json::Num(i as f64)).collect())),
-        ("degree", Json::Num(rule.degree)),
-        ("min_support", Json::Num(rule.min_cluster_support as f64)),
-        ("measure", Json::Num(value)),
-    ])
+    json::rule(rule, value)
 }
 
 /// The `clusters` success response: the epoch's cluster summaries.

@@ -30,7 +30,7 @@ use crate::stats::{ServerStats, StatsSnapshot};
 use dar_durable::{DiskStorage, Storage};
 use dar_stream::{EngineBackend, WindowedIngest};
 use mining::RuleQuery;
-use std::io::{self, BufRead, BufReader, BufWriter, Write};
+use std::io::{self, BufRead, BufReader};
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, Ordering};
@@ -364,6 +364,8 @@ fn accept_loop(
         if shutdown.is_set() {
             break; // the wake-up self-connection (or a late client)
         }
+        // Every frame goes out in one write; don't hold its tail for an ACK.
+        let _ = stream.set_nodelay(true);
         match tx.try_send(stream) {
             Ok(()) => {
                 stats.connections.fetch_add(1, Ordering::Relaxed);
@@ -380,12 +382,10 @@ fn accept_loop(
 }
 
 /// Backpressure: tell the refused client why, then hang up.
-fn refuse(stream: TcpStream, write_timeout: Duration) {
+fn refuse(mut stream: TcpStream, write_timeout: Duration) {
     let _ = stream.set_write_timeout(Some(write_timeout));
-    let mut writer = BufWriter::new(stream);
     let line = protocol::error_response("overloaded", "accept queue is full, retry later").encode();
-    let _ = writeln!(writer, "{line}");
-    let _ = writer.flush();
+    let _ = protocol::write_frame(&mut stream, line);
 }
 
 fn worker_loop(rx: &Mutex<Receiver<TcpStream>>, ctx: &WorkerCtx) {
@@ -404,11 +404,10 @@ fn worker_loop(rx: &Mutex<Receiver<TcpStream>>, ctx: &WorkerCtx) {
     }
 }
 
-fn serve_connection(stream: TcpStream, ctx: &WorkerCtx) -> io::Result<()> {
+fn serve_connection(mut stream: TcpStream, ctx: &WorkerCtx) -> io::Result<()> {
     stream.set_read_timeout(Some(ctx.config.read_timeout))?;
     stream.set_write_timeout(Some(ctx.config.write_timeout))?;
     let reader = BufReader::new(stream.try_clone()?);
-    let mut writer = BufWriter::new(stream);
     for line in reader.lines() {
         let line = match line {
             Ok(line) => line,
@@ -427,22 +426,19 @@ fn serve_connection(stream: TcpStream, ctx: &WorkerCtx) -> io::Result<()> {
             let subscription = ctx.churn.subscribe(from_epoch);
             let handshake =
                 protocol::subscribe_response(subscription.epoch, subscription.window_span).encode();
-            writeln!(writer, "{handshake}")?;
-            writer.flush()?;
+            let written = protocol::write_frame(&mut stream, handshake)?;
             ctx.stats.record_latency(verb, started.elapsed());
-            ctx.stats.record_io(verb, line.len() as u64 + 1, handshake.len() as u64 + 1);
+            ctx.stats.record_io(verb, line.len() as u64 + 1, written);
             let handle = std::thread::Builder::new()
                 .name("dar-serve-subscriber".into())
-                .spawn(move || subscriber_loop(writer, subscription))?;
+                .spawn(move || subscriber_loop(stream, subscription))?;
             ctx.churn.track(handle);
             return Ok(());
         }
-        let encoded = response.encode();
-        writeln!(writer, "{encoded}")?;
-        writer.flush()?;
+        let written = protocol::write_frame(&mut stream, response.encode())?;
         ctx.stats.record_latency(verb, started.elapsed());
-        // +1 on each side for the newline framing the codec strips/adds.
-        ctx.stats.record_io(verb, line.len() as u64 + 1, encoded.len() as u64 + 1);
+        // Both sides count the newline framing the codec strips/adds.
+        ctx.stats.record_io(verb, line.len() as u64 + 1, written);
         if matches!(action, Action::Shutdown) {
             ctx.shutdown.trigger();
             break;
@@ -456,19 +452,18 @@ fn serve_connection(stream: TcpStream, ctx: &WorkerCtx) -> io::Result<()> {
 /// (hang up silently) or a lagged cut (write the structured final frame
 /// first). A client that stopped reading fails the write and is reaped by
 /// the publisher on its next fan-out.
-fn subscriber_loop(mut writer: BufWriter<TcpStream>, subscription: SubscriptionRx) {
+fn subscriber_loop(mut stream: TcpStream, subscription: SubscriptionRx) {
     loop {
         match subscription.rx.recv() {
             Ok(line) => {
-                if writeln!(writer, "{line}").and_then(|()| writer.flush()).is_err() {
+                if protocol::write_frame(&mut stream, line).is_err() {
                     return;
                 }
             }
             Err(_) => {
                 if subscription.cut.is_lagged() {
                     let line = protocol::lagged_frame(subscription.cut.epoch()).encode();
-                    let _ = writeln!(writer, "{line}");
-                    let _ = writer.flush();
+                    let _ = protocol::write_frame(&mut stream, line);
                 }
                 return;
             }

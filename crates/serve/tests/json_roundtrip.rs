@@ -1,9 +1,12 @@
 //! Property: `encode` → `parse` round-trips arbitrary JSON values —
 //! floats (including negative zero and sub-normal magnitudes), strings
 //! full of escapes, empty arrays/objects, and arbitrarily nested trees —
-//! and encoding is deterministic.
+//! and encoding is deterministic. The codec's fast paths (the integer
+//! number writer and reader, run-copying strings, pre-encoded rule
+//! fragments) are each checked against the plain path they shortcut.
 
-use dar_serve::json::{parse, Json};
+use dar_serve::json::{self, parse, Json};
+use mining::Dar;
 use proptest::prelude::*;
 
 /// Tricky strings the string-index token picks from: escapes, unicode,
@@ -24,8 +27,32 @@ const STRINGS: &[&str] = &[
 ];
 
 /// Interesting floats beyond the uniform range: exact integers, negative
-/// zero, tiny and huge magnitudes.
-const FLOATS: &[f64] = &[0.0, -0.0, 1.0, -1.0, 42.0, 0.1, -2.5e-9, 1.0e300, 5e-324, f64::MIN];
+/// zero, tiny and huge magnitudes, and the edges of the encoder's integer
+/// path (the exact-integer limit 2^53 on both sides, values whose
+/// `Display` carries trailing zeros).
+const FLOATS: &[f64] = &[
+    0.0,
+    -0.0,
+    1.0,
+    -1.0,
+    42.0,
+    0.1,
+    -2.5e-9,
+    1.0e300,
+    5e-324,
+    f64::MIN,
+    f64::MAX,
+    f64::EPSILON,
+    9_007_199_254_740_991.0,
+    -9_007_199_254_740_991.0,
+    9_007_199_254_740_992.0,
+    -9_007_199_254_740_992.0,
+    9_007_199_254_740_993.0,
+    1e15,
+    -1e15,
+    1e21,
+    1e22,
+];
 
 /// One generated token: `(kind, uniform float, index)`.
 type Token = (u8, f64, u32);
@@ -84,5 +111,199 @@ fn uniform_floats_survive_bit_exactly() {
         })?;
         let y = reparsed.as_f64().expect("a number parses to a number");
         prop_assert_eq!(x.to_bits(), y.to_bits(), "{} → {}", x, encoded);
+    });
+}
+
+/// What the encoder must print for a number: `Display`, or `null` for a
+/// non-finite value.
+fn expected_number(n: f64) -> String {
+    if n.is_finite() {
+        format!("{n}")
+    } else {
+        "null".to_string()
+    }
+}
+
+#[test]
+fn number_encoder_matches_display() {
+    for &n in FLOATS {
+        assert_eq!(Json::Num(n).encode(), expected_number(n), "{n:e}");
+    }
+    proptest!(|(bits in 0u64..u64::MAX, int in -(1i64 << 54)..(1i64 << 54), x in -1.0e6f64..1.0e6)| {
+        // Any bit pattern (every magnitude, subnormals, NaN, ±∞), an
+        // integer straddling 2^53, and the same integer as a fraction.
+        for n in [f64::from_bits(bits), int as f64, x, x.trunc(), int as f64 / 8.0] {
+            prop_assert_eq!(Json::Num(n).encode(), expected_number(n), "{:e}", n);
+        }
+    });
+}
+
+#[test]
+fn integer_parse_path_matches_str_parse() {
+    proptest!(|(digits in prop::collection::vec(0u8..10, 1..21), negative in 0u8..2, zeros in 0usize..4)| {
+        let body: String = digits.iter().map(|d| char::from(b'0' + d)).collect();
+        // Leading zeros on both sides of the 15-digit cut-over.
+        for text in [body.clone(), format!("{}{body}", "0".repeat(zeros))] {
+            let text = if negative == 1 { format!("-{text}") } else { text };
+            let parsed = parse(&text).map_err(|e| {
+                proptest::TestCaseError::Fail(format!("{e} while parsing {text:?}"))
+            })?;
+            let want: f64 = text.parse().expect("a valid float literal");
+            let got = parsed.as_f64().expect("a number parses to a number");
+            prop_assert_eq!(got.to_bits(), want.to_bits(), "{}", text);
+        }
+    });
+}
+
+/// String pieces: escape-free ASCII and non-ASCII runs, and every
+/// character the encoder escapes (each control character has its own
+/// form, named or `\u00XX`).
+fn string_piece(index: u32) -> String {
+    const RUNS: &[&str] = &["plain", "a b", "é", "ß中", "😀🦀", "/", "\u{7f}", "⇒x"];
+    let controls = 0x20;
+    match index as usize % (RUNS.len() + controls + 2) {
+        i if i < RUNS.len() => RUNS[i].to_string(),
+        i if i < RUNS.len() + controls => char::from((i - RUNS.len()) as u8).to_string(),
+        i if i == RUNS.len() + controls => "\"".to_string(),
+        _ => "\\".to_string(),
+    }
+}
+
+/// The per-char string encoder the run-copying one replaced: the bytes
+/// to keep.
+fn reference_string(s: &str) -> String {
+    let mut out = String::from("\"");
+    for c in s.chars() {
+        match c {
+            '"' => out.push_str("\\\""),
+            '\\' => out.push_str("\\\\"),
+            '\n' => out.push_str("\\n"),
+            '\r' => out.push_str("\\r"),
+            '\t' => out.push_str("\\t"),
+            '\u{0008}' => out.push_str("\\b"),
+            '\u{000C}' => out.push_str("\\f"),
+            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
+            c => out.push(c),
+        }
+    }
+    out.push('"');
+    out
+}
+
+/// The same string spelled with `\uXXXX` escapes only (surrogate pairs
+/// above the BMP, `\/` for the solidus): wire text the encoder never
+/// writes but the parser must accept.
+fn unicode_escaped(s: &str) -> String {
+    let mut out = String::from("\"");
+    for c in s.chars() {
+        if c == '/' {
+            out.push_str("\\/");
+            continue;
+        }
+        let mut units = [0u16; 2];
+        for unit in c.encode_utf16(&mut units) {
+            out.push_str(&format!("\\u{unit:04X}"));
+        }
+    }
+    out.push('"');
+    out
+}
+
+#[test]
+fn strings_with_runs_and_escapes_round_trip() {
+    proptest!(|(pieces in prop::collection::vec(0u32..1024, 0..40))| {
+        let s: String = pieces.iter().map(|&i| string_piece(i)).collect();
+        let encoded = Json::Str(s.clone()).encode();
+        prop_assert_eq!(&encoded, &reference_string(&s));
+        prop_assert_eq!(parse(&encoded).ok(), Some(Json::Str(s.clone())), "wire: {}", encoded);
+        prop_assert_eq!(parse(&unicode_escaped(&s)).ok(), Some(Json::Str(s.clone())));
+        // As an object key too: keys share the string codec.
+        let keyed = Json::Obj(vec![(s.clone(), Json::Null)]);
+        prop_assert_eq!(parse(&keyed.encode()).ok(), Some(keyed));
+    });
+}
+
+#[test]
+fn malformed_input_keeps_its_error_messages_and_offsets() {
+    for (input, message, at) in [
+        ("", "unexpected end of input", 0),
+        ("{", "expected '\"'", 1),
+        ("[1,]", "unexpected character", 3),
+        ("{\"a\":}", "unexpected character", 5),
+        ("tru", "expected \"true\"", 0),
+        ("1.2.3", "trailing characters after JSON value", 3),
+        ("\"a\" x", "trailing characters after JSON value", 4),
+        ("{\"a\" 1}", "expected ':'", 5),
+        ("[1 2]", "expected ',' or ']' in array", 3),
+        ("01x", "trailing characters after JSON value", 2),
+        ("-", "expected digits", 1),
+        ("1.", "expected fraction digits", 2),
+        ("1e", "expected exponent digits", 2),
+        ("1e+", "expected exponent digits", 3),
+        ("\"abc", "unterminated string", 4),
+        ("\"\\x\"", "invalid escape", 2),
+        ("\"\\u12\"", "expected 4 hex digits", 5),
+        ("\"\\ud83d\"", "unpaired surrogate", 7),
+        ("\"\\ud83dx\"", "unpaired surrogate", 7),
+        ("\"\\ud83d\\u0041\"", "invalid low surrogate", 13),
+        ("\"a\u{1}b\"", "unescaped control character in string", 2),
+        ("[1,2", "expected ',' or ']' in array", 4),
+        ("{\"a\":1,}", "expected '\"'", 7),
+        ("nul", "expected \"null\"", 0),
+        ("@", "unexpected character", 0),
+        ("\"\\ud83d\\x\"", "unpaired surrogate", 8),
+    ] {
+        let err = parse(input).expect_err(input);
+        assert_eq!((err.message.as_str(), err.at), (message, at), "{input:?}");
+    }
+}
+
+/// A rule drawn from a token: short index lists, and a score from
+/// `FLOATS` or the uniform draw.
+fn token_rule(&(kind, x, index): &Token) -> (Dar, f64) {
+    let indices =
+        |n: u32| (0..n % 4).map(|k| (index as usize * 7 + k as usize * 13) % 400).collect();
+    let rule = Dar {
+        antecedent: indices(index + 1),
+        consequent: indices(kind as u32),
+        degree: x.abs() / 1.0e12,
+        min_cluster_support: u64::from(index) * 1_000_003,
+    };
+    let value = if kind % 2 == 0 { x } else { FLOATS[index as usize % FLOATS.len()] };
+    (rule, value)
+}
+
+/// The tree-per-rule encoding a pre-encoded rule stands for.
+fn plain_rule(rule: &Dar, value: f64) -> Json {
+    let indices = |v: &[usize]| Json::Arr(v.iter().map(|&i| Json::Num(i as f64)).collect());
+    Json::obj(vec![
+        ("antecedent", indices(&rule.antecedent)),
+        ("consequent", indices(&rule.consequent)),
+        ("degree", Json::Num(rule.degree)),
+        ("min_support", Json::Num(rule.min_cluster_support as f64)),
+        ("measure", Json::Num(value)),
+    ])
+}
+
+#[test]
+fn raw_fragments_encode_like_the_values_they_stand_for() {
+    proptest!(|(tokens in prop::collection::vec(
+        (0u8..6, -1.0e12f64..1.0e12, 0u32..1024), 0..24))| {
+        let rules: Vec<(Dar, f64)> = tokens.iter().map(token_rule).collect();
+        let plain = Json::Arr(rules.iter().map(|(r, v)| plain_rule(r, *v)).collect());
+        let raw_each = Json::Arr(rules.iter().map(|(r, v)| json::rule(r, *v)).collect());
+        let raw_all = json::rule_array(rules.iter().map(|(r, v)| (r, *v)));
+        // Embedded at a random spot of a random tree, each spelling of
+        // the rules encodes to the same bytes.
+        let host = |rules: Json| Json::Obj(vec![
+            ("before".to_string(), tree(&tokens, 3)),
+            ("rules".to_string(), rules),
+            ("after".to_string(), tree(&tokens[tokens.len() / 2..], 3)),
+        ]);
+        let want = host(plain.clone()).encode();
+        prop_assert_eq!(host(raw_each).encode(), want.clone());
+        prop_assert_eq!(host(raw_all).encode(), want.clone());
+        // A fragment parses back to the plain values.
+        prop_assert_eq!(parse(&want).ok(), Some(host(plain)));
     });
 }
