@@ -45,6 +45,4 @@ pub use clique::{maximal_cliques, maximal_cliques_pooled, non_trivial};
 pub use graph::{ClusterDistance, ClusteringGraph, GraphConfig};
 pub use pipeline::{DarConfig, DarMiner, MineResult, MineStats};
 pub use query::{DensitySpec, Measure, Phase2Artifacts, RuleQuery, MEASURES};
-pub use rules::{
-    consequent_subsets, generate_dars_capped_pooled, pair_candidates, sort_rules, Dar, RuleConfig,
-};
+pub use rules::{generate_dars_capped_pooled, sort_rules, Dar, RuleConfig, RuleKernel, Walker};

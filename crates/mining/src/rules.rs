@@ -11,7 +11,7 @@
 
 use crate::graph::{ClusterDistance, ClusteringGraph};
 use dar_par::ThreadPool;
-use std::collections::BTreeSet;
+use std::ops::ControlFlow;
 
 /// Configuration of rule generation.
 #[derive(Debug, Clone, PartialEq)]
@@ -92,164 +92,477 @@ pub fn generate_dars_capped(
 /// [`generate_dars_capped`] parallelized over consequent cliques on the
 /// `dar-par` pool. Output is byte-identical to the serial path at every
 /// worker count (the serial entry point *is* this function with a serial
-/// pool — there is no twin implementation to drift):
+/// pool — there is no twin implementation to drift).
+///
+/// The serial enumeration walks `Q2` (the task), then `Q1`, then `Q2`'s
+/// consequent subsets, then the antecedents of each `(Q1, consequent)`
+/// triple, and keeps the first occurrence of every rule:
 ///
 /// - The triple count per `Q2` (`|consequent subsets| × |cliques|`) is
-///   data-independent, so the serial `max_pair_work` cutoff is reproduced
-///   exactly from precomputed prefix offsets: task `i` examines at most
-///   `max_pair_work − offsetᵢ` triples.
-/// - Each task emits its candidates in serial enumeration order with a
-///   task-local keep-first dedup; a `Dar`'s fields are fully determined by
-///   its `(antecedent, consequent)` key, so dropping later duplicates
-///   never changes a value.
-/// - A sequential merge in `Q2` order re-applies the global dedup and the
-///   `max_rules` cutoff at exactly the rule where the serial loop stops.
+///   data-independent, so the `max_pair_work` cutoff is reproduced exactly
+///   from prefix offsets (saturating binomial counts, never an
+///   enumeration): task `i` examines at most `max_pair_work − offsetᵢ`
+///   triples.
+/// - Each task emits only the first occurrences ([`RuleKernel`] says which
+///   occurrences those are, without a seen-set), so no rule appears twice
+///   across tasks and the merge is a concatenation in `Q2` order, cut at
+///   `max_rules`.
+/// - A task stops once it holds `max_rules` rules: the merge never takes
+///   more than that from one task.
 pub fn generate_dars_capped_pooled(
     graph: &ClusteringGraph,
     cliques: &[Vec<usize>],
     config: &RuleConfig,
     pool: &ThreadPool,
 ) -> (Vec<Dar>, bool) {
-    // Consequent subsets of each Q2, enumerated once; antecedents come
-    // from every clique Q1 (including Q2 itself).
-    let consequents: Vec<Vec<Vec<usize>>> =
-        cliques.iter().map(|q2| subsets_up_to(q2, config.max_consequent)).collect();
-    let mut offsets: Vec<u64> = Vec::with_capacity(cliques.len());
-    let mut total_work: u64 = 0;
-    for cons in &consequents {
-        offsets.push(total_work);
-        total_work =
-            total_work.saturating_add((cons.len() as u64).saturating_mul(cliques.len() as u64));
-    }
-    let mut truncated = config.max_pair_work != 0 && total_work > config.max_pair_work;
+    RuleKernel::new(graph, cliques, config, pool).generate(pool)
+}
 
-    let tasks = pool.map_indexed("rule_gen", cliques.len(), 1, |i| {
-        let budget = if config.max_pair_work == 0 {
-            u64::MAX
+/// The rule-generation kernel of one query: its `assoc` sets as bitset
+/// rows, plus the walk over clique pairs that turns them into rules. The
+/// exact generator ([`generate_dars_capped_pooled`]) and the anytime
+/// sampler in `dar-rank` ([`RuleKernel::walker`]) both enumerate through
+/// it.
+///
+/// Row `y` has bit `x` set iff `set(x) ≠ set(y)` and
+/// `D(C_y[set(y)], C_x[set(y)]) ≤ D0[set(y)]`, computed once per query. A
+/// triple `(Q1, S)` then has candidates `Q1 ∩ ⋂_{y∈S} assoc(y)`, and every
+/// non-empty subset of them up to `max_antecedent` members is an
+/// antecedent. Consequents and antecedents are enumerated lazily, depth
+/// first, members ascending. A consequent prefix with no candidates ends
+/// its subtree, which is charged to the work budget by count.
+///
+/// In the exact walk, a rule `(A, S)` of task `Q2 = Qⱼ` at `Q1 = Q_q` is a
+/// first occurrence iff no clique `Qᵢ` with `i < j` contains `S` and no
+/// clique `Q_p` with `p < q` contains `A`. The triple `(Q_p, S)` yields the
+/// same rule (a candidate's membership depends on it and on `S` alone)
+/// earlier in the same task. A task `i < j` enumerates `S` too, and when
+/// task `j`'s copy is inside its budget `M − offsetⱼ`, task `i` is
+/// entirely inside `M − offsetᵢ`, because
+/// `offsetⱼ ≥ offsetᵢ + |subsets(Qᵢ)|·|cliques|`. So a skipped rule always
+/// occurred earlier, and dropping it changes neither the merged order nor
+/// where `max_rules` cuts it.
+pub struct RuleKernel<'a> {
+    graph: &'a ClusteringGraph,
+    config: &'a RuleConfig,
+    /// Clique members, ascending.
+    cliques: Vec<Vec<usize>>,
+    /// Words per node bitset.
+    words: usize,
+    /// One `assoc` row per node; empty when no rule is possible.
+    assoc: Vec<u64>,
+    /// One node bitset per clique.
+    members: Vec<u64>,
+    /// Members of the largest clique.
+    largest: usize,
+    counts: SubsetCounts,
+}
+
+impl<'a> RuleKernel<'a> {
+    /// Builds the `assoc` rows, one row per task on `pool`.
+    pub fn new(
+        graph: &'a ClusteringGraph,
+        cliques: &[Vec<usize>],
+        config: &'a RuleConfig,
+        pool: &ThreadPool,
+    ) -> Self {
+        let clusters = graph.clusters();
+        let words = graph.len().div_ceil(64);
+        let cliques: Vec<Vec<usize>> = cliques
+            .iter()
+            .map(|q| {
+                let mut q = q.clone();
+                q.sort_unstable();
+                q
+            })
+            .collect();
+        let productive =
+            config.max_antecedent > 0 && config.max_consequent > 0 && !cliques.is_empty();
+        let assoc = if productive {
+            pool.map_indexed("rule_assoc", graph.len(), 1, |y| {
+                let (cy, yset) = (&clusters[y], clusters[y].set);
+                let mut row = vec![0u64; words];
+                for (x, cx) in clusters.iter().enumerate() {
+                    if cx.set != yset
+                        && config
+                            .metric
+                            .between(&cy.acf, &cx.acf, yset)
+                            .expect("graph clusters are non-empty")
+                            <= config.degree_thresholds[yset]
+                    {
+                        row[x / 64] |= 1 << (x % 64);
+                    }
+                }
+                row
+            })
+            .concat()
         } else {
-            config.max_pair_work.saturating_sub(offsets[i])
+            Vec::new()
         };
-        q2_candidates(graph, cliques, &consequents[i], config, budget)
-    });
+        let mut members = vec![0u64; cliques.len() * words];
+        for (row, clique) in members.chunks_mut(words.max(1)).zip(&cliques) {
+            for &x in clique {
+                row[x / 64] |= 1 << (x % 64);
+            }
+        }
+        let largest = cliques.iter().map(Vec::len).max().unwrap_or(0);
+        let counts = SubsetCounts::new(largest, config.max_consequent);
+        RuleKernel { graph, config, cliques, words, assoc, members, largest, counts }
+    }
 
-    let mut seen: BTreeSet<(Vec<usize>, Vec<usize>)> = BTreeSet::new();
-    let mut out: Vec<Dar> = Vec::new();
-    'merge: for task in tasks {
-        for dar in task {
-            let key = (dar.antecedent.clone(), dar.consequent.clone());
-            if !seen.insert(key) {
+    /// A walker over single clique pairs, with no work budget and no
+    /// deduplication across pairs (the anytime sampler's unit).
+    pub fn walker(&self) -> Walker<'_, 'a> {
+        Walker::new(self, u64::MAX, None)
+    }
+
+    /// The exact, budgeted enumeration: one task per consequent clique,
+    /// merged in order (see [`generate_dars_capped_pooled`]).
+    fn generate(&self, pool: &ThreadPool) -> (Vec<Dar>, bool) {
+        let config = self.config;
+        let len = self.cliques.len();
+        let mut offsets: Vec<u64> = Vec::with_capacity(len);
+        let mut total_work: u64 = 0;
+        for clique in &self.cliques {
+            offsets.push(total_work);
+            let subsets = self.counts.get(clique.len(), config.max_consequent);
+            total_work = total_work.saturating_add(subsets.saturating_mul(len as u64));
+        }
+        let mut truncated = config.max_pair_work != 0 && total_work > config.max_pair_work;
+
+        // Node → the cliques containing it, for the first-occurrence test.
+        let cwords = len.div_ceil(64);
+        let mut containing = vec![0u64; self.graph.len() * cwords];
+        for (q, clique) in self.cliques.iter().enumerate() {
+            for &x in clique {
+                containing[x * cwords + q / 64] |= 1 << (q % 64);
+            }
+        }
+
+        let tasks = pool.map_indexed("rule_gen", len, 1, |q2| {
+            let budget = if config.max_pair_work == 0 {
+                u64::MAX
+            } else {
+                config.max_pair_work.saturating_sub(offsets[q2])
+            };
+            let mut walk = Walker::new(self, budget, Some(Firsts { containing: &containing, q2 }));
+            let mut out: Vec<Dar> = Vec::new();
+            let mut keep = |dar: Dar| {
+                out.push(dar);
+                if config.max_rules != 0 && out.len() >= config.max_rules {
+                    ControlFlow::Break(())
+                } else {
+                    ControlFlow::Continue(())
+                }
+            };
+            for q1 in 0..len {
+                if walk.pair(q1, q2, &mut keep).is_break() {
+                    break;
+                }
+            }
+            out
+        });
+
+        let mut rules: Vec<Dar> = tasks.into_iter().flatten().collect();
+        if config.max_rules != 0 && rules.len() >= config.max_rules {
+            rules.truncate(config.max_rules);
+            truncated = true;
+        }
+        sort_rules(&mut rules);
+        (rules, truncated)
+    }
+
+    fn assoc_row(&self, y: usize) -> &[u64] {
+        &self.assoc[y * self.words..(y + 1) * self.words]
+    }
+}
+
+/// The exact walk's first-occurrence test (see [`RuleKernel`]).
+#[derive(Clone, Copy)]
+struct Firsts<'k> {
+    /// Node `x`'s row: the cliques containing `x`.
+    containing: &'k [u64],
+    /// The task's consequent clique.
+    q2: usize,
+}
+
+/// Enumerates the rules of clique pairs through a [`RuleKernel`], reusing
+/// its scratch buffers from pair to pair.
+pub struct Walker<'k, 'a> {
+    kernel: &'k RuleKernel<'a>,
+    /// Triples left to examine.
+    budget: u64,
+    firsts: Option<Firsts<'k>>,
+    /// Words per clique bitset.
+    cwords: usize,
+    /// Candidate bitset per consequent depth; row 0 is `Q1`.
+    rows: Vec<u64>,
+    /// Per consequent depth: the cliques before `Q2` containing the prefix.
+    cons_seen: Vec<u64>,
+    /// Per antecedent depth: the cliques before `Q1` containing the prefix.
+    ant_seen: Vec<u64>,
+    cons: Vec<usize>,
+    cand: Vec<usize>,
+    /// `ratio[k·|cand| + j]`: `D / D0` of consequent `k` and candidate `j`.
+    ratios: Vec<f64>,
+    /// The antecedent, as positions in `cand`.
+    ant: Vec<usize>,
+}
+
+impl<'k, 'a> Walker<'k, 'a> {
+    fn new(kernel: &'k RuleKernel<'a>, budget: u64, firsts: Option<Firsts<'k>>) -> Self {
+        let cons_depth = kernel.config.max_consequent.min(kernel.largest) + 1;
+        let ant_depth = kernel.config.max_antecedent.min(kernel.largest) + 1;
+        let cwords = if firsts.is_some() { kernel.cliques.len().div_ceil(64) } else { 0 };
+        let mut cons_seen = vec![0u64; cons_depth * cwords];
+        if let Some(f) = firsts {
+            prefix_mask(&mut cons_seen, f.q2);
+        }
+        Walker {
+            kernel,
+            budget,
+            firsts,
+            cwords,
+            rows: vec![0; cons_depth * kernel.words],
+            cons_seen,
+            ant_seen: vec![0; ant_depth * cwords],
+            cons: Vec::new(),
+            cand: Vec::new(),
+            ratios: Vec::new(),
+            ant: Vec::new(),
+        }
+    }
+
+    /// Emits the rules of the pair (`Q1` = clique `q1`, `Q2` = clique
+    /// `q2`) in enumeration order: consequent subsets of `Q2` depth first,
+    /// each followed by its antecedents. Returns `Break` when `emit` asks
+    /// to stop or the work budget runs out.
+    pub fn pair(
+        &mut self,
+        q1: usize,
+        q2: usize,
+        emit: &mut dyn FnMut(Dar) -> ControlFlow<()>,
+    ) -> ControlFlow<()> {
+        let k = self.kernel;
+        if k.assoc.is_empty() {
+            return ControlFlow::Continue(());
+        }
+        let words = k.words;
+        self.rows[..words].copy_from_slice(&k.members[q1 * words..(q1 + 1) * words]);
+        if self.firsts.is_some() {
+            prefix_mask(&mut self.ant_seen, q1);
+        }
+        self.cons.clear();
+        self.consequents(q1, q2, 0, emit)
+    }
+
+    /// The consequent subsets of `Q2` extending `self.cons` with members
+    /// from position `start` on.
+    fn consequents(
+        &mut self,
+        q1: usize,
+        q2: usize,
+        start: usize,
+        emit: &mut dyn FnMut(Dar) -> ControlFlow<()>,
+    ) -> ControlFlow<()> {
+        let k = self.kernel;
+        let (words, depth, max_len) = (k.words, self.cons.len(), k.config.max_consequent);
+        let members = &k.cliques[q2];
+        for i in start..members.len() {
+            if self.budget == 0 {
+                return ControlFlow::Break(());
+            }
+            let y = members[i];
+            let (done, next) = self.rows.split_at_mut((depth + 1) * words);
+            if !and_into(&mut next[..words], &done[depth * words..], k.assoc_row(y)) {
+                // Neither this subset nor any extension of it has a
+                // candidate: charge all their triples unvisited.
+                let extensions = k.counts.get(members.len() - 1 - i, max_len - depth - 1);
+                self.budget = self.budget.saturating_sub(extensions.saturating_add(1));
                 continue;
             }
-            out.push(dar);
-            if config.max_rules != 0 && out.len() >= config.max_rules {
-                truncated = true;
-                break 'merge;
+            self.budget -= 1;
+            self.cons.push(y);
+            let fresh = match self.firsts {
+                None => true,
+                Some(f) => !self.seen_step(Side::Consequent, depth, f.containing, y, f.q2),
+            };
+            if fresh {
+                self.triple(q1, emit)?;
+            }
+            if depth + 1 < max_len {
+                self.consequents(q1, q2, i + 1, emit)?;
+            }
+            self.cons.pop();
+        }
+        ControlFlow::Continue(())
+    }
+
+    /// The rules of one `(Q1, S)` triple, `S = self.cons`.
+    fn triple(
+        &mut self,
+        q1: usize,
+        emit: &mut dyn FnMut(Dar) -> ControlFlow<()>,
+    ) -> ControlFlow<()> {
+        let k = self.kernel;
+        let (clusters, words) = (k.graph.clusters(), k.words);
+        let depth = self.cons.len();
+        self.cand.clear();
+        for (w, &bits) in self.rows[depth * words..(depth + 1) * words].iter().enumerate() {
+            let mut bits = bits;
+            while bits != 0 {
+                self.cand.push(w * 64 + bits.trailing_zeros() as usize);
+                bits &= bits - 1;
             }
         }
+        // Filled by the triple's first emitted rule.
+        self.ratios.clear();
+        let support = self.cons.iter().map(|&y| clusters[y].support()).min().unwrap_or(0);
+        self.ant.clear();
+        self.antecedents(q1, 0, support, emit)
     }
-    sort_rules(&mut out);
-    (out, truncated)
-}
 
-/// One rule-generation task: every `(Q1, consequent subset)` triple for a
-/// fixed `Q2`, in serial enumeration order, stopping after `budget`
-/// triples. The task-local dedup only drops duplicates the global merge
-/// would drop anyway (keep-first order is the same).
-fn q2_candidates(
-    graph: &ClusteringGraph,
-    cliques: &[Vec<usize>],
-    consequents: &[Vec<usize>],
-    config: &RuleConfig,
-    budget: u64,
-) -> Vec<Dar> {
-    let mut seen: BTreeSet<(Vec<usize>, Vec<usize>)> = BTreeSet::new();
-    let mut out: Vec<Dar> = Vec::new();
-    let mut remaining = budget;
-    'q1s: for q1 in cliques {
-        for cons in consequents {
-            if remaining == 0 {
-                break 'q1s;
+    /// The antecedents extending `self.ant` with candidates from position
+    /// `start` on.
+    fn antecedents(
+        &mut self,
+        q1: usize,
+        start: usize,
+        cons_support: u64,
+        emit: &mut dyn FnMut(Dar) -> ControlFlow<()>,
+    ) -> ControlFlow<()> {
+        let k = self.kernel;
+        let (depth, max_len) = (self.ant.len(), k.config.max_antecedent);
+        for j in start..self.cand.len() {
+            self.ant.push(j);
+            let fresh = match self.firsts {
+                None => true,
+                Some(f) => !self.seen_step(Side::Antecedent, depth, f.containing, self.cand[j], q1),
+            };
+            if fresh {
+                emit(self.rule(cons_support))?;
             }
-            remaining -= 1;
-            emit_pair(graph, q1, cons, config, &mut seen, &mut out);
+            if depth + 1 < max_len {
+                self.antecedents(q1, j + 1, cons_support, emit)?;
+            }
+            self.ant.pop();
         }
+        ControlFlow::Continue(())
     }
-    out
-}
 
-/// Candidate rules for one clique pair `(Q1, Q2)` given `Q2`'s consequent
-/// subsets, in enumeration order and deduplicated within the pair. This is
-/// the sampling unit of the anytime mode in `dar-rank`: the caller owns
-/// cross-pair deduplication and the final [`sort_rules`].
-pub fn pair_candidates(
-    graph: &ClusteringGraph,
-    q1: &[usize],
-    consequents: &[Vec<usize>],
-    config: &RuleConfig,
-) -> Vec<Dar> {
-    let mut seen: BTreeSet<(Vec<usize>, Vec<usize>)> = BTreeSet::new();
-    let mut out: Vec<Dar> = Vec::new();
-    for cons in consequents {
-        emit_pair(graph, q1, cons, config, &mut seen, &mut out);
-    }
-    out
-}
-
-/// All candidate consequent subsets of one clique, for use with
-/// [`pair_candidates`].
-pub fn consequent_subsets(clique: &[usize], max_consequent: usize) -> Vec<Vec<usize>> {
-    subsets_up_to(clique, max_consequent)
-}
-
-/// Appends the rules of one `(Q1, consequent subset)` triple, skipping
-/// keys already in `seen`.
-fn emit_pair(
-    graph: &ClusteringGraph,
-    q1: &[usize],
-    cons: &[usize],
-    config: &RuleConfig,
-    seen: &mut BTreeSet<(Vec<usize>, Vec<usize>)>,
-    out: &mut Vec<Dar>,
-) {
-    let clusters = graph.clusters();
-    // assoc(C_Yj) for each consequent member, intersected.
-    let mut candidates: Vec<usize> = q1
-        .iter()
-        .copied()
-        .filter(|&x| {
-            cons.iter().all(|&y| {
-                if clusters[x].set == clusters[y].set {
-                    return false;
-                }
+    /// The rule `(self.ant, self.cons)`. Its degree is the worst `D / D0`
+    /// ratio, folded consequent members outer, antecedent members inner
+    /// (the historical order, so the bits never change).
+    fn rule(&mut self, cons_support: u64) -> Dar {
+        let (clusters, config) = (self.kernel.graph.clusters(), self.kernel.config);
+        if self.ratios.is_empty() {
+            // The triple's ratios, each distance evaluated once.
+            for &y in &self.cons {
                 let yset = clusters[y].set;
-                let d = config
-                    .metric
-                    .between(&clusters[y].acf, &clusters[x].acf, yset)
-                    .expect("graph clusters are non-empty");
-                d <= config.degree_thresholds[yset]
-            })
-        })
-        .filter(|x| !cons.contains(x))
-        .collect();
-    candidates.sort_unstable();
-    candidates.dedup();
-    if candidates.is_empty() {
-        return;
-    }
-    for ant in subsets_up_to(&candidates, config.max_antecedent) {
-        // Antecedent sets must also be pairwise disjoint with each other;
-        // clique membership of Q1 guarantees distinct sets, but
-        // `candidates` may be a subset of a clique — still pairwise
-        // adjacent, hence distinct.
-        let key = (ant.clone(), cons.to_vec());
-        if seen.contains(&key) {
-            continue;
+                let d0 = config.degree_thresholds[yset];
+                for &x in &self.cand {
+                    let d = config
+                        .metric
+                        .between(&clusters[y].acf, &clusters[x].acf, yset)
+                        .expect("graph clusters are non-empty");
+                    self.ratios.push(if d0 > 0.0 { d / d0 } else { f64::INFINITY });
+                }
+            }
         }
-        let degree = rule_degree(graph, &ant, cons, config);
+        let width = self.cand.len();
+        let mut worst = 0.0f64;
+        for row in self.ratios.chunks(width) {
+            for &j in &self.ant {
+                worst = worst.max(row[j]);
+            }
+        }
+        let antecedent: Vec<usize> = self.ant.iter().map(|&j| self.cand[j]).collect();
         let min_cluster_support =
-            ant.iter().chain(cons.iter()).map(|&i| clusters[i].support()).min().unwrap_or(0);
-        seen.insert(key);
-        out.push(Dar { antecedent: ant, consequent: cons.to_vec(), degree, min_cluster_support });
+            antecedent.iter().map(|&x| clusters[x].support()).fold(cons_support, u64::min);
+        Dar { antecedent, consequent: self.cons.clone(), degree: worst, min_cluster_support }
+    }
+
+    /// Extends one side's first-occurrence stack by node `x`: the cliques
+    /// before `limit` that contain the prefix through depth `depth`.
+    /// Returns whether any remains (the rule occurred earlier).
+    fn seen_step(
+        &mut self,
+        side: Side,
+        depth: usize,
+        containing: &[u64],
+        x: usize,
+        limit: usize,
+    ) -> bool {
+        let (cwords, used) = (self.cwords, limit.div_ceil(64));
+        let stack = match side {
+            Side::Consequent => &mut self.cons_seen,
+            Side::Antecedent => &mut self.ant_seen,
+        };
+        let (done, next) = stack.split_at_mut((depth + 1) * cwords);
+        and_into(
+            &mut next[..used],
+            &done[depth * cwords..depth * cwords + used],
+            &containing[x * cwords..x * cwords + used],
+        )
+    }
+}
+
+#[derive(Clone, Copy)]
+enum Side {
+    Consequent,
+    Antecedent,
+}
+
+/// `dst = a & b` word by word; whether any bit survives.
+fn and_into(dst: &mut [u64], a: &[u64], b: &[u64]) -> bool {
+    let mut any = 0;
+    for ((d, &x), &y) in dst.iter_mut().zip(a).zip(b) {
+        *d = x & y;
+        any |= *d;
+    }
+    any != 0
+}
+
+/// Sets bits `0..limit` of the bitset at the front of `bits`.
+fn prefix_mask(bits: &mut [u64], limit: usize) {
+    for (w, word) in bits[..limit.div_ceil(64)].iter_mut().enumerate() {
+        let top = limit - w * 64;
+        *word = if top >= 64 { !0 } else { (1 << top) - 1 };
+    }
+}
+
+/// `Σ_{j=1}^{k} C(r, j)` — the subsets of at most `k` members of an
+/// `r`-member set — for `r` up to the largest clique, saturating at
+/// `u64::MAX`.
+struct SubsetCounts {
+    width: usize,
+    table: Vec<u64>,
+}
+
+impl SubsetCounts {
+    fn new(largest: usize, max_len: usize) -> Self {
+        let width = max_len.min(largest) + 1;
+        let mut table = vec![0u64; (largest + 1) * width];
+        // Row r of Pascal's triangle, built in place from row r − 1.
+        let mut binomial = vec![0u64; width];
+        binomial[0] = 1;
+        for r in 0..=largest {
+            if r > 0 {
+                for j in (1..width).rev() {
+                    binomial[j] = binomial[j].saturating_add(binomial[j - 1]);
+                }
+            }
+            let mut sum = 0u64;
+            for j in 1..width {
+                sum = sum.saturating_add(binomial[j]);
+                table[r * width + j] = sum;
+            }
+        }
+        SubsetCounts { width, table }
+    }
+
+    fn get(&self, r: usize, k: usize) -> u64 {
+        self.table[r * self.width + k.min(self.width - 1)]
     }
 }
 
@@ -263,55 +576,6 @@ pub fn sort_rules(rules: &mut [Dar]) {
             .then_with(|| a.antecedent.cmp(&b.antecedent))
             .then_with(|| a.consequent.cmp(&b.consequent))
     });
-}
-
-/// Normalized degree of a candidate rule: the worst pairwise
-/// antecedent→consequent association relative to the per-set thresholds.
-fn rule_degree(graph: &ClusteringGraph, ant: &[usize], cons: &[usize], config: &RuleConfig) -> f64 {
-    let clusters = graph.clusters();
-    let mut worst = 0.0f64;
-    for &y in cons {
-        let yset = clusters[y].set;
-        let d0 = config.degree_thresholds[yset];
-        for &x in ant {
-            let d = config
-                .metric
-                .between(&clusters[y].acf, &clusters[x].acf, yset)
-                .expect("graph clusters are non-empty");
-            worst = worst.max(if d0 > 0.0 { d / d0 } else { f64::INFINITY });
-        }
-    }
-    worst
-}
-
-/// All non-empty subsets of `items` with at most `max_len` elements, each
-/// sorted ascending. Enumerates combinations directly (`Σ_k C(n,k)`), so
-/// large cliques with small arity caps stay cheap.
-fn subsets_up_to(items: &[usize], max_len: usize) -> Vec<Vec<usize>> {
-    let mut sorted: Vec<usize> = items.to_vec();
-    sorted.sort_unstable();
-    let mut out = Vec::new();
-    let mut current = Vec::with_capacity(max_len);
-    fn recurse(
-        sorted: &[usize],
-        start: usize,
-        max_len: usize,
-        current: &mut Vec<usize>,
-        out: &mut Vec<Vec<usize>>,
-    ) {
-        for i in start..sorted.len() {
-            current.push(sorted[i]);
-            out.push(current.clone());
-            if current.len() < max_len {
-                recurse(sorted, i + 1, max_len, current, out);
-            }
-            current.pop();
-        }
-    }
-    if max_len > 0 {
-        recurse(&sorted, 0, max_len, &mut current, &mut out);
-    }
-    out
 }
 
 #[cfg(test)]
@@ -503,10 +767,10 @@ mod tests {
     }
 
     #[test]
-    fn pair_candidates_cover_the_uncapped_enumeration() {
-        // Union of per-pair candidates (with cross-pair dedup) equals the
-        // full generator's output — the invariant the anytime sampler
-        // relies on for full-budget convergence.
+    fn walked_pairs_cover_the_uncapped_enumeration() {
+        // Union of per-pair rules (with cross-pair dedup) equals the full
+        // generator's output — the invariant the anytime sampler relies on
+        // for full-budget convergence.
         let gcfg = GraphConfig {
             metric: ClusterDistance::D2,
             density_thresholds: vec![55.0; 3],
@@ -523,29 +787,37 @@ mod tests {
             max_pair_work: 0,
         };
         let exact = generate_dars(&graph, &cliques, &config);
-        let mut seen = BTreeSet::new();
+        let kernel = RuleKernel::new(&graph, &cliques, &config, &ThreadPool::serial());
+        let mut walk = kernel.walker();
         let mut sampled = Vec::new();
-        for q2 in &cliques {
-            let consequents = consequent_subsets(q2, config.max_consequent);
-            for q1 in &cliques {
-                for dar in pair_candidates(&graph, q1, &consequents, &config) {
-                    if seen.insert((dar.antecedent.clone(), dar.consequent.clone())) {
-                        sampled.push(dar);
-                    }
-                }
+        for q2 in 0..cliques.len() {
+            for q1 in 0..cliques.len() {
+                let flow = walk.pair(q1, q2, &mut |dar| {
+                    sampled.push(dar);
+                    ControlFlow::Continue(())
+                });
+                assert!(flow.is_continue());
             }
         }
         sort_rules(&mut sampled);
+        sampled.dedup_by(|a, b| a.antecedent == b.antecedent && a.consequent == b.consequent);
         assert_eq!(exact, sampled);
     }
 
     #[test]
-    fn subsets_enumeration() {
-        let s = subsets_up_to(&[4, 7, 9], 2);
-        assert_eq!(s.len(), 6); // 3 singletons + 3 pairs
-        assert!(s.contains(&vec![4, 9]));
-        assert!(subsets_up_to(&[], 2).is_empty());
-        assert!(subsets_up_to(&[1], 0).is_empty());
+    fn subset_counts_are_saturating_binomial_sums() {
+        let counts = SubsetCounts::new(5, 3);
+        assert_eq!(counts.get(5, 3), 5 + 10 + 10);
+        assert_eq!(counts.get(3, 2), 3 + 3);
+        assert_eq!(counts.get(2, 3), 3, "every non-empty subset of 2");
+        assert_eq!(counts.get(0, 3), 0);
+        assert_eq!(counts.get(4, 0), 0);
+        assert_eq!(
+            SubsetCounts::new(30, 12).get(30, 12),
+            194_129_626,
+            "subsets of at most 12 of 30"
+        );
+        assert_eq!(SubsetCounts::new(70, 70).get(70, 70), u64::MAX, "2^70 − 1 saturates");
     }
 
     #[test]

@@ -19,9 +19,10 @@
 //! (sorted) answer.
 
 use crate::metrics::metrics;
-use mining::{consequent_subsets, pair_candidates, sort_rules, ClusterDistance, Dar};
+use dar_par::ThreadPool;
+use mining::{sort_rules, ClusterDistance, Dar, RuleKernel};
 use mining::{Phase2Artifacts, RuleQuery};
-use std::collections::BTreeSet;
+use std::ops::ControlFlow;
 use std::time::{Duration, Instant};
 
 /// The result of one budgeted mining pass.
@@ -32,15 +33,19 @@ pub struct AnytimeOutcome {
     /// Whether the answer is incomplete (budget cut the walk short, or
     /// `max_rules` truncated the sorted answer).
     pub truncated: bool,
-    /// Fraction of clique pairs examined, in `(0, 1]`. `1.0` means every
+    /// Fraction of clique pairs examined, in `[0, 1]`. `1.0` means every
     /// pair was seen and `rules` equals the exact uncapped answer.
     pub coverage: f64,
 }
 
 /// Mines rules from cached Phase II artifacts under a wall-clock budget.
 ///
-/// At least one clique pair is always examined, so the coverage fraction
-/// is strictly positive even under a zero budget.
+/// The first clique pair is always examined in full, so the coverage
+/// fraction is strictly positive even under a zero budget — unless that
+/// pair alone yields `max_rules` rules and keeps going past the deadline.
+/// Any pair is then cut at the deadline, between two of its rules, and a
+/// pair cut short does not count toward coverage (its rules are kept).
+/// The sample holds at most about `2·max_rules` rules at any time.
 pub fn mine_budgeted(
     artifacts: &Phase2Artifacts,
     metric: ClusterDistance,
@@ -49,29 +54,38 @@ pub fn mine_budgeted(
 ) -> AnytimeOutcome {
     let m = metrics();
     m.anytime_queries.inc();
+    let start = Instant::now();
     let config = query.rule_config(metric, &artifacts.density_thresholds);
-    let cliques = &artifacts.cliques;
-    let len = cliques.len();
+    let len = artifacts.cliques.len();
     let total = len * len;
     if total == 0 {
         m.anytime_coverage_permille.observe(1000);
         return AnytimeOutcome { rules: Vec::new(), truncated: false, coverage: 1.0 };
     }
-    let consequents: Vec<Vec<Vec<usize>>> =
-        cliques.iter().map(|q2| consequent_subsets(q2, config.max_consequent)).collect();
+    let kernel =
+        RuleKernel::new(&artifacts.graph, &artifacts.cliques, &config, &ThreadPool::serial());
+    let mut walk = kernel.walker();
 
     let stride = coprime_stride(total);
-    let start = Instant::now();
-    let mut seen: BTreeSet<(Vec<usize>, Vec<usize>)> = BTreeSet::new();
-    let mut rules: Vec<Dar> = Vec::new();
+    let mut sample = Sample::new(query.max_rules);
     let mut idx = 0usize;
     let mut processed = 0usize;
+    let mut emitted = 0usize;
     for _ in 0..total {
         let (q2, q1) = (idx / len, idx % len);
-        for dar in pair_candidates(&artifacts.graph, &cliques[q1], &consequents[q2], &config) {
-            if seen.insert((dar.antecedent.clone(), dar.consequent.clone())) {
-                rules.push(dar);
+        let first = processed == 0;
+        let flow = walk.pair(q1, q2, &mut |dar| {
+            sample.push(dar);
+            emitted += 1;
+            let may_cut = !first || (query.max_rules != 0 && emitted >= query.max_rules);
+            if may_cut && start.elapsed() >= budget {
+                ControlFlow::Break(())
+            } else {
+                ControlFlow::Continue(())
             }
+        });
+        if flow.is_break() {
+            break;
         }
         processed += 1;
         idx = (idx + stride) % total;
@@ -81,15 +95,49 @@ pub fn mine_budgeted(
     }
     m.anytime_pairs.add(processed as u64);
 
-    sort_rules(&mut rules);
-    let mut truncated = processed < total;
-    if query.max_rules != 0 && rules.len() > query.max_rules {
-        rules.truncate(query.max_rules);
-        truncated = true;
-    }
+    let (rules, overflowed) = sample.finish();
+    let truncated = processed < total || overflowed;
     let coverage = processed as f64 / total as f64;
     m.anytime_coverage_permille.observe((coverage * 1000.0).round() as u64);
     AnytimeOutcome { rules, truncated, coverage }
+}
+
+/// The sampled rules: duplicates across pairs allowed until compaction,
+/// which sorts, deduplicates and keeps the best `cap` (0 = all) in
+/// canonical order — exactly what the final sorted, truncated answer
+/// keeps, since a rule's degree is a function of its identity.
+struct Sample {
+    rules: Vec<Dar>,
+    cap: usize,
+    /// Whether compaction dropped a distinct rule past `cap`.
+    overflowed: bool,
+}
+
+impl Sample {
+    fn new(cap: usize) -> Self {
+        Sample { rules: Vec::new(), cap, overflowed: false }
+    }
+
+    fn push(&mut self, dar: Dar) {
+        self.rules.push(dar);
+        if self.cap != 0 && self.rules.len() >= 2 * self.cap.max(1024) {
+            self.compact();
+        }
+    }
+
+    fn compact(&mut self) {
+        sort_rules(&mut self.rules);
+        self.rules.dedup_by(|a, b| a.antecedent == b.antecedent && a.consequent == b.consequent);
+        if self.cap != 0 && self.rules.len() > self.cap {
+            self.rules.truncate(self.cap);
+            self.overflowed = true;
+        }
+    }
+
+    fn finish(mut self) -> (Vec<Dar>, bool) {
+        self.compact();
+        (self.rules, self.overflowed)
+    }
 }
 
 /// A stride coprime with `total`, near the golden-ratio fraction of it, so

@@ -15,7 +15,7 @@
 
 use dar_core::{BoundingBox, ClusterSummary};
 use mining::Dar;
-use std::collections::BTreeMap;
+use std::collections::HashMap;
 
 /// The rules a pruning pass kept, plus its bookkeeping.
 #[derive(Debug)]
@@ -29,59 +29,60 @@ pub struct PruneOutcome {
     pub clusters: usize,
 }
 
-/// Attribute-set signature of one rule side, members ordered by set.
-/// Clique adjacency guarantees the member sets are pairwise distinct, so
-/// the ordering is total.
-fn signature(members: &[usize], clusters: &[ClusterSummary]) -> Vec<usize> {
-    let mut sets: Vec<usize> = members.iter().map(|&i| clusters[i].set).collect();
-    sets.sort_unstable();
-    sets
-}
-
-/// Member cluster indices ordered by their attribute set, aligning the
-/// two rules of one signature member-by-member.
-fn by_set(members: &[usize], clusters: &[ClusterSummary]) -> Vec<usize> {
-    let mut ordered = members.to_vec();
-    ordered.sort_unstable_by_key(|&i| clusters[i].set);
-    ordered
-}
-
 /// Whether two bounding boxes overlap in every dimension.
 fn overlaps(a: &BoundingBox, b: &BoundingBox) -> bool {
     let (ia, ib) = (a.intervals(), b.intervals());
     ia.len() == ib.len() && ia.iter().zip(ib).all(|(x, y)| x.lo <= y.hi && y.lo <= x.hi)
 }
 
-/// Whether two same-signature rules are redundant: corresponding members
-/// (matched by attribute set) have overlapping bounding boxes on both
-/// sides.
-fn redundant(a: &Dar, b: &Dar, clusters: &[ClusterSummary]) -> bool {
-    let side = |xs: &[usize], ys: &[usize]| {
-        by_set(xs, clusters)
-            .iter()
-            .zip(by_set(ys, clusters))
-            .all(|(&x, y)| overlaps(clusters[x].bbox(), clusters[y].bbox()))
-    };
-    side(&a.antecedent, &b.antecedent) && side(&a.consequent, &b.consequent)
-}
-
 /// Greedy redundancy pruning over a ranked rule list: a rule that is
 /// redundant with an earlier (better-ranked) representative is dropped,
 /// otherwise it becomes a representative itself.
-pub fn prune(rules: &[Dar], clusters: &[ClusterSummary]) -> PruneOutcome {
-    // Representative indices per signature; signatures partition the
-    // rules, so only same-signature pairs are ever compared.
-    let mut reps: BTreeMap<(Vec<usize>, Vec<usize>), Vec<usize>> = BTreeMap::new();
-    let mut kept = Vec::with_capacity(rules.len());
-    let mut absorbed: BTreeMap<usize, usize> = BTreeMap::new();
+///
+/// A rule's signature is the attribute sets of each side, members ordered
+/// by set; clique adjacency guarantees a side's member sets are pairwise
+/// distinct, so the ordering is total. Two same-signature rules are
+/// redundant when corresponding members (matched by attribute set) have
+/// overlapping bounding boxes on both sides. Signatures partition the
+/// rules, so only same-signature pairs are ever compared. Each rule's
+/// set-ordered members and signature are computed once.
+pub fn prune(ranked: &[&Dar], clusters: &[ClusterSummary]) -> PruneOutcome {
+    // Rule `i`'s antecedent then consequent, each ordered by set, and its
+    // signature: the antecedent length, then those members' sets.
+    let (mut members, mut sets) = (Vec::new(), Vec::new());
+    let (mut member_starts, mut set_starts) = (vec![0], vec![0]);
+    for rule in ranked {
+        let from = members.len();
+        for side in [&rule.antecedent, &rule.consequent] {
+            let side_from = members.len();
+            members.extend_from_slice(side);
+            members[side_from..].sort_unstable_by_key(|&i| clusters[i].set);
+        }
+        sets.push(rule.antecedent.len());
+        sets.extend(members[from..].iter().map(|&i| clusters[i].set));
+        member_starts.push(members.len());
+        set_starts.push(sets.len());
+    }
+    let rule_members = |i: usize| &members[member_starts[i]..member_starts[i + 1]];
+    let signature = |i: usize| &sets[set_starts[i]..set_starts[i + 1]];
+
+    // Representative indices per signature.
+    let mut reps: HashMap<&[usize], Vec<usize>> = HashMap::new();
+    let mut kept = Vec::with_capacity(ranked.len());
+    let mut absorbed = vec![false; ranked.len()];
     let mut pruned = 0;
-    for (i, rule) in rules.iter().enumerate() {
-        let sig = (signature(&rule.antecedent, clusters), signature(&rule.consequent, clusters));
-        let group = reps.entry(sig).or_default();
-        match group.iter().find(|&&rep| redundant(&rules[rep], rule, clusters)) {
-            Some(&rep) => {
+    for i in 0..ranked.len() {
+        let group = reps.entry(signature(i)).or_default();
+        let redundant = |rep: usize| {
+            rule_members(rep)
+                .iter()
+                .zip(rule_members(i))
+                .all(|(&x, &y)| overlaps(clusters[x].bbox(), clusters[y].bbox()))
+        };
+        match group.iter().copied().find(|&rep| redundant(rep)) {
+            Some(rep) => {
                 pruned += 1;
-                *absorbed.entry(rep).or_default() += 1;
+                absorbed[rep] = true;
             }
             None => {
                 group.push(i);
@@ -89,7 +90,7 @@ pub fn prune(rules: &[Dar], clusters: &[ClusterSummary]) -> PruneOutcome {
             }
         }
     }
-    PruneOutcome { kept, pruned, clusters: absorbed.len() }
+    PruneOutcome { kept, pruned, clusters: absorbed.iter().filter(|&&a| a).count() }
 }
 
 #[cfg(test)]
@@ -120,12 +121,9 @@ mod tests {
             cluster(2, 0, 10.4),
             cluster(3, 1, 20.4),
         ];
-        let rules = vec![
-            rule(vec![0], vec![1], 0.1),
-            rule(vec![2], vec![3], 0.5),
-            rule(vec![1], vec![0], 0.9),
-        ];
-        let out = prune(&rules, &clusters);
+        let rules =
+            [rule(vec![0], vec![1], 0.1), rule(vec![2], vec![3], 0.5), rule(vec![1], vec![0], 0.9)];
+        let out = prune(&[&rules[0], &rules[1], &rules[2]], &clusters);
         // Rule 1 is redundant with rule 0; rule 2 has a different
         // signature (sides swapped) and survives.
         assert_eq!(out.kept, vec![0, 2]);
@@ -136,8 +134,8 @@ mod tests {
     #[test]
     fn disjoint_boxes_are_not_redundant() {
         let clusters = vec![cluster(0, 0, 10.0), cluster(1, 1, 20.0), cluster(2, 0, 99.0)];
-        let rules = vec![rule(vec![0], vec![1], 0.1), rule(vec![2], vec![1], 0.5)];
-        let out = prune(&rules, &clusters);
+        let rules = [rule(vec![0], vec![1], 0.1), rule(vec![2], vec![1], 0.5)];
+        let out = prune(&[&rules[0], &rules[1]], &clusters);
         assert_eq!(out.kept, vec![0, 1]);
         assert_eq!(out.pruned, 0);
         assert_eq!(out.clusters, 0);

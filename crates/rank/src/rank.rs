@@ -71,70 +71,67 @@ pub struct Ranked {
 /// With default knobs (`degree` measure, no floor, no prune, no top-k)
 /// this returns the input rules in their historical order with their
 /// degrees as values — the legacy output, byte for byte.
-pub fn rank(rules: Vec<Dar>, spec: &RankSpec) -> Ranked {
+pub fn rank(mut rules: Vec<Dar>, spec: &RankSpec) -> Ranked {
     let m = metrics();
     let _t = Span::new(m.rank_ns.clone());
     let rules_in = rules.len();
     m.rules_in.add(rules_in as u64);
 
-    let mut scored: Vec<(Dar, f64)> = rules
-        .into_iter()
-        .map(|rule| {
-            let stats = RuleStats::for_rule(&rule, spec.clusters, spec.n);
-            let value = evaluate(spec.measure, &rule, &stats);
-            (rule, value)
-        })
+    let values: Vec<f64> = rules
+        .iter()
+        .map(|rule| evaluate(spec.measure, rule, &RuleStats::for_rule(rule, spec.clusters, spec.n)))
         .collect();
+    let mut order: Vec<usize> = (0..rules.len()).collect();
 
     if let Some(floor) = spec.min_measure {
         match spec.measure {
             // Degree: lower is stronger, so the floor is a ceiling.
-            Measure::Degree => scored.retain(|(_, v)| *v <= floor),
-            _ => scored.retain(|(_, v)| *v >= floor),
+            Measure::Degree => order.retain(|&i| values[i] <= floor),
+            _ => order.retain(|&i| values[i] >= floor),
         }
     }
 
     // Stable total order: measure value (degree ascending, everything
     // else descending), rule identity as the tie-break.
-    scored.sort_by(|(ra, va), (rb, vb)| {
+    order.sort_by(|&a, &b| {
         let by_value = match spec.measure {
-            Measure::Degree => va.total_cmp(vb),
-            _ => vb.total_cmp(va),
+            Measure::Degree => values[a].total_cmp(&values[b]),
+            _ => values[b].total_cmp(&values[a]),
         };
         by_value
-            .then_with(|| ra.antecedent.cmp(&rb.antecedent))
-            .then_with(|| ra.consequent.cmp(&rb.consequent))
+            .then_with(|| rules[a].antecedent.cmp(&rules[b].antecedent))
+            .then_with(|| rules[a].consequent.cmp(&rules[b].consequent))
     });
 
     let (mut pruned, mut prune_clusters) = (0, 0);
     if spec.prune_redundant {
-        let rules_only: Vec<Dar> = scored.iter().map(|(r, _)| r.clone()).collect();
-        let outcome = prune::prune(&rules_only, spec.clusters);
+        let ranked: Vec<&Dar> = order.iter().map(|&i| &rules[i]).collect();
+        let outcome = prune::prune(&ranked, spec.clusters);
         pruned = outcome.pruned;
         prune_clusters = outcome.clusters;
         m.pruned_rules.add(pruned as u64);
         m.prune_clusters.add(prune_clusters as u64);
-        let keep: std::collections::BTreeSet<usize> = outcome.kept.into_iter().collect();
-        let mut i = 0;
-        scored.retain(|_| {
-            let k = keep.contains(&i);
-            i += 1;
-            k
-        });
+        order = outcome.kept.iter().map(|&k| order[k]).collect();
     }
 
-    if spec.top_k != 0 && scored.len() > spec.top_k {
-        scored.truncate(spec.top_k);
+    if spec.top_k != 0 && order.len() > spec.top_k {
+        order.truncate(spec.top_k);
     }
-    m.rules_out.add(scored.len() as u64);
+    m.rules_out.add(order.len() as u64);
 
-    let mut rules = Vec::with_capacity(scored.len());
-    let mut values = Vec::with_capacity(scored.len());
-    for (rule, value) in scored {
-        rules.push(rule);
-        values.push(value);
+    // Move the survivors out; each index occurs once in `order`.
+    let mut survivors = Vec::with_capacity(order.len());
+    for &i in &order {
+        let empty = Dar {
+            antecedent: Vec::new(),
+            consequent: Vec::new(),
+            degree: 0.0,
+            min_cluster_support: 0,
+        };
+        survivors.push(std::mem::replace(&mut rules[i], empty));
     }
-    Ranked { rules, values, rules_in, pruned, prune_clusters }
+    let values = order.iter().map(|&i| values[i]).collect();
+    Ranked { rules: survivors, values, rules_in, pruned, prune_clusters }
 }
 
 #[cfg(test)]

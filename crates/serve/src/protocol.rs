@@ -83,7 +83,7 @@
 //! The response names the ranking `measure`, and each rule carries its
 //! value under that measure. A budgeted (`budget_ms`) answer that did not
 //! examine every clique pair is explicitly marked `"approx":true` with
-//! the honest `"coverage"` fraction in `(0, 1]`, mirroring the degraded
+//! the honest `"coverage"` fraction in `[0, 1)`, mirroring the degraded
 //! annotation — exact answers omit both keys, so they stay byte-identical
 //! across worker counts and shard layouts. Rule encoding is deterministic
 //! (insertion-ordered keys, shortest round-trip floats), so equal rule
