@@ -661,6 +661,28 @@ impl DarEngine {
         }
     }
 
+    /// Cancels retired summaries out of the live forest in place by CF
+    /// subtraction ([`AcfForest::subtract`]; additivity, Theorem 6.1 /
+    /// Eq. 7, runs both ways). This is the sliding-window layer's subtract
+    /// retirement: there this engine's forest *is* the running total of the
+    /// live horizon, and each forest in `retired` is an expired window whose
+    /// rows were ingested here. `live_tuples` is the count the forest
+    /// summarizes afterwards.
+    ///
+    /// The engine is left exactly as [`DarEngine::with_forest`] would build
+    /// it around the subtracted forest with `epoch_base = self.epoch()`: the
+    /// epoch carries over and stays open, so the next query closes a fresh
+    /// one over the slid horizon, and the counters restart from
+    /// `tuples_ingested = live_tuples`.
+    pub fn subtract_retired(&mut self, retired: Vec<AcfForest>, live_tuples: u64) {
+        for forest in retired {
+            self.forest.subtract(forest);
+        }
+        self.tuples = live_tuples;
+        self.epoch_state = None;
+        self.stats = EngineStats { tuples_ingested: live_tuples, ..EngineStats::default() };
+    }
+
     /// Replays write-ahead-log batches recovered by `dar-durable` on top
     /// of a restored (or fresh) engine, in log order. Identical to
     /// ingesting them live — forest insertion is purely sequential — so a
@@ -937,5 +959,72 @@ mod tests {
         for (m, t) in merged_t.iter().zip(&bt) {
             assert!(m >= t, "merged threshold {m} below shard threshold {t}");
         }
+    }
+
+    /// Every counter of [`EngineStats`] except the timings.
+    fn counters(s: &EngineStats) -> [u64; 9] {
+        [
+            s.tuples_ingested,
+            s.batches,
+            s.rejected_batches,
+            s.epochs,
+            s.wal_batches_replayed,
+            s.forest_rebuilds as u64,
+            s.queries,
+            s.cache_hits,
+            s.cache_misses,
+        ]
+    }
+
+    #[test]
+    fn subtract_retired_leaves_the_state_with_forest_builds() {
+        // Jittered by 0.01, so the subtraction leaves rounding residue: both
+        // engines must carry the very same residue.
+        let (retired_rows, live_rows) = (block_rows(30, 0), block_rows(50, 3));
+        let window_forest = |e: &DarEngine| {
+            let mut f = AcfForest::new(e.partitioning.clone(), &e.config.birch);
+            f.insert_batch(&retired_rows, &e.pool);
+            f
+        };
+        let q = RuleQuery::default();
+
+        // In place: the engine ingested both windows and answered a query
+        // (so its epoch and counters are not the defaults), then retires the
+        // first window.
+        let mut in_place = engine();
+        in_place.ingest(&retired_rows).unwrap();
+        in_place.ingest(&live_rows).unwrap();
+        in_place.query(&q).unwrap();
+        let epoch_base = in_place.epoch();
+        let retired = window_forest(&in_place);
+        in_place.subtract_retired(vec![retired], 50);
+
+        // Rebuilt: the same subtracted forest, stood up by `with_forest`.
+        let mut source = engine();
+        source.ingest(&retired_rows).unwrap();
+        source.ingest(&live_rows).unwrap();
+        let retired = window_forest(&source);
+        let mut forest = source.forest;
+        forest.subtract(retired);
+        let mut rebuilt = DarEngine::with_forest(forest, 50, epoch_base, source.config);
+
+        assert_eq!(in_place.forest.extract_clusters(), rebuilt.forest.extract_clusters());
+        assert_eq!(in_place.forest.thresholds(), rebuilt.forest.thresholds());
+        for round in ["first query", "repeat"] {
+            assert_eq!(in_place.epoch(), rebuilt.epoch(), "{round}: epoch");
+            assert_eq!(in_place.tuples(), rebuilt.tuples(), "{round}: tuples");
+            assert_eq!(counters(&in_place.stats()), counters(&rebuilt.stats()), "{round}: stats");
+            let (a, b) = (in_place.query(&q).unwrap(), rebuilt.query(&q).unwrap());
+            assert!(!a.rules.is_empty(), "{round}: the live window still mines rules");
+            assert_eq!(a.rules, b.rules, "{round}: rules");
+            assert_eq!(a.values, b.values, "{round}: measure values");
+            assert_eq!(
+                (a.epoch, a.s0, a.cached, a.truncated, a.rules_in, a.pruned),
+                (b.epoch, b.s0, b.cached, b.truncated, b.rules_in, b.pruned),
+                "{round}: answer header"
+            );
+        }
+        assert_eq!(in_place.epoch(), epoch_base + 1, "the first query closed a fresh epoch");
+        assert_eq!(counters(&in_place.stats()), counters(&rebuilt.stats()), "final stats");
     }
 }

@@ -23,7 +23,11 @@ pub enum RetirePolicy {
     /// surviving windows when queried.
     Remerge,
     /// Cancel the expired window's summary out of a running total by CF
-    /// subtraction ([`AcfForest::subtract`]).
+    /// subtraction ([`AcfForest::subtract`]). The ring keeps no total of
+    /// its own: it hands the expired forest to its owner
+    /// ([`WindowedForest::take_retired`]), whose live forest is the total —
+    /// in a [`WindowedEngine`](crate::WindowedEngine), the inner engine's forest, subtracted in
+    /// place.
     Subtract,
 }
 
@@ -72,6 +76,12 @@ pub struct AdvanceOutcome {
 /// exceeds [`WindowSpec::slots`] live windows the oldest retires under the
 /// configured [`RetirePolicy`].
 ///
+/// The ring holds per-window state only. Under [`RetirePolicy::Subtract`]
+/// the running total of the live horizon belongs to the owner, which feeds
+/// it every batch and subtracts the expired forests it takes from
+/// [`WindowedForest::take_retired`]; under [`RetirePolicy::Remerge`] the
+/// horizon is re-merged from the live windows ([`WindowedForest::merged`]).
+///
 /// All paths are deterministic: windows seal and retire in sequence order,
 /// per-window insertion is the forest's deterministic scan, and the merged
 /// live horizon is assembled in sequence order — so at any worker count
@@ -87,9 +97,9 @@ pub struct WindowedForest {
     open: WindowSlot,
     /// Non-empty batches ingested into the open window so far.
     open_batches: u64,
-    /// [`RetirePolicy::Subtract`] only: a running forest fed every live
-    /// ingest, with retired windows' summaries subtracted back out.
-    total: Option<AcfForest>,
+    /// [`RetirePolicy::Subtract`] only: expired windows' forests awaiting
+    /// subtraction by the owner ([`WindowedForest::take_retired`]).
+    retired: Vec<AcfForest>,
 }
 
 impl WindowedForest {
@@ -111,10 +121,6 @@ impl WindowedForest {
         assert!(spec.slots >= 1, "at least one live window");
         let fresh =
             AcfForest::with_initial_thresholds(partitioning.clone(), birch, initial_thresholds);
-        let total = match policy {
-            RetirePolicy::Subtract => Some(fresh.clone()),
-            RetirePolicy::Remerge => None,
-        };
         WindowedForest {
             spec,
             policy,
@@ -124,7 +130,7 @@ impl WindowedForest {
             sealed: VecDeque::new(),
             open: WindowSlot { seq: 0, forest: fresh, tuples: 0 },
             open_batches: 0,
-            total,
+            retired: Vec::new(),
         }
     }
 
@@ -167,9 +173,8 @@ impl WindowedForest {
         self.sealed.iter().map(|w| w.tuples).sum::<u64>() + self.open.tuples
     }
 
-    /// Feeds a batch into the open window (and the running total under the
-    /// subtraction policy), advancing automatically when the batch fills
-    /// the window. Empty batches are no-ops: they neither count toward the
+    /// Feeds a batch into the open window, advancing automatically when the
+    /// batch fills the window. Empty batches are no-ops: they neither count toward the
     /// window boundary nor advance — so WAL replay can use empty tagged
     /// frames purely as advance markers.
     ///
@@ -184,9 +189,6 @@ impl WindowedForest {
             return None;
         }
         self.open.forest.insert_batch(rows, pool);
-        if let Some(total) = self.total.as_mut() {
-            total.insert_batch(rows, pool);
-        }
         self.open.tuples += rows.len() as u64;
         self.open_batches += 1;
         if self.open_batches >= self.spec.batches {
@@ -196,7 +198,9 @@ impl WindowedForest {
     }
 
     /// Seals the open window and opens the next; retires the oldest live
-    /// window if the ring overflows.
+    /// window if the ring overflows. Under [`RetirePolicy::Subtract`] the
+    /// expired forest waits in [`WindowedForest::take_retired`] for the
+    /// owner to subtract it from the running total.
     pub fn advance(&mut self) -> AdvanceOutcome {
         let next_seq = self.open.seq + 1;
         let fresh = self.fresh_forest();
@@ -219,10 +223,7 @@ impl WindowedForest {
             match self.policy {
                 RetirePolicy::Subtract => {
                     m.retired_subtract.inc();
-                    self.total
-                        .as_mut()
-                        .expect("subtract policy keeps a running total")
-                        .subtract(expired.forest);
+                    self.retired.push(expired.forest);
                 }
                 RetirePolicy::Remerge => {
                     m.retired_remerge.inc();
@@ -234,18 +235,12 @@ impl WindowedForest {
         AdvanceOutcome { sealed_seq, opened_seq: next_seq, retired_seq }
     }
 
-    /// The merged Phase I state of the live horizon. Under
-    /// [`RetirePolicy::Subtract`] this clones the running total; under
-    /// [`RetirePolicy::Remerge`] it re-merges the surviving windows'
-    /// summaries, in sequence order, into a fresh forest whose per-set
-    /// thresholds are the element-wise maximum over the live windows (a
-    /// summary absorbed under a threshold must not be re-split under a
-    /// smaller one — the same rule `DarEngine::merge_snapshots` applies).
-    pub fn merged(&self) -> AcfForest {
-        if let Some(total) = &self.total {
-            return total.clone();
-        }
-        self.remerge_live()
+    /// Hands over the forests of the windows retired under
+    /// [`RetirePolicy::Subtract`] since the last call, oldest first — the
+    /// owner cancels them out of its running total. Always empty under
+    /// [`RetirePolicy::Remerge`].
+    pub fn take_retired(&mut self) -> Vec<AcfForest> {
+        std::mem::take(&mut self.retired)
     }
 
     /// The live windows oldest-first, the open window last: `(seq, forest,
@@ -258,9 +253,9 @@ impl WindowedForest {
     /// snapshot restore path. `windows` is the live horizon oldest-first
     /// with the open window last (at least the open window must be
     /// present); `open_batches` is the open window's batch count at
-    /// snapshot time. The subtraction policy's running total is re-merged
-    /// from the live windows (moment-identical to the pre-snapshot total by
-    /// ACF additivity).
+    /// snapshot time. The owner rebuilds its view of the horizon from
+    /// [`WindowedForest::merged`] (moment-identical to a pre-snapshot
+    /// running total by ACF additivity).
     ///
     /// # Panics
     /// Panics if `windows` is empty or the spec is degenerate.
@@ -279,7 +274,7 @@ impl WindowedForest {
             .map(|(seq, forest, tuples)| WindowSlot { seq, forest, tuples })
             .collect();
         let open = slots.pop().expect("non-empty checked");
-        let mut wf = WindowedForest {
+        WindowedForest {
             spec,
             policy,
             partitioning,
@@ -288,17 +283,18 @@ impl WindowedForest {
             sealed: slots.into(),
             open,
             open_batches,
-            total: None,
-        };
-        if policy == RetirePolicy::Subtract {
-            wf.total = Some(wf.remerge_live());
+            retired: Vec::new(),
         }
-        wf
     }
 
-    /// A fresh forest holding the live horizon's summaries, merged in
-    /// sequence order under element-wise-max thresholds.
-    fn remerge_live(&self) -> AcfForest {
+    /// The merged Phase I state of the live horizon, under either policy:
+    /// the live windows' summaries, merged in sequence order into a fresh
+    /// forest whose per-set thresholds are the element-wise maximum over
+    /// the live windows (a summary absorbed under a threshold must not be
+    /// re-split under a smaller one — the same rule
+    /// `DarEngine::merge_snapshots` applies). Remerge retirement and
+    /// restore use it.
+    pub fn merged(&self) -> AcfForest {
         let live: Vec<&WindowSlot> =
             self.sealed.iter().chain(std::iter::once(&self.open)).collect();
         let mut thresholds = self.initial_thresholds.clone();

@@ -24,12 +24,18 @@ pub struct WindowedIngest {
 /// inner [`DarEngine`] that answers Phase II queries over the live horizon
 /// only.
 ///
-/// Between retirements the inner engine ingests batches incrementally —
-/// its forest holds exactly the live rows, so queries are as cheap as the
-/// all-history engine's. When a window retires, the inner engine is
-/// rebuilt around the merged survivors ([`DarEngine::with_forest`]) with
-/// its epoch carried forward, so epochs stay monotonic across slides and
-/// `s0` always reflects the live tuple count.
+/// Every batch goes into two forests: the inner engine's and the open
+/// window's. The inner engine's forest holds exactly the live rows, so
+/// queries are as cheap as the all-history engine's. When a window
+/// retires, the inner engine moves to the slid horizon with its epoch
+/// carried forward, so epochs stay monotonic across slides and `s0` always
+/// reflects the live tuple count:
+///
+/// * under [`RetirePolicy::Subtract`] the inner engine's forest *is* the
+///   running total — the expired window is subtracted from it in place
+///   ([`DarEngine::subtract_retired`]);
+/// * under [`RetirePolicy::Remerge`] the inner engine is rebuilt around the
+///   re-merged survivors ([`DarEngine::with_forest`]).
 pub struct WindowedEngine {
     windows: WindowedForest,
     engine: DarEngine,
@@ -60,7 +66,7 @@ impl WindowedEngine {
 
     /// Feeds a batch into the open window and the inner engine. Advances
     /// (and possibly retires) automatically at the window boundary; a
-    /// retirement rebuilds the inner engine over the merged survivors.
+    /// retirement slides the inner engine to the live horizon.
     /// Empty batches are no-ops at the window layer (see
     /// [`WindowedForest::ingest`]).
     ///
@@ -73,7 +79,7 @@ impl WindowedEngine {
         let advance = self.windows.ingest(rows, &self.pool);
         if let Some(a) = &advance {
             if a.retired_seq.is_some() {
-                self.rebuild_engine();
+                self.retire();
             }
         }
         Ok(WindowedIngest {
@@ -84,28 +90,35 @@ impl WindowedEngine {
         })
     }
 
-    /// Seals the open window explicitly (the `advance` verb), rebuilding
-    /// the inner engine if the ring retired a window.
+    /// Seals the open window explicitly (the `advance` verb), sliding the
+    /// inner engine if the ring retired a window.
     pub fn advance(&mut self) -> AdvanceOutcome {
         let outcome = self.windows.advance();
         if outcome.retired_seq.is_some() {
-            self.rebuild_engine();
+            self.retire();
         }
         outcome
     }
 
-    /// Stands the inner engine back up over the merged live horizon. The
-    /// epoch base carries the old engine's epoch so epochs stay monotonic;
-    /// the epoch is left open, so the next query closes a fresh one over
-    /// the slid horizon.
-    fn rebuild_engine(&mut self) {
-        let merged = self.windows.merged();
-        self.engine = DarEngine::with_forest(
-            merged,
-            self.windows.live_tuples(),
-            self.engine.epoch(),
-            self.config.clone(),
-        );
+    /// Moves the inner engine to the slid horizon: subtracts the expired
+    /// windows from its forest in place, or stands it back up over the
+    /// re-merged survivors. Either way the epoch carries over and is left
+    /// open, so the next query closes a fresh one over the slid horizon.
+    fn retire(&mut self) {
+        let live = self.windows.live_tuples();
+        match self.windows.policy() {
+            RetirePolicy::Subtract => {
+                self.engine.subtract_retired(self.windows.take_retired(), live)
+            }
+            RetirePolicy::Remerge => {
+                self.engine = DarEngine::with_forest(
+                    self.windows.merged(),
+                    live,
+                    self.engine.epoch(),
+                    self.config.clone(),
+                );
+            }
+        }
     }
 
     /// Replays one recovered WAL frame. `tag` is the window sequence the
@@ -210,8 +223,8 @@ impl WindowedEngine {
     /// so the whole snapshot ends on a newline byte and the `dar-durable`
     /// seal never alters it. Restoring ([`WindowedEngine::restore`])
     /// rebuilds each window's forest from its summaries and the inner
-    /// engine from their merge, so WAL replay on top reconstructs the ring
-    /// exactly.
+    /// engine from their merge (under either policy), so WAL replay on top
+    /// reconstructs the ring exactly.
     ///
     /// # Errors
     /// Propagates serialization failures from the embedded snapshots.
