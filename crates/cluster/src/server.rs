@@ -11,9 +11,9 @@
 
 use crate::coordinator::Coordinator;
 use dar_serve::json::{self, Json};
-use dar_serve::protocol::{self, Request};
+use dar_serve::protocol::{self, Request, RequestLine};
 use dar_serve::ServerError;
-use std::io::{self, BufRead, BufReader};
+use std::io;
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::mpsc::{Receiver, TrySendError};
@@ -217,16 +217,21 @@ fn worker_loop(rx: &Mutex<Receiver<TcpStream>>, ctx: &WorkerCtx) {
 fn serve_connection(mut stream: TcpStream, ctx: &WorkerCtx) -> io::Result<()> {
     stream.set_read_timeout(Some(ctx.read_timeout))?;
     stream.set_write_timeout(Some(ctx.write_timeout))?;
-    let reader = BufReader::new(stream.try_clone()?);
-    for line in reader.lines() {
-        let line = match line {
-            Ok(line) => line,
-            Err(_) => break,
+    let mut lines = protocol::RequestLines::new(stream.try_clone()?);
+    loop {
+        let line = match lines.next_line() {
+            Ok(RequestLine::Line(line)) => line,
+            Ok(RequestLine::TooLong) => {
+                let (code, message) = protocol::LINE_TOO_LONG;
+                protocol::write_frame(&mut stream, error(ctx, code, message).encode())?;
+                break;
+            }
+            Ok(RequestLine::Eof) | Err(_) => break,
         };
         if line.trim().is_empty() {
             continue;
         }
-        let (response, shutdown_after) = handle_line(&line, ctx);
+        let (response, shutdown_after) = handle_line(line, ctx);
         protocol::write_frame(&mut stream, response.encode())?;
         if shutdown_after {
             ctx.shutdown.trigger();

@@ -93,7 +93,7 @@ use crate::json::{self, Json};
 use dar_core::ClusterSummary;
 use dar_engine::{EngineStats, QueryOutcome};
 use mining::{DensitySpec, Measure, RuleQuery};
-use std::io::{self, Write};
+use std::io::{self, BufRead, BufReader, Read, Write};
 
 /// One decoded client request.
 #[derive(Debug, Clone, PartialEq)]
@@ -397,6 +397,73 @@ pub fn write_frame(out: &mut impl Write, mut line: String) -> io::Result<u64> {
     line.push('\n');
     out.write_all(line.as_bytes())?;
     Ok(line.len() as u64)
+}
+
+/// The longest request line a server reads, its newline excluded: 64 MiB,
+/// more than 100× the largest request the benchmark workloads send (a
+/// 1,000-row, 30-attribute ingest of about 0.6 MB). A longer line is
+/// answered with a `line-too-long` error ([`LINE_TOO_LONG`]) and the
+/// connection closes, so a client that streams bytes without a newline
+/// cannot grow server memory past this bound.
+pub const MAX_REQUEST_LINE: usize = 64 << 20;
+
+/// The error code and message a server answers an oversized request line
+/// with, just before it closes the connection.
+pub const LINE_TOO_LONG: (&str, &str) =
+    ("line-too-long", "request line exceeds 64 MiB; closing the connection");
+
+/// One read of [`RequestLines::next_line`].
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum RequestLine<'a> {
+    /// One request line, its `\n` (or `\r\n`) terminator stripped. A last
+    /// line cut off by the peer's close is returned as read.
+    Line(&'a str),
+    /// The line ran past [`MAX_REQUEST_LINE`] bytes; nothing beyond
+    /// `MAX_REQUEST_LINE + 1` bytes of it was read.
+    TooLong,
+    /// The peer closed the connection.
+    Eof,
+}
+
+/// The request side of one connection: newline-framed lines, each bounded
+/// by [`MAX_REQUEST_LINE`], read into one buffer reused for every line.
+/// Both servers read their requests through it.
+pub struct RequestLines<R> {
+    reader: BufReader<R>,
+    buf: Vec<u8>,
+}
+
+impl<R: Read> RequestLines<R> {
+    /// Wraps a connection's read half.
+    pub fn new(inner: R) -> Self {
+        RequestLines { reader: BufReader::new(inner), buf: Vec::new() }
+    }
+
+    /// Reads the next request line.
+    ///
+    /// # Errors
+    /// Read failures (timeout, reset) as the socket reports them, and
+    /// `InvalidData` for a line that is not UTF-8 — what
+    /// [`BufRead::lines`] reports.
+    pub fn next_line(&mut self) -> io::Result<RequestLine<'_>> {
+        let limit = MAX_REQUEST_LINE as u64 + 1;
+        self.buf.clear();
+        let read = (&mut self.reader).take(limit).read_until(b'\n', &mut self.buf)?;
+        if read == 0 {
+            return Ok(RequestLine::Eof);
+        }
+        if self.buf.last() == Some(&b'\n') {
+            self.buf.pop();
+            if self.buf.last() == Some(&b'\r') {
+                self.buf.pop();
+            }
+        } else if read as u64 == limit {
+            return Ok(RequestLine::TooLong);
+        }
+        std::str::from_utf8(&self.buf).map(RequestLine::Line).map_err(|_| {
+            io::Error::new(io::ErrorKind::InvalidData, "request line is not valid UTF-8")
+        })
+    }
 }
 
 /// A structured error response: `{"ok":false,"error":…,"message":…}`.
@@ -815,5 +882,31 @@ mod tests {
         let e = error_response("overloaded", "accept queue is full");
         assert!(!e.get("ok").unwrap().as_bool().unwrap());
         assert_eq!(e.get("error").unwrap().as_str().unwrap(), "overloaded");
+    }
+
+    #[test]
+    fn request_lines_strip_terminators_and_stop_at_the_bound() {
+        let input = b"{\"verb\":\"stats\"}\r\n\nlast".to_vec();
+        let mut lines = RequestLines::new(&input[..]);
+        assert_eq!(lines.next_line().unwrap(), RequestLine::Line("{\"verb\":\"stats\"}"));
+        assert_eq!(lines.next_line().unwrap(), RequestLine::Line(""));
+        assert_eq!(lines.next_line().unwrap(), RequestLine::Line("last"), "cut off by EOF");
+        assert_eq!(lines.next_line().unwrap(), RequestLine::Eof);
+
+        let mut at_bound = vec![b'a'; MAX_REQUEST_LINE];
+        at_bound.extend_from_slice(b"\nnext\n");
+        let mut lines = RequestLines::new(&at_bound[..]);
+        match lines.next_line().unwrap() {
+            RequestLine::Line(line) => assert_eq!(line.len(), MAX_REQUEST_LINE),
+            other => panic!("a line of exactly MAX_REQUEST_LINE bytes is read, got {other:?}"),
+        }
+        assert_eq!(lines.next_line().unwrap(), RequestLine::Line("next"));
+
+        let over = vec![b'a'; MAX_REQUEST_LINE + 1];
+        assert_eq!(RequestLines::new(&over[..]).next_line().unwrap(), RequestLine::TooLong);
+
+        let not_utf8 = b"\xff\xfe\n".to_vec();
+        let err = RequestLines::new(&not_utf8[..]).next_line().unwrap_err();
+        assert_eq!(err.kind(), io::ErrorKind::InvalidData);
     }
 }

@@ -24,13 +24,13 @@
 use crate::churn::{ChurnFeed, SubscriptionRx};
 use crate::durability::{persist_snapshot, Durability};
 use crate::json::{self, Json};
-use crate::protocol::{self, Request};
+use crate::protocol::{self, Request, RequestLine};
 use crate::shared::SharedEngine;
 use crate::stats::{ServerStats, StatsSnapshot};
 use dar_durable::{DiskStorage, Storage};
 use dar_stream::{EngineBackend, WindowedIngest};
 use mining::RuleQuery;
-use std::io::{self, BufRead, BufReader};
+use std::io;
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, Ordering};
@@ -407,17 +407,23 @@ fn worker_loop(rx: &Mutex<Receiver<TcpStream>>, ctx: &WorkerCtx) {
 fn serve_connection(mut stream: TcpStream, ctx: &WorkerCtx) -> io::Result<()> {
     stream.set_read_timeout(Some(ctx.config.read_timeout))?;
     stream.set_write_timeout(Some(ctx.config.write_timeout))?;
-    let reader = BufReader::new(stream.try_clone()?);
-    for line in reader.lines() {
-        let line = match line {
-            Ok(line) => line,
-            Err(_) => break, // timeout, reset, or EOF mid-line
+    let mut lines = protocol::RequestLines::new(stream.try_clone()?);
+    loop {
+        let line = match lines.next_line() {
+            Ok(RequestLine::Line(line)) => line,
+            Ok(RequestLine::TooLong) => {
+                let (code, message) = protocol::LINE_TOO_LONG;
+                protocol::write_frame(&mut stream, error(ctx, code, message).encode())?;
+                break;
+            }
+            // EOF, timeout, reset, or a line that is not UTF-8.
+            Ok(RequestLine::Eof) | Err(_) => break,
         };
         if line.trim().is_empty() {
             continue;
         }
         let started = Instant::now();
-        let (response, verb, action) = handle_line(&line, ctx);
+        let (response, verb, action) = handle_line(line, ctx);
         if let Action::Subscribe { from_epoch } = action {
             // The connection stops being request/response: register with
             // the churn feed (handshake + catch-up under the feed's lock,
