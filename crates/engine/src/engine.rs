@@ -636,7 +636,9 @@ impl DarEngine {
     /// Builds an engine around an already-populated live forest — the
     /// in-process analogue of [`DarEngine::merge_snapshots`], used by the
     /// sliding-window layer (`dar-stream`) to stand up a fresh engine over
-    /// the merged survivors whenever a window retires. `tuples` is the
+    /// the re-merged survivors on restore and whenever a window retires
+    /// under remerge (subtract retirement uses
+    /// [`DarEngine::subtract_retired`] instead). `tuples` is the
     /// number of tuples the forest summarizes (it drives `s0`); like
     /// `merge_snapshots`, the epoch starts at `epoch_base` and *open*, so
     /// the first query closes `epoch_base + 1`.
