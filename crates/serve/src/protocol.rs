@@ -71,7 +71,9 @@
 //! single server's.
 //!
 //! Errors are structured, never a dropped connection:
-//! `{"ok":false,"error":"<code>","message":"<detail>"}`.
+//! `{"ok":false,"error":"<code>","message":"<detail>"}`. The one error
+//! that also ends the connection is `line-too-long`: a request line may
+//! hold at most [`MAX_REQUEST_LINE`] bytes ([`RequestLines`]).
 //!
 //! `query` accepts the re-tunable [`RuleQuery`] knobs by name —
 //! `density_factor` *or* `density` (explicit per-set array),

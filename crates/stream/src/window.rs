@@ -20,14 +20,14 @@ pub struct WindowSpec {
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum RetirePolicy {
     /// Drop the expired slot; the live horizon is re-merged from the
-    /// surviving windows when queried.
+    /// surviving windows ([`WindowedForest::merged`]).
     Remerge,
     /// Cancel the expired window's summary out of a running total by CF
     /// subtraction ([`AcfForest::subtract`]). The ring keeps no total of
     /// its own: it hands the expired forest to its owner
-    /// ([`WindowedForest::take_retired`]), whose live forest is the total —
-    /// in a [`WindowedEngine`](crate::WindowedEngine), the inner engine's forest, subtracted in
-    /// place.
+    /// ([`WindowedForest::take_retired`]), whose live forest is the total.
+    /// In a [`WindowedEngine`](crate::WindowedEngine) that is the inner
+    /// engine's forest, subtracted in place.
     Subtract,
 }
 
@@ -174,9 +174,9 @@ impl WindowedForest {
     }
 
     /// Feeds a batch into the open window, advancing automatically when the
-    /// batch fills the window. Empty batches are no-ops: they neither count toward the
-    /// window boundary nor advance — so WAL replay can use empty tagged
-    /// frames purely as advance markers.
+    /// batch fills the window. Empty batches are no-ops: they neither count
+    /// toward the window boundary nor advance — so WAL replay can use empty
+    /// tagged frames purely as advance markers.
     ///
     /// Rows must be pre-validated (width and finiteness) by the caller —
     /// the engine layer does this before any forest sees the batch.
