@@ -21,14 +21,14 @@ fn synthetic_clusters(n: usize, poor_frac: f64, seed: u64) -> Vec<ClusterSummary
             let center = 10.0 * rng.index(8) as f64;
             let mut acf = Acf::empty(&layout, set);
             for _ in 0..20 {
-                let projections: Vec<Vec<f64>> = (0..num_sets)
+                let projections: Vec<f64> = (0..num_sets)
                     .map(|s| {
                         if s == set {
-                            vec![center + rng.normal(0.0, 0.3)]
+                            center + rng.normal(0.0, 0.3)
                         } else if poor {
-                            vec![rng.uniform_in(-100.0, 100.0)]
+                            rng.uniform_in(-100.0, 100.0)
                         } else {
-                            vec![center + rng.normal(0.0, 0.3)]
+                            center + rng.normal(0.0, 0.3)
                         }
                     })
                     .collect();

@@ -63,7 +63,7 @@ mod tests {
         let layout = AcfLayout::new(vec![1]);
         let mut a = Acf::empty(&layout, 0);
         for &v in values {
-            a.add_row(&[vec![v]]);
+            a.add_row(&[v]);
         }
         a
     }

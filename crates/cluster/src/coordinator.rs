@@ -416,7 +416,9 @@ impl Coordinator {
         let t = Instant::now();
         let total_shards = self.shards.len();
         let pool = dar_par::ThreadPool::resolve(self.config.engine.threads);
-        let mut snaps = Vec::with_capacity(total_shards);
+        // Shards contributing to this merge, in shard order; their parsed
+        // snapshots live in `snap_cache` and are merged from there.
+        let mut contributing = Vec::with_capacity(total_shards);
         let mut covered_tuples = 0u64;
         let mut expected_total = 0u64;
         let mut live = 0usize;
@@ -434,7 +436,7 @@ impl Coordinator {
                 if let Some(cached) = &self.snap_cache[i] {
                     if cached.acked_seq == acked {
                         metrics().snapshot_reuses.inc();
-                        snaps.push(cached.snap.clone());
+                        contributing.push(i);
                         covered_tuples += expected;
                         live += 1;
                         continue;
@@ -496,8 +498,8 @@ impl Coordinator {
                 io::Error::new(io::ErrorKind::InvalidData, format!("shard {i} snapshot: {e}"))
             })?;
             metrics().snapshot_pulls.inc();
-            self.snap_cache[i] = Some(CachedSnap { acked_seq: acked, snap: snap.clone() });
-            snaps.push(snap);
+            self.snap_cache[i] = Some(CachedSnap { acked_seq: acked, snap });
+            contributing.push(i);
             covered_tuples += expected;
             live += 1;
         }
@@ -506,6 +508,10 @@ impl Coordinator {
         }
         let degraded = live < total_shards;
         let epoch_base = self.rounds;
+        let snaps: Vec<&dar_engine::snapshot::Snapshot> = contributing
+            .iter()
+            .map(|&i| &self.snap_cache[i].as_ref().expect("contributing shards are cached").snap)
+            .collect();
         let engine =
             DarEngine::merge_parsed_snapshots(snaps, epoch_base, self.config.engine.clone())
                 .map_err(|e| io::Error::other(format!("merge: {e}")))?;

@@ -58,8 +58,8 @@ mod tests {
     fn summary_accessors() {
         let layout = AcfLayout::new(vec![1, 1]);
         let mut acf = Acf::empty(&layout, 0);
-        acf.add_row(&[vec![1.0], vec![5.0]]);
-        acf.add_row(&[vec![2.0], vec![6.0]]);
+        acf.add_row(&[1.0, 5.0]);
+        acf.add_row(&[2.0, 6.0]);
         let c = ClusterSummary { id: ClusterId(7), set: 0, acf };
         assert_eq!(c.support(), 2);
         assert!(c.is_frequent(2));

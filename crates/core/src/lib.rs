@@ -44,7 +44,7 @@ pub mod stats;
 
 pub use acf::{Acf, AcfLayout};
 pub use bbox::BoundingBox;
-pub use cf::Cf;
+pub use cf::{Cf, CfRef};
 pub use cluster::{ClusterId, ClusterSummary};
 pub use distance::Metric;
 pub use error::CoreError;

@@ -9,6 +9,7 @@ use dar_core::{ClusterId, ClusterSummary, CoreError, Partitioning};
 use dar_rank::RankSpec;
 use mining::rules::Dar;
 use mining::{ClusterDistance, Measure, Phase2Artifacts, RuleQuery};
+use std::borrow::Borrow;
 use std::collections::HashMap;
 use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
@@ -575,22 +576,25 @@ impl DarEngine {
     /// [`DarEngine::merge_snapshots`] over already-parsed snapshots, in
     /// shard order. This is the coordinator's steady-state path: with
     /// parsed shard snapshots cached against their ingest watermarks, a
-    /// re-merge skips both the wire pull and the parse.
+    /// re-merge skips both the wire pull and the parse. The snapshots are
+    /// only borrowed (owned or by reference), so each cluster summary is
+    /// copied once, into the merged forest.
     ///
     /// # Errors
     /// As [`DarEngine::merge_snapshots`], minus the parse failures.
-    pub fn merge_parsed_snapshots(
-        snaps: Vec<snapshot::Snapshot>,
+    pub fn merge_parsed_snapshots<S: Borrow<snapshot::Snapshot>>(
+        snaps: impl AsRef<[S]>,
         epoch_base: u64,
         config: EngineConfig,
     ) -> Result<Self, CoreError> {
-        let Some(first) = snaps.first() else {
+        let snaps = snaps.as_ref();
+        let Some(first) = snaps.first().map(Borrow::borrow) else {
             return Err(CoreError::LayoutMismatch("merge_snapshots of zero shards".into()));
         };
         let partitioning = first.partitioning.clone();
         let mut thresholds = first.thresholds.clone();
         let mut tuples = 0u64;
-        for (i, snap) in snaps.iter().enumerate() {
+        for (i, snap) in snaps.iter().map(Borrow::borrow).enumerate() {
             if snap.partitioning != partitioning {
                 return Err(CoreError::InvalidPartitioning(format!(
                     "shard {i} snapshot was built under a different partitioning"
@@ -610,8 +614,8 @@ impl DarEngine {
         }
         let mut forest =
             AcfForest::with_initial_thresholds(partitioning.clone(), &config.birch, &thresholds);
-        for snap in &snaps {
-            for c in &snap.clusters {
+        for snap in snaps {
+            for c in &snap.borrow().clusters {
                 forest.insert_entry(c.set, c.acf.clone());
             }
         }

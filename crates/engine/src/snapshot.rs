@@ -364,10 +364,10 @@ mod tests {
         .unwrap();
         let layout = AcfLayout::new(vec![2, 1]);
         let mut a = Acf::empty(&layout, 0);
-        a.add_row(&[vec![1.0, 2.0], vec![0.5]]);
-        a.add_row(&[vec![1.1, 2.2], vec![0.25]]);
+        a.add_row(&[1.0, 2.0, 0.5]);
+        a.add_row(&[1.1, 2.2, 0.25]);
         let mut b = Acf::empty(&layout, 1);
-        b.add_row(&[vec![-1.0, 3.0], vec![7.0]]);
+        b.add_row(&[-1.0, 3.0, 7.0]);
         let clusters = vec![
             ClusterSummary { id: ClusterId(0), set: 0, acf: a },
             ClusterSummary { id: ClusterId(1), set: 1, acf: b },

@@ -19,13 +19,13 @@ pub fn assignments_to_summaries(
 ) -> Vec<ClusterSummary> {
     let layout = AcfLayout::from_partitioning(partitioning);
     let mut acfs: Vec<Acf> = (0..k).map(|_| Acf::empty(&layout, set)).collect();
-    let mut projections: Vec<Vec<f64>> =
-        partitioning.sets().iter().map(|s| Vec::with_capacity(s.dims())).collect();
+    let mut projection = Vec::with_capacity(layout.total_dims());
     for (row, &a) in assignments.iter().enumerate() {
-        for (s, buf) in projections.iter_mut().enumerate() {
-            relation.project_into(row, &partitioning.set(s).attrs, buf);
+        projection.clear();
+        for set in partitioning.sets() {
+            projection.extend(set.attrs.iter().map(|&attr| relation.value(row, attr)));
         }
-        acfs[a].add_row(&projections);
+        acfs[a].add_row(&projection);
     }
     acfs.into_iter()
         .filter(|acf| !acf.is_empty())

@@ -68,9 +68,9 @@ mod tests {
     fn cluster(id: u32, set: SetId, value: f64) -> ClusterSummary {
         let layout = AcfLayout::new(vec![1, 1]);
         let mut acf = Acf::empty(&layout, set);
-        let mut projections = vec![vec![0.0], vec![0.0]];
-        projections[set][0] = value;
-        acf.add_row(&projections);
+        let mut projection = vec![0.0, 0.0];
+        projection[set] = value;
+        acf.add_row(&projection);
         ClusterSummary { id: ClusterId(id), set, acf }
     }
 

@@ -101,10 +101,10 @@ mod tests {
         let p = Partitioning::per_attribute(&schema, Metric::Euclidean);
         let layout = AcfLayout::from_partitioning(&p);
         let mut age = Acf::empty(&layout, 0);
-        age.add_row(&[vec![41.0], vec![10_000.0]]);
-        age.add_row(&[vec![47.0], vec![14_000.0]]);
+        age.add_row(&[41.0, 10_000.0]);
+        age.add_row(&[47.0, 14_000.0]);
         let mut claims = Acf::empty(&layout, 1);
-        claims.add_row(&[vec![41.0], vec![12_000.0]]);
+        claims.add_row(&[41.0, 12_000.0]);
         let clusters = vec![
             ClusterSummary { id: ClusterId(0), set: 0, acf: age },
             ClusterSummary { id: ClusterId(1), set: 1, acf: claims },

@@ -108,8 +108,8 @@ mod tests {
             .enumerate()
             .map(|(i, &(set, v))| {
                 let mut acf = Acf::empty(&layout, set);
-                let mut p = vec![vec![0.0], vec![0.0]];
-                p[set][0] = v;
+                let mut p = vec![0.0, 0.0];
+                p[set] = v;
                 acf.add_row(&p);
                 ClusterSummary { id: ClusterId(i as u32), set, acf }
             })

@@ -238,7 +238,7 @@ mod tests {
         let mut acf = Acf::empty(&layout, set);
         for k in 0..n_points {
             let jitter = spread * (k as f64 / n_points.max(1) as f64 - 0.5);
-            acf.add_row(&[vec![x + jitter], vec![y + jitter]]);
+            acf.add_row(&[x + jitter, y + jitter]);
         }
         ClusterSummary { id: ClusterId(id), set, acf }
     }
@@ -289,7 +289,7 @@ mod tests {
         let layout = AcfLayout::new(vec![1, 1]);
         let mut acf = Acf::empty(&layout, 0);
         for k in 0..10 {
-            acf.add_row(&[vec![0.3], vec![-500.0 + 100.0 * k as f64]]);
+            acf.add_row(&[0.3, -500.0 + 100.0 * k as f64]);
         }
         clusters.push(ClusterSummary { id: ClusterId(2), set: 0, acf });
 

@@ -328,7 +328,7 @@ mod tests {
         let mut acf = Acf::empty(&layout, set);
         for k in 0..n {
             let jitter = 0.05 * (k as f64 / n.max(1) as f64 - 0.5);
-            acf.add_row(&[vec![x + jitter], vec![y + jitter]]);
+            acf.add_row(&[x + jitter, y + jitter]);
         }
         ClusterSummary { id: ClusterId(id), set, acf }
     }

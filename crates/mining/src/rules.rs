@@ -593,8 +593,7 @@ mod tests {
         let mut acfs: Vec<Acf> = (0..3).map(|set| Acf::empty(&layout, set)).collect();
         for k in 0..10 {
             let jitter = 0.05 * k as f64;
-            let projections =
-                vec![vec![44.0 + jitter], vec![3.0 + jitter * 0.1], vec![12_000.0 + jitter * 10.0]];
+            let projections = vec![44.0 + jitter, 3.0 + jitter * 0.1, 12_000.0 + jitter * 10.0];
             for acf in &mut acfs {
                 acf.add_row(&projections);
             }
@@ -713,9 +712,9 @@ mod tests {
             for k in 0..10 {
                 let jitter = 0.05 * k as f64;
                 let projections = vec![
-                    vec![base + 44.0 + jitter],
-                    vec![base + 3.0 + jitter * 0.1],
-                    vec![base + 120.0 + jitter * 10.0],
+                    base + 44.0 + jitter,
+                    base + 3.0 + jitter * 0.1,
+                    base + 120.0 + jitter * 10.0,
                 ];
                 for acf in &mut acfs {
                     acf.add_row(&projections);

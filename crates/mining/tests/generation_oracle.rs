@@ -42,8 +42,7 @@ fn case(seed: u64) -> Case {
             let center = &centers[rng.index(centers.len() as u128) as usize];
             let mut acf = Acf::empty(&layout, set);
             for _ in 0..1 + rng.index(4) {
-                let row: Vec<Vec<f64>> =
-                    center.iter().map(|c| vec![c + 2.0 * rng.unit() - 1.0]).collect();
+                let row: Vec<f64> = center.iter().map(|c| c + 2.0 * rng.unit() - 1.0).collect();
                 acf.add_row(&row);
             }
             let id = ClusterId(clusters.len() as u32);

@@ -103,8 +103,8 @@ mod tests {
     fn cluster(id: u32, set: usize, x: f64) -> ClusterSummary {
         let layout = AcfLayout::new(vec![1, 1]);
         let mut acf = Acf::empty(&layout, set);
-        acf.add_row(&[vec![x - 0.5], vec![x - 0.5]]);
-        acf.add_row(&[vec![x + 0.5], vec![x + 0.5]]);
+        acf.add_row(&[x - 0.5, x - 0.5]);
+        acf.add_row(&[x + 0.5, x + 0.5]);
         ClusterSummary { id: ClusterId(id), set, acf }
     }
 

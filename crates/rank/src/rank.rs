@@ -143,7 +143,7 @@ mod tests {
         let layout = AcfLayout::new(vec![1, 1]);
         let mut acf = Acf::empty(&layout, set);
         for _ in 0..n {
-            acf.add_row(&[vec![x], vec![x]]);
+            acf.add_row(&[x, x]);
         }
         ClusterSummary { id: ClusterId(id), set, acf }
     }

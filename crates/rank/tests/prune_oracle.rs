@@ -25,7 +25,7 @@ fn clusters(rng: &mut TestRng) -> Vec<ClusterSummary> {
             let (lo, width) = (10.0 * rng.unit(), 4.0 * rng.unit());
             let mut acf = Acf::empty(&layout, set);
             for x in [lo, lo + width] {
-                acf.add_row(&vec![vec![x]; SETS]);
+                acf.add_row(&[x; SETS]);
             }
             out.push(ClusterSummary { id: ClusterId(out.len() as u32), set, acf });
         }

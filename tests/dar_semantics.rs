@@ -27,12 +27,12 @@ fn random_clusters(seed: u64, num_sets: usize, per_set: usize) -> Vec<ClusterSum
             let noise = rng.uniform() < 0.3;
             let mut acf = Acf::empty(&layout, set);
             for _ in 0..20 {
-                let projections: Vec<Vec<f64>> = (0..num_sets)
+                let projections: Vec<f64> = (0..num_sets)
                     .map(|_| {
                         let base =
                             if noise { rng.uniform_in(-50.0, 50.0) } else { 10.0 * component };
                         let sd = 0.4 + 2.0 * rng.uniform();
-                        vec![base + rng.normal(0.0, sd)]
+                        base + rng.normal(0.0, sd)
                     })
                     .collect();
                 acf.add_row(&projections);
