@@ -202,7 +202,7 @@ mod tests {
         for p in &pb {
             cb.add_point(p);
         }
-        assert!(close(sa.d2_rms(&sb).unwrap(), ca.d2(&cb).unwrap()));
+        assert!(close(sa.d2_rms(&sb).unwrap(), ca.view().d2(cb.view()).unwrap()));
     }
 
     #[test]
@@ -222,8 +222,8 @@ mod tests {
             }
         }
         let exact_sq = acc / (n as f64 * (n as f64 - 1.0));
-        assert!(close(exact_sq, cf.diameter_sq()));
+        assert!(close(exact_sq, cf.view().diameter_sq()));
         // RMS diameter ≥ arithmetic diameter (Jensen).
-        assert!(cf.diameter() >= s.diameter(Metric::Euclidean) - 1e-12);
+        assert!(cf.view().diameter() >= s.diameter(Metric::Euclidean) - 1e-12);
     }
 }

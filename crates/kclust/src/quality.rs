@@ -72,7 +72,8 @@ pub fn mean_diameter(points: &[Vec<f64>], assignments: &[usize], k: usize) -> f6
     for (p, &a) in points.iter().zip(assignments) {
         cfs[a].add_point(p);
     }
-    let diameters: Vec<f64> = cfs.iter().filter(|c| c.n() >= 2).map(Cf::diameter).collect();
+    let diameters: Vec<f64> =
+        cfs.iter().filter(|c| c.n() >= 2).map(|c| c.view().diameter()).collect();
     if diameters.is_empty() {
         0.0
     } else {
