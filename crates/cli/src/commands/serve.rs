@@ -29,10 +29,9 @@ use crate::args::Args;
 use crate::data::parse_cluster_metric;
 use crate::CliError;
 use dar_core::{Metric, Partitioning, Schema};
-use dar_engine::{DarEngine, EngineConfig};
+use dar_engine::EngineConfig;
 use dar_serve::{
     recover_backend, EngineBackend, RetirePolicy, ServeConfig, ServeSummary, Server, WindowSpec,
-    WindowedEngine,
 };
 use std::fmt::Write as _;
 use std::sync::Arc;
@@ -53,7 +52,7 @@ pub fn run(args: &Args) -> Result<String, CliError> {
         backend = recovered;
         eprintln!(
             "dar serve: recovered {} tuples (snapshot: {}, wal batches replayed: {}{}{})",
-            backend.tuples(),
+            backend.engine().tuples(),
             report.snapshot_source.map_or_else(|| "none".into(), |s| format!("{s:?}")),
             report.wal_batches_replayed,
             backend.window_span().map_or_else(String::new, |(oldest, open)| format!(
@@ -92,15 +91,10 @@ pub fn window_options(args: &Args) -> Result<Option<(WindowSpec, RetirePolicy)>,
         }
         return Ok(None);
     }
-    let policy = match policy.unwrap_or("remerge") {
-        "remerge" => RetirePolicy::Remerge,
-        "subtract" => RetirePolicy::Subtract,
-        other => {
-            return Err(CliError::new(format!(
-                "--window-policy: expected remerge or subtract, got {other:?}"
-            )));
-        }
-    };
+    let name = policy.unwrap_or("remerge");
+    let policy = RetirePolicy::parse(name).ok_or_else(|| {
+        CliError::new(format!("--window-policy: expected remerge or subtract, got {name:?}"))
+    })?;
     Ok(Some((WindowSpec { batches, slots: if slots == 0 { 2 } else { slots } }, policy)))
 }
 
@@ -134,12 +128,7 @@ pub fn build(args: &Args) -> Result<(EngineBackend, ServeConfig), CliError> {
             .map_err(|_| CliError::new(format!("--initial-threshold: cannot parse {raw:?}")))?;
         config.birch.initial_threshold = threshold;
     }
-    let backend = match window_options(args)? {
-        Some((spec, policy)) => {
-            EngineBackend::from(WindowedEngine::new(partitioning, config, spec, policy)?)
-        }
-        None => EngineBackend::from(DarEngine::new(partitioning, config)?),
-    };
+    let backend = EngineBackend::new(partitioning, config, window_options(args)?)?;
 
     // The server's base query: rank knobs a client's `query` does not
     // send fall back to these, and churn events score rules with them.
@@ -243,7 +232,7 @@ mod tests {
         ]))
         .unwrap();
         let (engine, config) = build(&args).unwrap();
-        assert_eq!(engine.required_row_width(), 4);
+        assert_eq!(engine.engine().required_row_width(), 4);
         assert_eq!(config.threads, 2);
         assert_eq!(config.queue_depth, 8);
         assert_eq!(config.read_timeout, Duration::from_millis(500));

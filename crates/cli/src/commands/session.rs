@@ -44,8 +44,8 @@ use crate::data::{default_partitioning, load, parse_cluster_metric};
 use crate::CliError;
 use dar_core::{suggest_initial_thresholds, Schema};
 use dar_durable::{decode_frame, DiskStorage, DurableStore};
-use dar_engine::{DarEngine, EngineConfig};
-use dar_serve::{EngineBackend, RetirePolicy, WindowSpec, WindowedEngine};
+use dar_engine::EngineConfig;
+use dar_serve::{EngineBackend, RetirePolicy, WindowSpec};
 use mining::describe::describe_rule;
 use mining::{DensitySpec, RuleQuery};
 use std::fmt::Write as _;
@@ -113,20 +113,6 @@ impl Session {
             }
         }
         Ok(replayed)
-    }
-
-    /// Builds a fresh backend under this session's window configuration.
-    fn fresh_backend(
-        &self,
-        partitioning: dar_core::Partitioning,
-        config: EngineConfig,
-    ) -> Result<EngineBackend, CliError> {
-        Ok(match self.window {
-            Some((spec, policy)) => {
-                EngineBackend::from(WindowedEngine::new(partitioning, config, spec, policy)?)
-            }
-            None => EngineBackend::from(DarEngine::new(partitioning, config)?),
-        })
     }
 }
 
@@ -215,7 +201,7 @@ fn step(
                     &partitioning,
                     session.threshold_frac,
                 )?);
-                let mut engine = session.fresh_backend(partitioning, config)?;
+                let mut engine = EngineBackend::new(partitioning, config, session.window)?;
                 // Crash recovery: a fresh engine first replays every batch
                 // a previous session committed to this WAL.
                 let replayed = session.replay_into(&mut engine, 0)?;
@@ -223,7 +209,7 @@ fn step(
                     let _ = writeln!(
                         out,
                         "wal: replayed {replayed} committed batches ({} tuples)",
-                        engine.tuples()
+                        engine.engine().tuples()
                     );
                 }
                 session.engine = Some(engine);
@@ -252,7 +238,7 @@ fn step(
                 }
                 None => String::new(),
             };
-            let engine = session.engine.as_ref().expect("just created");
+            let engine = session.engine.as_ref().expect("just created").engine();
             let windowed = match &info {
                 Some(w) if w.advanced => format!(", sealed window {}", w.window_seq),
                 Some(w) => format!(", window {}", w.window_seq),
@@ -305,7 +291,7 @@ fn step(
             let seq = session.store.as_ref().map_or(0, DurableStore::last_seq);
             dar_durable::snapshot::install(&DiskStorage, Path::new(path), &bytes, seq)
                 .map_err(|e| CliError::new(format!("{path}: {e}")))?;
-            let engine = session.engine()?;
+            let engine = session.engine()?.engine();
             let _ = writeln!(
                 out,
                 "snapshot {path}: epoch {} ({} tuples, sealed at wal seq {seq})",
@@ -326,21 +312,14 @@ fn step(
                 .unwrap_or(0);
             let mut config = session.config.clone();
             config.min_support_frac = session.support;
-            let mut engine = EngineBackend::restore(&bytes, config)?;
-            if engine.is_windowed() != session.window.is_some() {
-                return Err(CliError::new(format!(
-                    "{path}: snapshot is a {} engine but this session is {} — \
-                     match --window-batches to the snapshot",
-                    if engine.is_windowed() { "windowed" } else { "static" },
-                    if session.window.is_some() { "windowed" } else { "static" },
-                )));
-            }
+            let mut engine = EngineBackend::restore(&bytes, config, session.window.is_some())
+                .map_err(|e| CliError::new(format!("{path}: {e}")))?;
             let replayed = session.replay_into(&mut engine, snapshot_seq)?;
             let _ = writeln!(
                 out,
                 "restore {path}: epoch {} ({} tuples{})",
-                engine.epoch(),
-                engine.tuples(),
+                engine.engine().epoch(),
+                engine.engine().tuples(),
                 if replayed > 0 {
                     format!(", {replayed} wal batches replayed")
                 } else {
@@ -358,7 +337,7 @@ fn step(
             let (outcome, partitioning) = {
                 let engine = session.engine()?;
                 let outcome = engine.query(&query)?;
-                (outcome, engine.partitioning().clone())
+                (outcome, engine.engine().partitioning().clone())
             };
             let measure = outcome.measure;
             let _ = writeln!(
@@ -398,8 +377,7 @@ fn step(
             }
         }
         "stats" => {
-            let engine = session.engine()?;
-            let s = engine.stats();
+            let s = session.engine()?.engine().stats();
             let _ = writeln!(
                 out,
                 "stats: {} tuples in {} batches, {} epochs, {} rebuilds; \

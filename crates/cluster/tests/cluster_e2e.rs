@@ -19,7 +19,7 @@
 use dar_cluster::{ClusterConfig, Coordinator, CoordinatorServer};
 use dar_core::{Metric, Partitioning, Schema};
 use dar_engine::{DarEngine, EngineConfig};
-use dar_serve::{protocol, recover_engine, Client, Request, ServeConfig, Server, ServerHandle};
+use dar_serve::{protocol, recover_backend, Client, Request, ServeConfig, Server, ServerHandle};
 use mining::RuleQuery;
 use std::path::PathBuf;
 use std::sync::Arc;
@@ -228,7 +228,7 @@ fn steady_state_merge_reuses_unmoved_shard_snapshots() {
 
 #[test]
 fn window_advance_invalidates_the_snapshot_cache() {
-    use dar_serve::{RetirePolicy, WindowSpec, WindowedEngine};
+    use dar_serve::{EngineBackend, RetirePolicy, WindowSpec};
 
     // One windowed shard (4-batch windows: a single batch never seals on
     // its own). An explicit advance changes the shard's snapshot without
@@ -236,11 +236,10 @@ fn window_advance_invalidates_the_snapshot_cache() {
     // serve stale.
     let schema = Schema::interval_attrs(2);
     let partitioning = Partitioning::per_attribute(&schema, Metric::Euclidean);
-    let engine = WindowedEngine::new(
+    let engine = EngineBackend::new(
         partitioning,
         engine_config(),
-        WindowSpec { batches: 4, slots: 2 },
-        RetirePolicy::Remerge,
+        Some((WindowSpec { batches: 4, slots: 2 }, RetirePolicy::Remerge)),
     )
     .unwrap();
     let handle = Server::start(engine, "127.0.0.1:0", shard_config()).unwrap();
@@ -266,7 +265,7 @@ fn window_advance_invalidates_the_snapshot_cache() {
 
 #[test]
 fn advance_passes_through_to_windowed_shards_and_subscribe_is_refused() {
-    use dar_serve::{Json, RetirePolicy, WindowSpec, WindowedEngine};
+    use dar_serve::{EngineBackend, Json, RetirePolicy, WindowSpec};
 
     // Two windowed shards behind a coordinator: the `advance` verb fans
     // out to every shard in order and reports each shard's seal.
@@ -275,9 +274,12 @@ fn advance_passes_through_to_windowed_shards_and_subscribe_is_refused() {
         .map(|_| {
             let schema = Schema::interval_attrs(2);
             let partitioning = Partitioning::per_attribute(&schema, Metric::Euclidean);
-            let engine =
-                WindowedEngine::new(partitioning, engine_config(), spec, RetirePolicy::Remerge)
-                    .unwrap();
+            let engine = EngineBackend::new(
+                partitioning,
+                engine_config(),
+                Some((spec, RetirePolicy::Remerge)),
+            )
+            .unwrap();
             Server::start(engine, "127.0.0.1:0", shard_config()).unwrap()
         })
         .collect();
@@ -375,11 +377,15 @@ fn shard_crash_recovery_loses_no_acked_batch_and_rules_still_match() {
     crashed.shutdown();
     crashed.join().unwrap();
     let config = durable_shard_config(wal_paths[1].clone());
-    let (recovered, report) =
-        recover_engine(fresh_engine(), Arc::clone(&config.storage), None, Some(&wal_paths[1]))
-            .unwrap();
+    let (recovered, report) = recover_backend(
+        fresh_engine().into(),
+        Arc::clone(&config.storage),
+        None,
+        Some(&wal_paths[1]),
+    )
+    .unwrap();
     assert_eq!(report.wal_batches_replayed, 1, "shard 1 held one of the two round-1 batches");
-    assert_eq!(recovered.tuples(), 40, "WAL replay must restore every acked tuple");
+    assert_eq!(recovered.engine().tuples(), 40, "WAL replay must restore every acked tuple");
     handles[1] = Some(Server::start(recovered, &crashed_addr, config).unwrap());
 
     // Next round lands on both shards (the coordinator's clients

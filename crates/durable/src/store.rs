@@ -31,14 +31,12 @@ pub struct Recovered {
     pub snapshot: Option<Vec<u8>>,
     /// The WAL sequence the snapshot includes (0 when none).
     pub snapshot_seq: u64,
-    /// Committed batches newer than the snapshot, in log order — replay
-    /// these into the restored engine. Window-tagged frames contribute
-    /// their rows here too (empty advance markers are skipped), so an
-    /// all-history engine recovering a windowed log loses nothing.
-    pub batches: Vec<Vec<Vec<f64>>>,
-    /// The same records with their window tags: `(window_seq, rows)` per
-    /// frame, in log order, including empty advance markers. A windowed
-    /// engine replays these to rebuild its ring exactly.
+    /// Committed records newer than the snapshot with their window tags:
+    /// `(window_seq, rows)` per frame, in log order, including empty
+    /// advance markers — replay these into the restored engine. A windowed
+    /// engine replays the tags to rebuild its ring exactly; an all-history
+    /// engine ignores them and skips the empty markers, so it loses
+    /// nothing recovering a windowed log.
     pub frames: Vec<(Option<u64>, Vec<Vec<f64>>)>,
     /// Diagnostics for operators and tests.
     pub report: RecoveryReport,
@@ -54,7 +52,8 @@ pub struct RecoveryReport {
     /// Committed WAL records found (including ones the snapshot already
     /// covers).
     pub wal_records: usize,
-    /// Records replayed on top of the snapshot (`seq >` filter).
+    /// Non-empty records replayed on top of the snapshot (`seq >` filter;
+    /// empty advance markers carry no batch).
     pub wal_batches_replayed: usize,
     /// Bytes dropped from the WAL's torn tail.
     pub wal_tail_dropped_bytes: usize,
@@ -110,7 +109,6 @@ impl DurableStore {
             None => (None, 0),
         };
 
-        let mut batches = Vec::new();
         let mut frames = Vec::new();
         let mut last_seq = snapshot_seq;
         if let Some(path) = &wal_path {
@@ -129,12 +127,7 @@ impl DurableStore {
                     continue; // already inside the snapshot
                 }
                 match decode_frame(&record.body) {
-                    Ok((tag, rows)) => {
-                        if !rows.is_empty() {
-                            batches.push(rows.clone());
-                        }
-                        frames.push((tag, rows));
-                    }
+                    Ok(frame) => frames.push(frame),
                     // CRC passed but the payload doesn't decode: an
                     // encoder/decoder version skew, not a torn tail.
                     Err(detail) => {
@@ -146,7 +139,7 @@ impl DurableStore {
                 }
             }
         }
-        report.wal_batches_replayed = batches.len();
+        report.wal_batches_replayed = frames.iter().filter(|(_, rows)| !rows.is_empty()).count();
 
         let store = DurableStore {
             storage,
@@ -155,7 +148,7 @@ impl DurableStore {
             next_seq: last_seq + 1,
             installed_seq: snapshot_seq,
         };
-        Ok((store, Recovered { snapshot, snapshot_seq, batches, frames, report }))
+        Ok((store, Recovered { snapshot, snapshot_seq, frames, report }))
     }
 
     /// The WAL path, if batch logging is configured.
@@ -287,13 +280,13 @@ mod tests {
         let dir = scratch_dir("store_rt");
         let (mut store, recovered) = open_disk(&dir);
         assert!(recovered.snapshot.is_none());
-        assert!(recovered.batches.is_empty());
+        assert!(recovered.frames.is_empty());
         assert_eq!(store.log_batch(&batch(1.0, 3)).unwrap(), 1);
         assert_eq!(store.log_batch(&batch(2.0, 2)).unwrap(), 2);
         drop(store); // "crash"
 
         let (mut store, recovered) = open_disk(&dir);
-        assert_eq!(recovered.batches, vec![batch(1.0, 3), batch(2.0, 2)]);
+        assert_eq!(recovered.frames, vec![(None, batch(1.0, 3)), (None, batch(2.0, 2))]);
         assert_eq!(recovered.report.wal_batches_replayed, 2);
         // Sequences continue where they left off.
         assert_eq!(store.log_batch(&batch(3.0, 1)).unwrap(), 3);
@@ -313,7 +306,7 @@ mod tests {
         let (_, recovered) = open_disk(&dir);
         assert_eq!(recovered.snapshot.as_deref(), Some(b"state after two batches\n".as_slice()));
         assert_eq!(recovered.snapshot_seq, 2);
-        assert_eq!(recovered.batches, vec![batch(3.0, 2)], "only seq>2 replays");
+        assert_eq!(recovered.frames, vec![(None, batch(3.0, 2))], "only seq>2 replays");
         std::fs::remove_dir_all(&dir).ok();
     }
 
@@ -337,7 +330,10 @@ mod tests {
         let (_, recovered) = open_disk(&dir);
         assert_eq!(recovered.snapshot.as_deref(), Some(b"snap A\n".as_slice()));
         assert_eq!(recovered.snapshot_seq, 1);
-        assert_eq!(recovered.batches, vec![batch(2.0, 1), batch(3.0, 1), batch(4.0, 1)]);
+        assert_eq!(
+            recovered.frames,
+            vec![(None, batch(2.0, 1)), (None, batch(3.0, 1)), (None, batch(4.0, 1))]
+        );
         assert_eq!(recovered.report.corrupt_snapshots_skipped, 1);
         assert!(recovered.report.degraded_artifacts());
         std::fs::remove_dir_all(&dir).ok();
@@ -357,8 +353,8 @@ mod tests {
             recovered.frames,
             vec![(None, batch(1.0, 2)), (Some(7), batch(2.0, 3)), (Some(8), Vec::new()),]
         );
-        // The rows-only view skips the empty marker but keeps the data.
-        assert_eq!(recovered.batches, vec![batch(1.0, 2), batch(2.0, 3)]);
+        // The replay count skips the empty marker but keeps the data.
+        assert_eq!(recovered.report.wal_batches_replayed, 2);
         std::fs::remove_dir_all(&dir).ok();
     }
 

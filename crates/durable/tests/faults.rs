@@ -44,12 +44,12 @@ fn assert_recovers_exactly(recovered: &dar_durable::Recovered, acked: u64) {
         None => 0,
     };
     assert_eq!(
-        base + recovered.batches.len() as u64,
+        base + recovered.frames.len() as u64,
         acked,
         "snapshot covers {base}, WAL replays {}, but {acked} were acknowledged",
-        recovered.batches.len()
+        recovered.frames.len()
     );
-    for (offset, rows) in recovered.batches.iter().enumerate() {
+    for (offset, (_, rows)) in recovered.frames.iter().enumerate() {
         assert_eq!(rows, &batch(base + 1 + offset as u64), "replayed batch content");
     }
 }
@@ -182,7 +182,7 @@ fn crash_between_install_and_truncate_never_double_replays() {
     let (_, recovered) = open(storage.clone(), &dir);
     // The full WAL survived (prune failed), but only seq 3 replays.
     assert_eq!(recovered.report.wal_records, 3);
-    assert_eq!(recovered.batches.len(), 1);
+    assert_eq!(recovered.frames.len(), 1);
     assert_recovers_exactly(&recovered, 3);
     std::fs::remove_dir_all(&dir).ok();
 }

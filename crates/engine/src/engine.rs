@@ -689,23 +689,23 @@ impl DarEngine {
         self.stats = EngineStats { tuples_ingested: live_tuples, ..EngineStats::default() };
     }
 
-    /// Replays write-ahead-log batches recovered by `dar-durable` on top
-    /// of a restored (or fresh) engine, in log order. Identical to
-    /// ingesting them live — forest insertion is purely sequential — so a
-    /// crash-recovered engine answers queries exactly as the uncrashed one
-    /// would have. Returns the number of batches applied.
+    /// Replays one write-ahead-log batch recovered by `dar-durable` on top
+    /// of a restored (or fresh) engine. Identical to ingesting it live —
+    /// forest insertion is purely sequential — so a crash-recovered engine
+    /// fed its batches in log order answers queries exactly as the
+    /// uncrashed one would have. Counts the batch in
+    /// [`EngineStats::wal_batches_replayed`].
     ///
     /// # Errors
     /// Propagates validation errors from [`DarEngine::ingest`]; batches
-    /// before the failing one remain applied (they were committed and
-    /// valid), so the caller can surface the error without losing state.
-    pub fn replay_wal(&mut self, batches: &[Vec<Vec<f64>>]) -> Result<u64, CoreError> {
-        for rows in batches {
-            self.ingest(rows)?;
-            self.stats.wal_batches_replayed += 1;
-            crate::metrics::metrics().wal_batches_replayed.inc();
-        }
-        Ok(batches.len() as u64)
+    /// replayed before the failing one remain applied (they were committed
+    /// and valid), so the caller can surface the error without losing
+    /// state.
+    pub fn replay_batch(&mut self, rows: &[Vec<f64>]) -> Result<(), CoreError> {
+        self.ingest(rows)?;
+        self.stats.wal_batches_replayed += 1;
+        crate::metrics::metrics().wal_batches_replayed.inc();
+        Ok(())
     }
 
     /// Cumulative engine statistics (forest rebuild count sampled live).
@@ -732,6 +732,11 @@ impl DarEngine {
     /// The engine configuration.
     pub fn config(&self) -> &EngineConfig {
         &self.config
+    }
+
+    /// The worker pool resolved from [`EngineConfig::threads`].
+    pub fn pool(&self) -> &dar_par::ThreadPool {
+        &self.pool
     }
 
     /// The cluster summaries of the current epoch, closing it if needed.

@@ -56,7 +56,9 @@ impl Host {
             Some(body) => DarEngine::restore(body, config()).unwrap(),
             None => DarEngine::new(partitioning(), config()).unwrap(),
         };
-        engine.replay_wal(&recovered.batches).unwrap();
+        for (_, rows) in &recovered.frames {
+            engine.replay_batch(rows).unwrap();
+        }
         (Host { store, engine }, recovered)
     }
 
@@ -115,7 +117,7 @@ fn wal_crash_recovery_equals_one_shot_mining() {
 
         storage.heal();
         let (mut host, recovered) = Host::boot(storage, &dir);
-        assert_eq!(recovered.batches.len(), acked.len());
+        assert_eq!(recovered.frames.len(), acked.len());
         let mut control = DarEngine::new(partitioning(), config()).unwrap();
         for rows in &acked {
             control.ingest(rows).unwrap();
@@ -157,7 +159,7 @@ fn corrupt_newest_snapshot_falls_back_and_replays() {
     assert_eq!(recovered.snapshot_seq, 2);
     // batch(2) was pruned from the WAL only up to the *previous* install's
     // seq, so the fallback still finds everything it needs: seq 3 and 4.
-    assert_eq!(recovered.batches.len(), 2);
+    assert_eq!(recovered.frames.len(), 2);
 
     let mut control = DarEngine::restore(&prev_text, config()).unwrap();
     control.ingest(&batch(2)).unwrap();

@@ -16,7 +16,6 @@
 use crate::shared::SharedEngine;
 use crate::stats::ServerStats;
 use dar_durable::{DurableStore, RecoveryReport, Storage};
-use dar_engine::DarEngine;
 use dar_stream::EngineBackend;
 use std::io;
 use std::path::Path;
@@ -32,7 +31,7 @@ pub struct Durability {
 impl Durability {
     /// Opens the durable store for the given paths. The recovered state is
     /// discarded — callers recover the engine separately (see
-    /// [`recover_engine`]) before the server starts; this open only
+    /// [`recover_backend`]) before the server starts; this open only
     /// re-derives the next WAL sequence number from disk.
     ///
     /// # Errors
@@ -58,52 +57,19 @@ impl Durability {
     }
 }
 
-/// Recovers an engine from the durable artifacts at boot: loads the
-/// newest verifiable snapshot (falling back past corrupt ones), restores
-/// it — or keeps `fresh` when no snapshot survives — and replays the WAL
-/// suffix. Returns the recovered engine and a report of what was found.
-///
-/// # Errors
-/// Unrepairable artifacts, an unparseable (but checksum-valid) snapshot,
-/// or replay failures — all conditions where silently starting empty
-/// would masquerade as data loss.
-pub fn recover_engine(
-    fresh: DarEngine,
-    storage: Arc<dyn Storage>,
-    snapshot_path: Option<&Path>,
-    wal_path: Option<&Path>,
-) -> io::Result<(DarEngine, RecoveryReport)> {
-    let (_, recovered) = DurableStore::open(
-        storage,
-        snapshot_path.map(Path::to_path_buf),
-        wal_path.map(Path::to_path_buf),
-    )
-    .map_err(io::Error::other)?;
-    let config = fresh.config().clone();
-    let mut engine = match &recovered.snapshot {
-        Some(body) => DarEngine::restore(body, config)
-            .map_err(|e| io::Error::new(io::ErrorKind::InvalidData, e.to_string()))?,
-        None => fresh,
-    };
-    engine
-        .replay_wal(&recovered.batches)
-        .map_err(|e| io::Error::new(io::ErrorKind::InvalidData, e.to_string()))?;
-    Ok((engine, recovered.report))
-}
-
-/// Recovers an [`EngineBackend`] from the durable artifacts at boot —
-/// the windowed-aware sibling of [`recover_engine`]. The snapshot header
-/// decides the variant (a `dar-stream` body restores the window ring;
-/// anything else the classic engine), falling back to `fresh` when no
-/// snapshot survives. The WAL suffix is then replayed *frame by frame*:
-/// tagged frames fast-forward the window ring to the sequence they carry
+/// Recovers an [`EngineBackend`] from the durable artifacts at boot:
+/// loads the newest verifiable snapshot (falling back past corrupt ones),
+/// restores it — or keeps `fresh` when no snapshot survives — and replays
+/// the WAL suffix *frame by frame* ([`EngineBackend::replay_frame`]):
+/// tagged frames fast-forward a window ring to the sequence they carry
 /// (empty tagged frames are explicit-advance markers), so a crash-restart
 /// rebuilds the exact ring the acknowledged history produced.
 ///
 /// # Errors
 /// Unrepairable artifacts, an unparseable (but checksum-valid) snapshot,
-/// a snapshot variant mismatching `fresh`'s window configuration, or
-/// replay failures.
+/// a snapshot kind (windowed or all-history) mismatching `fresh`'s window
+/// configuration, or replay failures — all conditions where silently
+/// starting empty would masquerade as data loss.
 pub fn recover_backend(
     fresh: EngineBackend,
     storage: Arc<dyn Storage>,
@@ -116,31 +82,17 @@ pub fn recover_backend(
         wal_path.map(Path::to_path_buf),
     )
     .map_err(io::Error::other)?;
-    let config = fresh.config().clone();
-    let was_windowed = fresh.is_windowed();
+    let invalid =
+        |e: dar_core::CoreError| io::Error::new(io::ErrorKind::InvalidData, e.to_string());
     let mut backend = match &recovered.snapshot {
         Some(body) => {
-            let restored = EngineBackend::restore(body, config)
-                .map_err(|e| io::Error::new(io::ErrorKind::InvalidData, e.to_string()))?;
-            if restored.is_windowed() != was_windowed {
-                return Err(io::Error::new(
-                    io::ErrorKind::InvalidData,
-                    format!(
-                        "snapshot is a {} engine but the server was configured {} — \
-                         match --window-batches to the on-disk state",
-                        if restored.is_windowed() { "windowed" } else { "static" },
-                        if was_windowed { "windowed" } else { "static" },
-                    ),
-                ));
-            }
-            restored
+            EngineBackend::restore(body, fresh.engine().config().clone(), fresh.is_windowed())
+                .map_err(invalid)?
         }
         None => fresh,
     };
     for (tag, rows) in &recovered.frames {
-        backend
-            .replay_frame(*tag, rows)
-            .map_err(|e| io::Error::new(io::ErrorKind::InvalidData, e.to_string()))?;
+        backend.replay_frame(*tag, rows).map_err(invalid)?;
     }
     Ok((backend, recovered.report))
 }

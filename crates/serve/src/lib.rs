@@ -33,22 +33,21 @@
 //! * [`Client`] — a small blocking client for scripting and load
 //!   generation, with bounded-backoff retry helpers for `overloaded`/
 //!   `degraded` responses.
-//! * [`recover_engine`] / [`recover_backend`] / [`Durability`] — the
+//! * [`recover_backend`] / [`Durability`] — the
 //!   `dar-durable` wiring: boot-time recovery (snapshot restore + WAL
 //!   replay, window-tag-aware for sliding-window servers), apply-then-log
 //!   ingest acknowledged only after the WAL append, atomic snapshot
 //!   installs, and sticky degraded (read-only) mode when the log fails.
-//! * **Streaming**: a server started over a
-//!   [`dar_stream::WindowedEngine`] additionally serves `advance`
-//!   (explicit window seal, logged as a tagged WAL marker) and
-//!   `subscribe` — a long-lived connection receiving newline-JSON
-//!   rule-churn events (`{added, dropped, epoch, window_span}`) diffed
-//!   after every window advance by the [`churn`]-feed machinery, with a
-//!   bounded per-subscriber queue that cuts the laggard, never the
-//!   server.
+//! * **Streaming**: a server started over an [`EngineBackend`] with a
+//!   window ring additionally serves `advance` (explicit window seal,
+//!   logged as a tagged WAL marker) and `subscribe` — a long-lived
+//!   connection receiving newline-JSON rule-churn events (`{added,
+//!   dropped, epoch, window_span}`) diffed after every window advance by
+//!   the [`churn`]-feed machinery, with a bounded per-subscriber queue
+//!   that cuts the laggard, never the server.
 //!
 //! The CLI front-end is `dar serve --addr … --threads … --snapshot-path …`;
-//! the load generator lives in `dar-bench` (`--bin server`). See
+//! the end-to-end load harness is the benchmark ledger (`ledger/`). See
 //! `DESIGN.md`, "Serving layer".
 
 #![forbid(unsafe_code)]
@@ -66,7 +65,7 @@ mod shared;
 mod stats;
 
 pub use client::{Backoff, Client, ServerError, Subscription};
-pub use durability::{recover_backend, recover_engine, Durability};
+pub use durability::{recover_backend, Durability};
 pub use json::{Json, JsonError};
 pub use protocol::Request;
 pub use server::{ServeConfig, ServeSummary, Server, ServerHandle};
@@ -75,6 +74,4 @@ pub use stats::{ServerStats, StatsSnapshot};
 
 // Re-exported so server embedders don't need a direct dar-stream dep to
 // name the types in [`Server::start`] / [`recover_backend`] signatures.
-pub use dar_stream::{
-    AdvanceOutcome, EngineBackend, RetirePolicy, WindowSpec, WindowedEngine, WindowedIngest,
-};
+pub use dar_stream::{AdvanceOutcome, EngineBackend, RetirePolicy, WindowSpec, WindowedIngest};

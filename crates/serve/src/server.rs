@@ -154,10 +154,9 @@ impl Server {
     /// Propagates bind failures and unrepairable durability artifacts.
     ///
     /// Note: the engine passed in should already be recovered (see
-    /// [`crate::recover_engine`] / [`crate::recover_backend`]); this
-    /// constructor only reopens the durable store to position the WAL
-    /// sequence counter. Accepts a plain [`dar_engine::DarEngine`], a sliding-window
-    /// [`dar_stream::WindowedEngine`], or an [`EngineBackend`].
+    /// [`crate::recover_backend`]); this constructor only reopens the
+    /// durable store to position the WAL sequence counter. Accepts a plain
+    /// [`dar_engine::DarEngine`] (all history) or an [`EngineBackend`].
     pub fn start(
         engine: impl Into<EngineBackend>,
         addr: &str,

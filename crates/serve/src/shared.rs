@@ -6,9 +6,9 @@
 //! discipline — many readers answer re-tuned queries from the cached
 //! cliques in parallel through [`dar_engine::DarEngine::query_cached`];
 //! the write lock is taken only to ingest, advance a window, close an
-//! epoch, build a missing density setting, or snapshot. The backend is
-//! either a classic all-history engine or a sliding-window
-//! [`dar_stream::WindowedEngine`]; the lock discipline is identical.
+//! epoch, build a missing density setting, or snapshot. The backend mines
+//! all history or, with a window ring, a sliding window; the lock
+//! discipline is identical.
 
 use dar_core::{ClusterSummary, CoreError};
 use dar_engine::{EngineStats, QueryOutcome};
@@ -28,8 +28,7 @@ pub struct SharedEngine {
 
 impl SharedEngine {
     /// Wraps an engine for shared use. Accepts a plain
-    /// [`dar_engine::DarEngine`], a [`dar_stream::WindowedEngine`], or an
-    /// [`EngineBackend`] directly.
+    /// [`dar_engine::DarEngine`] (all history) or an [`EngineBackend`].
     pub fn new(engine: impl Into<EngineBackend>) -> Self {
         SharedEngine { engine: RwLock::new(engine.into()), read_hits: AtomicU64::new(0) }
     }
@@ -54,7 +53,7 @@ impl SharedEngine {
     pub fn query(&self, query: &RuleQuery) -> Result<QueryOutcome, CoreError> {
         {
             let engine = self.read();
-            if let Some(outcome) = engine.query_cached(query)? {
+            if let Some(outcome) = engine.engine().query_cached(query)? {
                 self.read_hits.fetch_add(1, Ordering::Relaxed);
                 return Ok(outcome);
             }
@@ -76,7 +75,7 @@ impl SharedEngine {
     pub fn ingest(&self, rows: &[Vec<f64>]) -> Result<(u64, Option<WindowedIngest>), CoreError> {
         let mut engine = self.write();
         let windowed = engine.ingest(rows)?;
-        Ok((engine.tuples(), windowed))
+        Ok((engine.engine().tuples(), windowed))
     }
 
     /// Seals the open window explicitly (windowed backend only).
@@ -105,7 +104,7 @@ impl SharedEngine {
     pub fn snapshot(&self) -> Result<(Vec<u8>, u64, u64), CoreError> {
         let mut engine = self.write();
         let bytes = engine.snapshot()?;
-        Ok((bytes, engine.epoch(), engine.tuples()))
+        Ok((bytes, engine.engine().epoch(), engine.engine().tuples()))
     }
 
     /// The backend's *mergeable* serialization for a coordinator's
@@ -118,7 +117,7 @@ impl SharedEngine {
     pub fn pull_snapshot(&self) -> Result<(Vec<u8>, u64, u64), CoreError> {
         let mut engine = self.write();
         let bytes = engine.pull_snapshot()?;
-        Ok((bytes, engine.epoch(), engine.tuples()))
+        Ok((bytes, engine.engine().epoch(), engine.engine().tuples()))
     }
 
     /// The current epoch's cluster summaries (closing the epoch if
@@ -126,24 +125,25 @@ impl SharedEngine {
     pub fn clusters(&self) -> (u64, Vec<ClusterSummary>) {
         let mut engine = self.write();
         let clusters = engine.clusters().to_vec();
-        (engine.epoch(), clusters)
+        (engine.engine().epoch(), clusters)
     }
 
     /// Engine counters plus the read-path hit tally.
     pub fn stats(&self) -> (EngineStats, u64) {
-        (self.read().stats(), self.read_hits.load(Ordering::Relaxed))
+        (self.read().engine().stats(), self.read_hits.load(Ordering::Relaxed))
     }
 
     /// Tuples in the mining horizon (read lock only) — lifetime count for
     /// an all-history backend, live-window count for a windowed one.
     pub fn tuples(&self) -> u64 {
-        self.read().tuples()
+        self.read().engine().tuples()
     }
 
     /// Shard-identity summary for the `shard_stats` verb: `(epoch,
     /// tuples, required row width)` under one read lock.
     pub fn meta(&self) -> (u64, u64, usize) {
         let engine = self.read();
+        let engine = engine.engine();
         (engine.epoch(), engine.tuples(), engine.required_row_width())
     }
 
@@ -151,14 +151,14 @@ impl SharedEngine {
     /// `shard_rescan` verb assigns WAL rows to coordinator-supplied
     /// clusters under it.
     pub fn partitioning(&self) -> dar_core::Partitioning {
-        self.read().partitioning().clone()
+        self.read().engine().partitioning().clone()
     }
 
     /// The engine's configured worker-thread count (read lock only) —
     /// `shard_rescan` parallelizes its WAL re-scan with the same budget
     /// the engine mines under.
     pub fn engine_threads(&self) -> usize {
-        self.read().config().threads
+        self.read().engine().config().threads
     }
 
     /// Cache hits served entirely under the read lock.
@@ -172,7 +172,7 @@ mod tests {
     use super::*;
     use dar_core::{Metric, Partitioning, Schema};
     use dar_engine::{DarEngine, EngineConfig};
-    use dar_stream::{RetirePolicy, WindowSpec, WindowedEngine};
+    use dar_stream::{EngineBackend, RetirePolicy, WindowSpec};
 
     fn config() -> EngineConfig {
         let mut config = EngineConfig::default();
@@ -229,11 +229,10 @@ mod tests {
 
     #[test]
     fn windowed_backend_reports_window_movement() {
-        let engine = WindowedEngine::new(
+        let engine = EngineBackend::new(
             partitioning(),
             config(),
-            WindowSpec { batches: 1, slots: 2 },
-            RetirePolicy::Remerge,
+            Some((WindowSpec { batches: 1, slots: 2 }, RetirePolicy::Remerge)),
         )
         .unwrap();
         let windowed = SharedEngine::new(engine);

@@ -7,7 +7,7 @@ use dar_core::{Metric, Partitioning, Schema};
 use dar_durable::storage::scratch_dir;
 use dar_durable::{FaultPlan, FaultyStorage};
 use dar_engine::{DarEngine, EngineConfig};
-use dar_serve::{recover_engine, Backoff, Client, ServeConfig, Server, ServerError};
+use dar_serve::{recover_backend, Backoff, Client, ServeConfig, Server, ServerError};
 use mining::RuleQuery;
 use std::path::Path;
 use std::sync::Arc;
@@ -157,9 +157,9 @@ fn restart_replays_every_acked_batch() {
     handle.join().unwrap();
 
     let (mut recovered, report) =
-        recover_engine(engine(), storage, None, Some(&dir.join("ingest.wal"))).unwrap();
+        recover_backend(engine().into(), storage, None, Some(&dir.join("ingest.wal"))).unwrap();
     assert_eq!(report.wal_batches_replayed, 2);
-    assert_eq!(recovered.tuples(), 60);
+    assert_eq!(recovered.engine().tuples(), 60);
 
     let mut control = engine();
     control.ingest(&batch(0)).unwrap();

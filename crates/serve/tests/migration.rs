@@ -9,7 +9,7 @@ use dar_durable::storage::scratch_dir;
 use dar_durable::{DiskStorage, FaultPlan, FaultyStorage};
 use dar_engine::snapshot::{parse_snapshot_bytes, write_snapshot};
 use dar_engine::{DarEngine, EngineConfig};
-use dar_serve::recover_engine;
+use dar_serve::recover_backend;
 use mining::RuleQuery;
 
 fn config() -> EngineConfig {
@@ -132,10 +132,10 @@ fn v1_snapshot_with_newer_wal_tail_recovers_exactly() {
 
     // The upgraded (v2-writing) process boots over the old artifacts.
     let (mut recovered, report) =
-        recover_engine(engine(), storage, Some(&snap_path), Some(&wal_path)).unwrap();
+        recover_backend(engine().into(), storage, Some(&snap_path), Some(&wal_path)).unwrap();
     assert!(report.snapshot_source.is_some(), "the v1 snapshot must load");
     assert_eq!(report.wal_batches_replayed, 1, "only the post-snapshot tail replays");
-    assert_eq!(recovered.tuples(), 60);
+    assert_eq!(recovered.engine().tuples(), 60);
 
     let mut control = engine();
     control.ingest(&batch(0)).unwrap();

@@ -8,7 +8,6 @@ use dar_core::{Metric, Partitioning, Schema};
 use dar_engine::{DarEngine, EngineConfig};
 use dar_serve::{
     protocol, Backoff, Client, EngineBackend, Json, RetirePolicy, ServeConfig, Server, WindowSpec,
-    WindowedEngine,
 };
 use mining::RuleQuery;
 use std::collections::BTreeSet;
@@ -43,8 +42,8 @@ fn dyadic_rows(n: usize, offset: usize) -> Vec<Vec<f64>> {
         .collect()
 }
 
-fn windowed(spec: WindowSpec, policy: RetirePolicy) -> WindowedEngine {
-    WindowedEngine::new(partitioning(), config(), spec, policy).unwrap()
+fn windowed(spec: WindowSpec, policy: RetirePolicy) -> EngineBackend {
+    EngineBackend::new(partitioning(), config(), Some((spec, policy))).unwrap()
 }
 
 fn serve_config(threads: usize) -> ServeConfig {
@@ -159,7 +158,7 @@ fn tagged_wal_rebuilds_the_ring_across_crash_restart() {
 
     // Restart: recover the backend from the tagged WAL alone.
     let (backend, report) = dar_serve::recover_backend(
-        EngineBackend::from(windowed(spec, RetirePolicy::Remerge)),
+        windowed(spec, RetirePolicy::Remerge),
         Arc::new(dar_durable::DiskStorage),
         None,
         Some(Path::new(&wal_path)),
@@ -167,7 +166,7 @@ fn tagged_wal_rebuilds_the_ring_across_crash_restart() {
     .unwrap();
     assert_eq!(report.wal_records, 4, "3 tagged batches + 1 advance marker");
     assert_eq!(backend.window_span(), Some(pre_span), "ring shape must survive the restart");
-    assert_eq!(backend.tuples(), pre_tuples);
+    assert_eq!(backend.engine().tuples(), pre_tuples);
 
     // Serve from the recovered backend; the wire answer matches pre-crash.
     let handle = Server::start(backend, "127.0.0.1:0", serve_config(2)).unwrap();
@@ -178,6 +177,114 @@ fn tagged_wal_rebuilds_the_ring_across_crash_restart() {
     handle.shutdown();
     handle.join().unwrap();
     std::fs::remove_dir_all(&dir).ok();
+}
+
+/// A windowed recovery counts its replayed batches exactly as an
+/// all-history one does: three tagged frames that retire no window show
+/// up as `engine.wal_batches_replayed: 3` on the `stats` verb.
+#[test]
+fn windowed_recovery_counts_replayed_batches() {
+    let dir = std::env::temp_dir().join(format!("dar_serve_stream_count_{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    std::fs::create_dir_all(&dir).unwrap();
+    let wal_path = dir.join("stream.wal");
+
+    // Two-batch windows in a three-slot ring: the third batch seals
+    // nothing new and nothing retires, so no counter restarts.
+    let spec = WindowSpec { batches: 2, slots: 3 };
+    let mut cfg = serve_config(2);
+    cfg.wal_path = Some(wal_path.clone());
+    let handle = Server::start(windowed(spec, RetirePolicy::Subtract), "127.0.0.1:0", cfg).unwrap();
+    let mut client = Client::connect(handle.addr(), Duration::from_secs(10)).unwrap();
+    for offset in 0..3 {
+        client.ingest(dyadic_rows(40, offset)).unwrap();
+    }
+    drop(client);
+    handle.shutdown();
+    handle.join().unwrap();
+
+    let (backend, report) = dar_serve::recover_backend(
+        windowed(spec, RetirePolicy::Subtract),
+        Arc::new(dar_durable::DiskStorage),
+        None,
+        Some(Path::new(&wal_path)),
+    )
+    .unwrap();
+    assert_eq!(report.wal_batches_replayed, 3);
+    assert_eq!(backend.window_span(), Some((0, 1)), "window 0 sealed, none retired");
+
+    let handle = Server::start(backend, "127.0.0.1:0", serve_config(2)).unwrap();
+    let mut client = Client::connect(handle.addr(), Duration::from_secs(10)).unwrap();
+    let stats = client.stats().unwrap();
+    let engine_stats = stats.get("engine").unwrap();
+    assert_eq!(engine_stats.get("wal_batches_replayed").and_then(Json::as_u64), Some(3));
+    drop(client);
+    handle.shutdown();
+    handle.join().unwrap();
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+/// Every file in `dir` with its bytes, sorted by name.
+fn dir_bytes(dir: &Path) -> Vec<(std::ffi::OsString, Vec<u8>)> {
+    let mut files: Vec<_> = std::fs::read_dir(dir)
+        .unwrap()
+        .map(|e| {
+            let e = e.unwrap();
+            (e.file_name(), std::fs::read(e.path()).unwrap())
+        })
+        .collect();
+    files.sort();
+    files
+}
+
+/// Recovery refuses a snapshot of the other kind in both directions — a
+/// windowed snapshot under an all-history configuration and the reverse —
+/// with the `match --window-batches` hint, and leaves the snapshot and
+/// WAL on disk byte for byte as it found them.
+#[test]
+fn recovery_refuses_a_snapshot_of_the_other_kind_and_leaves_the_files() {
+    let backend = |ring: bool| match ring {
+        true => windowed(WindowSpec { batches: 2, slots: 2 }, RetirePolicy::Remerge),
+        false => EngineBackend::from(DarEngine::new(partitioning(), config()).unwrap()),
+    };
+    for ring in [true, false] {
+        let written = if ring { "windowed" } else { "static" };
+        let dir = std::env::temp_dir()
+            .join(format!("dar_serve_stream_mismatch_{written}_{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        std::fs::create_dir_all(&dir).unwrap();
+        let (snap_path, wal_path) = (dir.join("epoch.snap"), dir.join("ingest.wal"));
+
+        // A server of kind `written` logs two batches and seals a final
+        // snapshot on shutdown.
+        let mut cfg = serve_config(2);
+        cfg.snapshot_path = Some(snap_path.clone());
+        cfg.wal_path = Some(wal_path.clone());
+        let handle = Server::start(backend(ring), "127.0.0.1:0", cfg).unwrap();
+        let mut client = Client::connect(handle.addr(), Duration::from_secs(10)).unwrap();
+        client.ingest(dyadic_rows(40, 0)).unwrap();
+        client.ingest(dyadic_rows(40, 1)).unwrap();
+        drop(client);
+        handle.shutdown();
+        handle.join().unwrap();
+        let before = dir_bytes(&dir);
+        assert!(before.iter().any(|(name, _)| name == "epoch.snap"), "{written}: no snapshot");
+
+        // Recover under the other configuration.
+        let err = dar_serve::recover_backend(
+            backend(!ring),
+            Arc::new(dar_durable::DiskStorage),
+            Some(&snap_path),
+            Some(&wal_path),
+        )
+        .err()
+        .unwrap_or_else(|| panic!("{written} snapshot: mismatched recovery must fail"));
+        let text = err.to_string();
+        assert!(text.contains(&format!("snapshot is a {written} engine")), "{text}");
+        assert!(text.contains("match --window-batches"), "{text}");
+        assert_eq!(dir_bytes(&dir), before, "{written}: recovery touched the files");
+        std::fs::remove_dir_all(&dir).ok();
+    }
 }
 
 /// Applies one event frame's diff to a rule set keyed by encoded rule.

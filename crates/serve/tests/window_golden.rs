@@ -10,7 +10,7 @@
 use dar_core::{Metric, Partitioning};
 use dar_engine::EngineConfig;
 use dar_serve::protocol::query_response;
-use dar_stream::{RetirePolicy, WindowSpec, WindowedEngine};
+use dar_stream::{EngineBackend, RetirePolicy, WindowSpec};
 use datagen::wbcd::wbcd_relation;
 use mining::{Measure, RuleQuery};
 
@@ -53,19 +53,19 @@ fn fnv64(bytes: &[u8]) -> u64 {
 fn run(policy: RetirePolicy, threads: usize) -> Run {
     let relation = wbcd_relation(4_000, 0.1, 1997);
     let partitioning = Partitioning::per_attribute(relation.schema(), Metric::Euclidean);
-    let mut engine =
-        WindowedEngine::new(partitioning, config(threads), SPEC, policy).expect("valid config");
+    let mut engine = EngineBackend::new(partitioning, config(threads), Some((SPEC, policy)))
+        .expect("valid config");
     let rows: Vec<Vec<f64>> = (0..relation.len()).map(|r| relation.row(r)).collect();
     let mut answers = String::new();
     for batch in rows.chunks(250) {
-        if engine.ingest(batch).expect("ingest").advanced {
+        if engine.ingest(batch).expect("ingest").expect("windowed").advanced {
             let outcome = engine.query(&base_query()).expect("query");
             answers.push_str(&query_response(&outcome).encode());
             answers.push('\n');
         }
     }
     let snapshot_digest = fnv64(&engine.snapshot().expect("snapshot"));
-    let s = engine.stats();
+    let s = engine.engine().stats();
     Run {
         answers,
         snapshot_digest,

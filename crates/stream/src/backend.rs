@@ -1,220 +1,502 @@
-//! The serving-layer switch between all-history and sliding-window
-//! mining.
+//! The one engine `dar-serve` drives: a [`DarEngine`] plus an optional
+//! sliding-window ring beside it.
 
-use crate::window::AdvanceOutcome;
-use crate::windowed_engine::{WindowedEngine, WindowedIngest};
+use crate::window::{AdvanceOutcome, RetirePolicy, WindowSpec, WindowedForest};
 use dar_core::{ClusterSummary, CoreError, Partitioning};
-use dar_engine::{DarEngine, EngineConfig, EngineStats, QueryOutcome};
+use dar_engine::snapshot::{parse_snapshot, parse_snapshot_bytes, write_snapshot_bytes, Snapshot};
+use dar_engine::{DarEngine, EngineConfig, QueryOutcome};
 use mining::RuleQuery;
 
-/// Either a classic all-history [`DarEngine`] or a sliding-window
-/// [`WindowedEngine`], behind the one API `dar-serve` drives: ingest,
-/// advance, query, snapshot, WAL-frame replay.
-// One backend exists per server/session, so the variant size gap is
-// irrelevant next to the indirection a Box would add on every call.
-#[allow(clippy::large_enum_variant)]
-pub enum EngineBackend {
-    /// All-history mining: every ingested tuple stays in the horizon.
-    Static(DarEngine),
-    /// Sliding-window mining over the most recent windows only.
-    Windowed(WindowedEngine),
+/// What one [`EngineBackend::ingest`] did to the window ring.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct WindowedIngest {
+    /// The window the batch's rows landed in.
+    pub window_seq: u64,
+    /// Whether the batch filled the window and advanced it.
+    pub advanced: bool,
+    /// Whether the advance retired a window (the horizon slid).
+    pub retired: bool,
+    /// The live horizon after the ingest, `(oldest seq, open seq)`.
+    pub window_span: (u64, u64),
+}
+
+/// A [`DarEngine`] whose horizon is either all history or, with a window
+/// ring, only the most recent windows — the one API `dar-serve` drives:
+/// ingest, advance, query, snapshot, WAL-frame replay.
+///
+/// Phase I is a fold of ACF additions, and Phase II reads only the folded
+/// summaries (Theorem 6.1), so a sliding window only changes which tuples
+/// are in the fold. Without a ring every ingested tuple stays in the
+/// engine's forest. With one, every batch also goes into the open
+/// window's sub-forest ([`WindowedForest`]); the engine's forest holds
+/// exactly the live rows, so queries cost what they cost on all history.
+/// When a window retires, the engine moves to the slid horizon with its
+/// epoch carried forward, so epochs stay monotonic across slides and `s0`
+/// always reflects the live tuple count:
+///
+/// * under [`RetirePolicy::Subtract`] the engine's forest *is* the running
+///   total — the expired window is subtracted from it in place
+///   ([`DarEngine::subtract_retired`]);
+/// * under [`RetirePolicy::Remerge`] the engine is rebuilt around the
+///   re-merged survivors ([`DarEngine::with_forest`]).
+pub struct EngineBackend {
+    engine: DarEngine,
+    /// The sliding-window ring; `None` mines all history.
+    ring: Option<WindowedForest>,
 }
 
 impl From<DarEngine> for EngineBackend {
+    /// An all-history backend: the engine with no window ring.
     fn from(engine: DarEngine) -> Self {
-        EngineBackend::Static(engine)
+        EngineBackend { engine, ring: None }
     }
 }
 
-impl From<WindowedEngine> for EngineBackend {
-    fn from(engine: WindowedEngine) -> Self {
-        EngineBackend::Windowed(engine)
+/// The per-set diameter threshold a fresh forest starts from: the
+/// configured per-set values, else the BIRCH default for every set.
+fn initial_thresholds(config: &EngineConfig, partitioning: &Partitioning) -> Vec<f64> {
+    match &config.initial_thresholds {
+        Some(t) => t.clone(),
+        None => vec![config.birch.initial_threshold; partitioning.num_sets()],
     }
 }
 
 impl EngineBackend {
-    /// True for the windowed variant.
+    /// Creates an empty backend: all-history mining when `window` is
+    /// `None`, sliding-window mining under that geometry and retirement
+    /// policy otherwise.
+    ///
+    /// # Errors
+    /// Rejects threshold-arity mismatches, as [`DarEngine::new`] does.
+    pub fn new(
+        partitioning: Partitioning,
+        config: EngineConfig,
+        window: Option<(WindowSpec, RetirePolicy)>,
+    ) -> Result<Self, CoreError> {
+        let engine = DarEngine::new(partitioning, config)?;
+        let ring = window.map(|(spec, policy)| {
+            let (partitioning, config) = (engine.partitioning(), engine.config());
+            let thresholds = initial_thresholds(config, partitioning);
+            WindowedForest::new(partitioning.clone(), &config.birch, &thresholds, spec, policy)
+        });
+        Ok(EngineBackend { engine, ring })
+    }
+
+    /// True when a window ring bounds the horizon.
     pub fn is_windowed(&self) -> bool {
-        matches!(self, EngineBackend::Windowed(_))
+        self.ring.is_some()
     }
 
-    /// Feeds a batch. For the windowed backend the outcome reports window
-    /// movement; the static backend always returns `None`.
+    /// The inner engine, for read-only accessors (epoch, tuples in the
+    /// horizon, stats, partitioning, config, the cached-query fast path).
+    pub fn engine(&self) -> &DarEngine {
+        &self.engine
+    }
+
+    /// The window ring, if the horizon is windowed.
+    pub fn ring(&self) -> Option<&WindowedForest> {
+        self.ring.as_ref()
+    }
+
+    /// The live horizon `(oldest seq, open seq)`, if windowed.
+    pub fn window_span(&self) -> Option<(u64, u64)> {
+        self.ring.as_ref().map(WindowedForest::window_span)
+    }
+
+    /// Feeds a batch into the engine, then into the ring's open window
+    /// when there is one. The ring advances (and possibly retires) at the
+    /// window boundary, and a retirement slides the engine to the live
+    /// horizon. Empty batches are no-ops at the window layer (see
+    /// [`WindowedForest::ingest`]). Returns what the batch did to the
+    /// ring; `None` without one.
     ///
     /// # Errors
-    /// Validation errors reject the whole batch, leaving the backend
-    /// untouched.
+    /// Validation errors ([`DarEngine::ingest`]) reject the whole batch
+    /// and leave both the engine and the ring untouched.
     pub fn ingest(&mut self, rows: &[Vec<f64>]) -> Result<Option<WindowedIngest>, CoreError> {
-        match self {
-            EngineBackend::Static(e) => e.ingest(rows).map(|()| None),
-            EngineBackend::Windowed(e) => e.ingest(rows).map(Some),
-        }
+        self.engine.ingest(rows)?;
+        Ok(self.ring_ingest(rows))
     }
 
-    /// Seals the open window (windowed backend only).
+    /// The ring half of an ingest whose rows the engine already took.
+    fn ring_ingest(&mut self, rows: &[Vec<f64>]) -> Option<WindowedIngest> {
+        let ring = self.ring.as_mut()?;
+        let window_seq = ring.open_seq();
+        let advance = ring.ingest(rows, self.engine.pool());
+        let window_span = ring.window_span();
+        let retired = advance.is_some_and(|a| a.retired_seq.is_some());
+        if retired {
+            self.retire();
+        }
+        Some(WindowedIngest { window_seq, advanced: advance.is_some(), retired, window_span })
+    }
+
+    /// Seals the open window explicitly (the `advance` verb), sliding the
+    /// engine if the ring retired a window.
     ///
     /// # Errors
-    /// The static backend has no windows to advance.
+    /// An all-history backend has no windows to advance.
     pub fn advance(&mut self) -> Result<AdvanceOutcome, CoreError> {
-        match self {
-            EngineBackend::Static(_) => Err(CoreError::LayoutMismatch(
+        let ring = self.ring.as_mut().ok_or_else(|| {
+            CoreError::LayoutMismatch(
                 "advance requires a windowed engine (--window-batches)".into(),
-            )),
-            EngineBackend::Windowed(e) => Ok(e.advance()),
+            )
+        })?;
+        let outcome = ring.advance();
+        if outcome.retired_seq.is_some() {
+            self.retire();
+        }
+        Ok(outcome)
+    }
+
+    /// Moves the engine to the slid horizon: subtracts the expired windows
+    /// from its forest in place, or stands it back up over the re-merged
+    /// survivors. Either way the epoch carries over and is left open, so
+    /// the next query closes a fresh one over the slid horizon.
+    fn retire(&mut self) {
+        let ring = self.ring.as_mut().expect("only a ring retires windows");
+        let live = ring.live_tuples();
+        match ring.policy() {
+            RetirePolicy::Subtract => self.engine.subtract_retired(ring.take_retired(), live),
+            RetirePolicy::Remerge => {
+                self.engine = DarEngine::with_forest(
+                    ring.merged(),
+                    live,
+                    self.engine.epoch(),
+                    self.engine.config().clone(),
+                );
+            }
         }
     }
 
-    /// Replays one recovered WAL frame (see
-    /// [`WindowedEngine::replay_frame`]). The static backend ignores the
-    /// window tag and ingests the rows.
+    /// Replays one recovered WAL frame — the one replay path of both
+    /// modes. `tag` is the window sequence the frame was logged under: the
+    /// ring advances until that window is open (reconstructing explicit
+    /// advances, which are logged as empty tagged frames), then non-empty
+    /// rows are ingested exactly as live and counted as replayed
+    /// ([`DarEngine::replay_batch`]). Untagged frames (all-history or
+    /// pre-windowing logs) ingest directly; without a ring the tag is
+    /// ignored.
     ///
     /// # Errors
     /// Propagates ingest validation errors.
     pub fn replay_frame(&mut self, tag: Option<u64>, rows: &[Vec<f64>]) -> Result<(), CoreError> {
-        match self {
-            EngineBackend::Static(e) => {
-                if rows.is_empty() {
-                    return Ok(());
-                }
-                // Through `replay_wal` (not plain ingest) so the engine's
-                // replay counters see recovered frames.
-                e.replay_wal(std::slice::from_ref(&rows.to_vec())).map(|_| ())
+        if let Some(seq) = tag {
+            while self.ring.as_ref().is_some_and(|ring| ring.open_seq() < seq) {
+                self.advance()?;
             }
-            EngineBackend::Windowed(e) => e.replay_frame(tag, rows),
         }
+        if !rows.is_empty() {
+            self.engine.replay_batch(rows)?;
+            self.ring_ingest(rows);
+        }
+        Ok(())
     }
 
-    /// Answers one rule-mining query.
+    /// Answers one rule-mining query over the horizon.
     ///
     /// # Errors
     /// Propagates arity errors from explicit density thresholds.
     pub fn query(&mut self, query: &RuleQuery) -> Result<QueryOutcome, CoreError> {
-        match self {
-            EngineBackend::Static(e) => e.query(query),
-            EngineBackend::Windowed(e) => e.query(query),
-        }
+        self.engine.query(query)
     }
 
-    /// The read-only fast path (see [`DarEngine::query_cached`]).
-    ///
-    /// # Errors
-    /// Propagates arity errors from explicit density thresholds.
-    pub fn query_cached(&self, query: &RuleQuery) -> Result<Option<QueryOutcome>, CoreError> {
-        match self {
-            EngineBackend::Static(e) => e.query_cached(query),
-            EngineBackend::Windowed(e) => e.query_cached(query),
-        }
+    /// The cluster summaries of the current epoch, closing it if needed.
+    pub fn clusters(&mut self) -> &[ClusterSummary] {
+        self.engine.clusters()
     }
 
-    /// Serializes the backend: an engine-v2 binary snapshot for the
-    /// static variant, a dar-stream v2 ring snapshot for the windowed one.
-    /// [`EngineBackend::restore`] sniffs the header and routes back.
-    ///
-    /// # Errors
-    /// Propagates serialization failures.
-    pub fn snapshot(&mut self) -> Result<Vec<u8>, CoreError> {
-        match self {
-            EngineBackend::Static(e) => e.snapshot(),
-            EngineBackend::Windowed(e) => e.snapshot(),
-        }
-    }
-
-    /// Serializes the backend's *mergeable* view — always a plain
-    /// engine-v2 snapshot: all history for the static variant, the live
-    /// horizon for the windowed one. This is what a cluster coordinator
-    /// pulls; unlike [`EngineBackend::snapshot`], the result feeds
+    /// Serializes the *mergeable* view — always a plain engine-v2
+    /// snapshot of the horizon (all history, or the live windows only).
+    /// This is what a cluster coordinator pulls; unlike
+    /// [`EngineBackend::snapshot`], the result feeds
     /// [`DarEngine::merge_parsed_snapshots`] directly.
     ///
     /// # Errors
     /// Propagates serialization failures.
     pub fn pull_snapshot(&mut self) -> Result<Vec<u8>, CoreError> {
-        match self {
-            EngineBackend::Static(e) => e.snapshot(),
-            EngineBackend::Windowed(e) => e.horizon_snapshot(),
-        }
+        self.engine.snapshot()
     }
 
-    /// Resumes a backend from a snapshot body, routing on the header:
-    /// a `dar-stream` header (v1 text or v2 framed-binary) restores a
-    /// windowed engine, anything else falls through to
-    /// [`DarEngine::restore`] (which also unseals checksummed snapshots
-    /// and accepts both engine formats).
+    /// Serializes the backend for durability. Without a ring this is the
+    /// engine-v2 binary snapshot. With one it is the full ring in the v2
+    /// layout — a text header line framing one embedded engine-v2
+    /// *binary* snapshot per live window, oldest first, the open window
+    /// last:
+    ///
+    /// ```text
+    /// dar-stream v2 epoch=<e> open_batches=<b> policy=<p> window_batches=<W> slots=<S> windows=<k>
+    /// window seq=<s> bytes=<B>
+    /// <B bytes of dar-engine v2 binary snapshot, epoch=<s> tuples=<window tuples>>
+    /// …
+    /// ```
+    ///
+    /// Each embedded body ends with the engine format's `0x0A` terminator,
+    /// so the whole snapshot ends on a newline byte and the `dar-durable`
+    /// seal never alters it. [`EngineBackend::restore`] sniffs the header,
+    /// rebuilds each window's forest from its summaries and the engine
+    /// from their merge (under either policy), so WAL replay on top
+    /// reconstructs the ring exactly.
     ///
     /// # Errors
-    /// Rejects malformed snapshots of either flavor.
-    pub fn restore(bytes: &[u8], config: EngineConfig) -> Result<Self, CoreError> {
+    /// Propagates serialization failures.
+    pub fn snapshot(&mut self) -> Result<Vec<u8>, CoreError> {
+        let Some(ring) = &self.ring else {
+            return self.engine.snapshot();
+        };
+        let mut out = format!(
+            "dar-stream v2 epoch={} open_batches={} policy={} window_batches={} slots={} windows={}\n",
+            self.engine.epoch(),
+            ring.open_batches(),
+            ring.policy().name(),
+            ring.spec().batches,
+            ring.spec().slots,
+            ring.live_windows().count(),
+        )
+        .into_bytes();
+        let partitioning = self.engine.partitioning();
+        for (seq, forest, tuples) in ring.live_windows() {
+            let mut clusters = Vec::new();
+            let mut next_id = 0u32;
+            for (set, acfs) in forest.extract_clusters().into_iter().enumerate() {
+                for acf in acfs {
+                    clusters.push(ClusterSummary { id: dar_core::ClusterId(next_id), set, acf });
+                    next_id += 1;
+                }
+            }
+            let body = write_snapshot_bytes(
+                seq,
+                tuples,
+                partitioning,
+                &forest.thresholds(),
+                &clusters,
+                self.engine.pool(),
+            )?;
+            out.extend_from_slice(format!("window seq={seq} bytes={}\n", body.len()).as_bytes());
+            out.extend_from_slice(&body);
+        }
+        Ok(out)
+    }
+
+    /// Resumes a backend from an [`EngineBackend::snapshot`], routing on
+    /// the header: a `dar-stream` header (v1 text or v2 framed-binary)
+    /// restores the engine and its window ring, anything else falls
+    /// through to [`DarEngine::restore`] (which also unseals checksummed
+    /// snapshots and accepts both engine formats). The window geometry and
+    /// policy come from the header; `config` supplies everything else.
+    /// `windowed` is whether the caller is configured for a window ring; a
+    /// snapshot of the other kind is refused before anything is parsed.
+    ///
+    /// # Errors
+    /// Rejects a snapshot whose kind (windowed or all-history) differs from
+    /// `windowed`, and malformed snapshots of either kind.
+    pub fn restore(bytes: &[u8], config: EngineConfig, windowed: bool) -> Result<Self, CoreError> {
         let body = dar_durable::unseal_bytes(bytes)
             .map_err(|detail| CoreError::LayoutMismatch(format!("snapshot footer: {detail}")))?
             .0;
-        if body.starts_with(b"dar-stream v") {
-            return Ok(EngineBackend::Windowed(WindowedEngine::restore(body, config)?));
+        let ring_snapshot = body.starts_with(b"dar-stream v");
+        if ring_snapshot != windowed {
+            let kind = |w: bool| if w { "windowed" } else { "static" };
+            return Err(CoreError::LayoutMismatch(format!(
+                "snapshot is a {} engine but the engine is configured {} — \
+                 match --window-batches to the snapshot",
+                kind(ring_snapshot),
+                kind(windowed),
+            )));
         }
-        // `DarEngine::restore` unseals (and re-verifies) on its own.
-        Ok(EngineBackend::Static(DarEngine::restore(bytes, config)?))
+        if !ring_snapshot {
+            // `DarEngine::restore` unseals (and re-verifies) on its own.
+            return Ok(DarEngine::restore(bytes, config)?.into());
+        }
+        if body.starts_with(b"dar-stream v2 ") {
+            return Self::restore_v2(body, config);
+        }
+        let text = std::str::from_utf8(body).map_err(|_| {
+            CoreError::LayoutMismatch(
+                "snapshot bytes are neither dar-stream v2 nor UTF-8 text".into(),
+            )
+        })?;
+        Self::restore_v1(text, config)
     }
 
-    /// The current epoch number.
-    pub fn epoch(&self) -> u64 {
-        match self {
-            EngineBackend::Static(e) => e.epoch(),
-            EngineBackend::Windowed(e) => e.epoch(),
+    fn restore_v2(bytes: &[u8], config: EngineConfig) -> Result<Self, CoreError> {
+        let bad = |msg: String| CoreError::LayoutMismatch(msg);
+        let pool = dar_par::ThreadPool::resolve(config.threads);
+        let line_end = |from: usize| -> Result<usize, CoreError> {
+            bytes[from..]
+                .iter()
+                .position(|&b| b == b'\n')
+                .map(|p| from + p)
+                .ok_or_else(|| bad("dar-stream snapshot truncated mid-line".into()))
+        };
+        let header_end = line_end(0)?;
+        let header = std::str::from_utf8(&bytes[..header_end])
+            .map_err(|_| bad("dar-stream header is not UTF-8".into()))?;
+        let (epoch, open_batches, window_batches, slots, num_windows, policy) =
+            parse_ring_header(header)?;
+        let mut pos = header_end + 1;
+        let mut snaps = Vec::with_capacity(num_windows);
+        for i in 0..num_windows {
+            if pos >= bytes.len() {
+                return Err(bad(format!("missing window section {i}")));
+            }
+            let section_end = line_end(pos)?;
+            let section = std::str::from_utf8(&bytes[pos..section_end])
+                .map_err(|_| bad(format!("window section {i} is not UTF-8")))?;
+            let rest = section
+                .strip_prefix("window ")
+                .ok_or_else(|| bad(format!("expected window line, got {section:?}")))?;
+            let sfield = |key: &str| -> Result<u64, CoreError> {
+                let start =
+                    rest.find(key).ok_or_else(|| bad(format!("missing {key} in {section:?}")))?
+                        + key.len();
+                rest[start..]
+                    .split_whitespace()
+                    .next()
+                    .unwrap_or("")
+                    .parse()
+                    .map_err(|_| bad(format!("bad {key} field in {section:?}")))
+            };
+            let seq = sfield("seq=")?;
+            let body_bytes = sfield("bytes=")? as usize;
+            pos = section_end + 1;
+            if bytes.len() - pos < body_bytes {
+                return Err(bad(format!("window {seq}: truncated embedded snapshot")));
+            }
+            snaps.push(parse_snapshot_bytes(&bytes[pos..pos + body_bytes], &pool)?);
+            pos += body_bytes;
         }
+        if pos != bytes.len() {
+            return Err(bad(format!(
+                "{} unexpected bytes after the last window section",
+                bytes.len() - pos
+            )));
+        }
+        Self::from_window_snaps(snaps, epoch, open_batches, window_batches, slots, policy, config)
     }
 
-    /// Tuples in the mining horizon (all history for static, the live
-    /// windows for windowed).
-    pub fn tuples(&self) -> u64 {
-        match self {
-            EngineBackend::Static(e) => e.tuples(),
-            EngineBackend::Windowed(e) => e.tuples(),
+    fn restore_v1(text: &str, config: EngineConfig) -> Result<Self, CoreError> {
+        let bad = |msg: String| CoreError::LayoutMismatch(msg);
+        let mut lines = text.lines();
+        let header = lines.next().ok_or_else(|| bad("empty dar-stream snapshot".into()))?;
+        let (epoch, open_batches, window_batches, slots, num_windows, policy) =
+            parse_ring_header(header)?;
+        let mut snaps = Vec::with_capacity(num_windows);
+        for i in 0..num_windows {
+            let section = lines.next().ok_or_else(|| bad(format!("missing window section {i}")))?;
+            let rest = section
+                .strip_prefix("window ")
+                .ok_or_else(|| bad(format!("expected window line, got {section:?}")))?;
+            let sfield = |key: &str| -> Result<u64, CoreError> {
+                let start =
+                    rest.find(key).ok_or_else(|| bad(format!("missing {key} in {section:?}")))?
+                        + key.len();
+                rest[start..]
+                    .split_whitespace()
+                    .next()
+                    .unwrap_or("")
+                    .parse()
+                    .map_err(|_| bad(format!("bad {key} field in {section:?}")))
+            };
+            let seq = sfield("seq=")?;
+            let body_lines = sfield("lines=")? as usize;
+            let mut body = String::new();
+            for _ in 0..body_lines {
+                let l = lines
+                    .next()
+                    .ok_or_else(|| bad(format!("window {seq}: truncated embedded snapshot")))?;
+                body.push_str(l);
+                body.push('\n');
+            }
+            snaps.push(parse_snapshot(&body)?);
         }
+        Self::from_window_snaps(snaps, epoch, open_batches, window_batches, slots, policy, config)
     }
 
-    /// The partitioning this backend mines under.
-    pub fn partitioning(&self) -> &Partitioning {
-        match self {
-            EngineBackend::Static(e) => e.partitioning(),
-            EngineBackend::Windowed(e) => e.partitioning(),
+    /// Stands the ring and engine back up from parsed per-window snapshots
+    /// (oldest first) — the common tail of both ring restore paths.
+    fn from_window_snaps(
+        snaps: Vec<Snapshot>,
+        epoch: u64,
+        open_batches: u64,
+        window_batches: u64,
+        slots: usize,
+        policy: RetirePolicy,
+        config: EngineConfig,
+    ) -> Result<Self, CoreError> {
+        let mut windows = Vec::with_capacity(snaps.len());
+        let mut partitioning: Option<Partitioning> = None;
+        for snap in snaps {
+            match &partitioning {
+                None => partitioning = Some(snap.partitioning.clone()),
+                Some(p) if *p != snap.partitioning => {
+                    return Err(CoreError::InvalidPartitioning(format!(
+                        "window {} was built under a different partitioning",
+                        snap.epoch
+                    )));
+                }
+                Some(_) => {}
+            }
+            let mut forest = birch::AcfForest::with_initial_thresholds(
+                snap.partitioning.clone(),
+                &config.birch,
+                &snap.thresholds,
+            );
+            for c in &snap.clusters {
+                forest.insert_entry(c.set, c.acf.clone());
+            }
+            windows.push((snap.epoch, forest, snap.tuples));
         }
+        let partitioning =
+            partitioning.ok_or_else(|| CoreError::LayoutMismatch("zero windows parsed".into()))?;
+        let thresholds = initial_thresholds(&config, &partitioning);
+        let ring = WindowedForest::from_windows(
+            partitioning,
+            &config.birch,
+            &thresholds,
+            WindowSpec { batches: window_batches.max(1), slots: slots.max(1) },
+            policy,
+            windows,
+            open_batches,
+        );
+        let engine = DarEngine::with_forest(ring.merged(), ring.live_tuples(), epoch, config);
+        Ok(EngineBackend { engine, ring: Some(ring) })
     }
+}
 
-    /// The engine configuration.
-    pub fn config(&self) -> &EngineConfig {
-        match self {
-            EngineBackend::Static(e) => e.config(),
-            EngineBackend::Windowed(e) => e.config(),
-        }
+/// Parses the `dar-stream v1`/`v2` header line shared by both snapshot
+/// layouts. Returns `(epoch, open_batches, window_batches, slots,
+/// num_windows, policy)`.
+fn parse_ring_header(
+    header: &str,
+) -> Result<(u64, u64, u64, usize, usize, RetirePolicy), CoreError> {
+    let bad = |msg: String| CoreError::LayoutMismatch(msg);
+    if !header.starts_with("dar-stream v1 ") && !header.starts_with("dar-stream v2 ") {
+        return Err(bad(format!("not a dar-stream snapshot: {header:?}")));
     }
-
-    /// The row width ingest validates against.
-    pub fn required_row_width(&self) -> usize {
-        match self {
-            EngineBackend::Static(e) => e.required_row_width(),
-            EngineBackend::Windowed(e) => e.required_row_width(),
-        }
+    let field = |key: &str| -> Result<u64, CoreError> {
+        let start = header.find(key).ok_or_else(|| bad(format!("missing {key} in {header:?}")))?
+            + key.len();
+        header[start..]
+            .split_whitespace()
+            .next()
+            .unwrap_or("")
+            .parse()
+            .map_err(|_| bad(format!("bad {key} field in {header:?}")))
+    };
+    let epoch = field("epoch=")?;
+    let open_batches = field("open_batches=")?;
+    let window_batches = field("window_batches=")?;
+    let slots = field("slots=")? as usize;
+    let num_windows = field("windows=")? as usize;
+    let policy_start =
+        header.find("policy=").ok_or_else(|| bad(format!("missing policy= in {header:?}")))?
+            + "policy=".len();
+    let policy_name = header[policy_start..].split_whitespace().next().unwrap_or("");
+    let policy = RetirePolicy::parse(policy_name)
+        .ok_or_else(|| bad(format!("unknown retire policy {policy_name:?}")))?;
+    if num_windows == 0 {
+        return Err(bad("dar-stream snapshot with zero windows".into()));
     }
-
-    /// Engine statistics.
-    pub fn stats(&self) -> EngineStats {
-        match self {
-            EngineBackend::Static(e) => e.stats(),
-            EngineBackend::Windowed(e) => e.stats(),
-        }
-    }
-
-    /// The cluster summaries of the current epoch, closing it if needed.
-    pub fn clusters(&mut self) -> &[ClusterSummary] {
-        match self {
-            EngineBackend::Static(e) => e.clusters(),
-            EngineBackend::Windowed(e) => e.clusters(),
-        }
-    }
-
-    /// The live horizon for the windowed backend, `None` for static.
-    pub fn window_span(&self) -> Option<(u64, u64)> {
-        match self {
-            EngineBackend::Static(_) => None,
-            EngineBackend::Windowed(e) => Some(e.window_span()),
-        }
-    }
+    Ok((epoch, open_batches, window_batches, slots, num_windows, policy))
 }

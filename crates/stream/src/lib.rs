@@ -13,17 +13,17 @@
 //!   running total by CF subtraction ([`RetirePolicy::Subtract`],
 //!   `birch::AcfForest::subtract` — additivity, Theorem 6.1 / Eq. 7, runs
 //!   both ways). Both paths are deterministic at any worker count.
-//! * [`WindowedEngine`] wraps a [`dar_engine::DarEngine`] so Phase II
-//!   queries mine only the live horizon. Each row goes into two forests:
-//!   the inner engine's and the open window's. Under subtract retirement
-//!   the inner engine's forest *is* the running total, and a retirement
-//!   subtracts the expired window from it in place
+//! * [`EngineBackend`] is the one engine `dar-serve` drives: a
+//!   [`dar_engine::DarEngine`] plus, for sliding-window mining, an optional
+//!   [`WindowedForest`] ring beside it, with one API for ingest, advance,
+//!   query, snapshot, restore, and WAL-frame replay. With a ring each row
+//!   goes into two forests: the engine's and the open window's. Under
+//!   subtract retirement the engine's forest *is* the running total, and a
+//!   retirement subtracts the expired window from it in place
 //!   ([`dar_engine::DarEngine::subtract_retired`]); under remerge the
-//!   inner engine is rebuilt from the re-merged survivors
-//!   ([`dar_engine::DarEngine::with_forest`]).
-//! * [`EngineBackend`] is the serving-layer switch between the classic
-//!   all-history engine and the windowed one, with one API for ingest,
-//!   advance, query, snapshot, and WAL-frame replay.
+//!   engine is rebuilt from the re-merged survivors
+//!   ([`dar_engine::DarEngine::with_forest`]). Without a ring it mines all
+//!   history.
 //! * [`diff`] computes deterministic `{added, dropped}` rule-churn diffs
 //!   over already-encoded rule lines — the payload `dar-serve` pushes to
 //!   `subscribe` connections after every window advance.
@@ -35,9 +35,7 @@ mod backend;
 mod diff;
 pub mod metrics;
 mod window;
-mod windowed_engine;
 
-pub use backend::EngineBackend;
+pub use backend::{EngineBackend, WindowedIngest};
 pub use diff::{diff, RuleDiff};
 pub use window::{AdvanceOutcome, RetirePolicy, WindowSpec, WindowedForest};
-pub use windowed_engine::{WindowedEngine, WindowedIngest};

@@ -26,8 +26,8 @@ pub enum RetirePolicy {
     /// subtraction ([`AcfForest::subtract`]). The ring keeps no total of
     /// its own: it hands the expired forest to its owner
     /// ([`WindowedForest::take_retired`]), whose live forest is the total.
-    /// In a [`WindowedEngine`](crate::WindowedEngine) that is the inner
-    /// engine's forest, subtracted in place.
+    /// In an [`EngineBackend`](crate::EngineBackend) that is the engine's
+    /// forest, subtracted in place.
     Subtract,
 }
 

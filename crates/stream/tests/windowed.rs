@@ -4,7 +4,7 @@
 
 use dar_core::{Metric, Partitioning, Schema};
 use dar_engine::{DarEngine, EngineConfig};
-use dar_stream::{EngineBackend, RetirePolicy, WindowSpec, WindowedEngine};
+use dar_stream::{EngineBackend, RetirePolicy, WindowSpec};
 use mining::RuleQuery;
 use std::collections::BTreeMap;
 
@@ -37,12 +37,11 @@ fn dyadic_rows(n: usize, offset: usize) -> Vec<Vec<f64>> {
         .collect()
 }
 
-fn windowed(policy: RetirePolicy, threads: usize) -> WindowedEngine {
-    WindowedEngine::new(
+fn windowed(policy: RetirePolicy, threads: usize) -> EngineBackend {
+    EngineBackend::new(
         partitioning(),
         config(threads),
-        WindowSpec { batches: 2, slots: 2 },
-        policy,
+        Some((WindowSpec { batches: 2, slots: 2 }, policy)),
     )
     .unwrap()
 }
@@ -62,7 +61,7 @@ fn windowed_rules_equal_oneshot_over_live_rows() {
             let mut rows_by_window: BTreeMap<u64, Vec<Vec<f64>>> = BTreeMap::new();
             for batch in 0..6 {
                 let rows = dyadic_rows(20, batch);
-                let info = w.ingest(&rows).unwrap();
+                let info = w.ingest(&rows).unwrap().unwrap();
                 rows_by_window.entry(info.window_seq).or_default().extend(rows);
                 let (oldest, newest) = info.window_span;
                 let live: Vec<Vec<f64>> = (oldest..=newest)
@@ -75,10 +74,10 @@ fn windowed_rules_equal_oneshot_over_live_rows() {
                     "policy {policy:?} threads {threads} batch {batch}: windowed \
                      rules diverge from one-shot over the live rows"
                 );
-                assert_eq!(w.tuples(), live.len() as u64, "live tuple count");
+                assert_eq!(w.engine().tuples(), live.len() as u64, "live tuple count");
             }
             // The horizon really slid: early windows are gone.
-            let (oldest, _) = w.window_span();
+            let (oldest, _) = w.window_span().unwrap();
             assert!(oldest >= 1, "policy {policy:?}: no window ever retired");
         }
     }
@@ -88,25 +87,25 @@ fn windowed_rules_equal_oneshot_over_live_rows() {
 fn explicit_advance_seals_early_and_empty_batches_are_noops() {
     let mut w = windowed(RetirePolicy::Remerge, 1);
     let rows = dyadic_rows(20, 0);
-    let info = w.ingest(&rows).unwrap();
+    let info = w.ingest(&rows).unwrap().unwrap();
     assert_eq!(info.window_seq, 0);
     assert!(!info.advanced, "one batch of two does not fill the window");
     // Empty batches change nothing.
-    let noop = w.ingest(&[]).unwrap();
+    let noop = w.ingest(&[]).unwrap().unwrap();
     assert!(!noop.advanced);
-    assert_eq!(w.window_span(), (0, 0));
+    assert_eq!(w.window_span(), Some((0, 0)));
     // Explicit advance seals window 0 after a single batch.
-    let out = w.advance();
+    let out = w.advance().unwrap();
     assert_eq!(out.sealed_seq, 0);
     assert_eq!(out.opened_seq, 1);
     assert_eq!(out.retired_seq, None, "two slots: first seal fits the ring");
-    let info = w.ingest(&dyadic_rows(20, 1)).unwrap();
+    let info = w.ingest(&dyadic_rows(20, 1)).unwrap().unwrap();
     assert_eq!(info.window_seq, 1);
     // Second explicit advance overflows the two-slot ring: window 0 retires.
-    let out = w.advance();
+    let out = w.advance().unwrap();
     assert_eq!(out.retired_seq, Some(0));
-    assert_eq!(w.window_span(), (1, 2));
-    assert_eq!(w.tuples(), 20, "window 0's rows left the horizon");
+    assert_eq!(w.window_span(), Some((1, 2)));
+    assert_eq!(w.engine().tuples(), 20, "window 0's rows left the horizon");
 }
 
 #[test]
@@ -120,11 +119,11 @@ fn snapshot_restore_round_trips_ring_and_rules() {
         let span = w.window_span();
         let text = w.snapshot().unwrap();
 
-        let mut back = WindowedEngine::restore(&text, config(1)).unwrap();
+        let mut back = EngineBackend::restore(&text, config(1), true).unwrap();
         assert_eq!(back.window_span(), span, "policy {policy:?}: ring shape");
-        assert_eq!(back.policy(), policy);
-        assert_eq!(back.spec(), WindowSpec { batches: 2, slots: 2 });
-        assert_eq!(back.tuples(), w.tuples());
+        assert_eq!(back.ring().unwrap().policy(), policy);
+        assert_eq!(back.ring().unwrap().spec(), WindowSpec { batches: 2, slots: 2 });
+        assert_eq!(back.engine().tuples(), w.engine().tuples());
         let got = back.query(&RuleQuery::default()).unwrap().rules;
         assert_eq!(got, want, "policy {policy:?}: restored rules diverge");
 
@@ -186,9 +185,9 @@ fn v1_ring_snapshots_still_restore() {
         v1.push_str(&body);
     }
 
-    let mut back = WindowedEngine::restore(v1.as_bytes(), config(1)).unwrap();
+    let mut back = EngineBackend::restore(v1.as_bytes(), config(1), true).unwrap();
     assert_eq!(back.window_span(), live.window_span());
-    assert_eq!(back.tuples(), live.tuples());
+    assert_eq!(back.engine().tuples(), live.engine().tuples());
     assert_eq!(back.query(&RuleQuery::default()).unwrap().rules, want);
 }
 
@@ -201,10 +200,10 @@ fn replaying_tagged_frames_reconstructs_the_ring() {
     let mut frames: Vec<(Option<u64>, Vec<Vec<f64>>)> = Vec::new();
     for batch in 0..3 {
         let rows = dyadic_rows(20, batch);
-        let info = live.ingest(&rows).unwrap();
+        let info = live.ingest(&rows).unwrap().unwrap();
         frames.push((Some(info.window_seq), rows));
         if batch == 1 {
-            let out = live.advance();
+            let out = live.advance().unwrap();
             frames.push((Some(out.opened_seq), Vec::new()));
         }
     }
@@ -213,7 +212,7 @@ fn replaying_tagged_frames_reconstructs_the_ring() {
         replayed.replay_frame(*tag, rows).unwrap();
     }
     assert_eq!(replayed.window_span(), live.window_span());
-    assert_eq!(replayed.tuples(), live.tuples());
+    assert_eq!(replayed.engine().tuples(), live.engine().tuples());
     assert_eq!(
         replayed.query(&RuleQuery::default()).unwrap().rules,
         live.query(&RuleQuery::default()).unwrap().rules,
@@ -227,7 +226,7 @@ fn backend_routes_advance_and_snapshot_by_variant() {
     assert!(fixed.window_span().is_none());
     assert!(fixed.advance().is_err(), "static backend has no windows");
 
-    let mut windowed: EngineBackend = windowed(RetirePolicy::Remerge, 1).into();
+    let mut windowed: EngineBackend = windowed(RetirePolicy::Remerge, 1);
     assert!(windowed.is_windowed());
     windowed.ingest(&dyadic_rows(20, 0)).unwrap();
     windowed.advance().unwrap();
@@ -236,13 +235,13 @@ fn backend_routes_advance_and_snapshot_by_variant() {
     // Snapshot/restore sniffs the header and restores the right variant.
     let bytes = windowed.snapshot().unwrap();
     assert!(bytes.starts_with(b"dar-stream v2 "));
-    let back = EngineBackend::restore(&bytes, config(1)).unwrap();
+    let back = EngineBackend::restore(&bytes, config(1), true).unwrap();
     assert!(back.is_windowed());
     assert_eq!(back.window_span(), Some((0, 1)));
 
     fixed.ingest(&dyadic_rows(20, 0)).unwrap();
     let bytes = fixed.snapshot().unwrap();
-    let back = EngineBackend::restore(&bytes, config(1)).unwrap();
+    let back = EngineBackend::restore(&bytes, config(1), false).unwrap();
     assert!(!back.is_windowed());
-    assert_eq!(back.tuples(), 20);
+    assert_eq!(back.engine().tuples(), 20);
 }
