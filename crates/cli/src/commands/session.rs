@@ -43,7 +43,7 @@ use crate::commands::serve::window_options;
 use crate::data::{default_partitioning, load, parse_cluster_metric};
 use crate::CliError;
 use dar_core::{suggest_initial_thresholds, Schema};
-use dar_durable::{decode_frame, DiskStorage, DurableStore};
+use dar_durable::{DiskStorage, DurableStore, WalFrame};
 use dar_engine::EngineConfig;
 use dar_serve::{EngineBackend, RetirePolicy, WindowSpec};
 use mining::describe::describe_rule;
@@ -87,11 +87,6 @@ struct Session {
     wal_records: Vec<WalFrame>,
 }
 
-/// A committed WAL frame: `(wal seq, window tag, rows)`. Untagged frames
-/// come from static sessions; an empty tagged frame marks an explicit
-/// `advance`.
-type WalFrame = (u64, Option<u64>, Vec<Vec<f64>>);
-
 impl Session {
     fn engine(&mut self) -> Result<&mut EngineBackend, CliError> {
         self.engine
@@ -116,22 +111,12 @@ impl Session {
     }
 }
 
-/// Opens the WAL and decodes every committed frame with its sequence.
+/// Opens the WAL and decodes every committed frame with its sequence
+/// (no snapshot bounds the replay, so every record is a frame).
 fn open_wal(path: &str) -> Result<(DurableStore, Vec<WalFrame>), CliError> {
-    let storage = Arc::new(DiskStorage);
-    let (store, _) = DurableStore::open(storage, None, Some(path.into()))
+    let (store, recovered) = DurableStore::open(Arc::new(DiskStorage), None, Some(path.into()))
         .map_err(|e| CliError::new(format!("{path}: {e}")))?;
-    // Re-read for the per-record sequences (open has already healed any
-    // torn tail, so every surviving record decodes).
-    let (records, _) = dar_durable::wal::read_records(&DiskStorage, Path::new(path))
-        .map_err(|e| CliError::new(format!("{path}: {e}")))?;
-    let mut decoded = Vec::with_capacity(records.len());
-    for record in records {
-        let (tag, rows) = decode_frame(&record.body)
-            .map_err(|e| CliError::new(format!("{path}: record seq {}: {e}", record.seq)))?;
-        decoded.push((record.seq, tag, rows));
-    }
-    Ok((store, decoded))
+    Ok((store, recovered.frames))
 }
 
 /// Interprets a full script, returning the accumulated output.

@@ -9,7 +9,7 @@
 //! of the relation summarizes that slice exactly as the single-engine
 //! forest would have — and per-shard forests combine losslessly by
 //! re-inserting each shard's finished clusters into one fresh forest
-//! ([`dar_engine::DarEngine::merge_snapshots`]). Phase II (clustering
+//! ([`dar_engine::DarEngine::merge_parsed_snapshots`]). Phase II (clustering
 //! graph, cliques, rule generation) then runs **once**, on the merged
 //! summary, exactly as if a single engine had scanned everything.
 //!

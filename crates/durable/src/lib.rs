@@ -41,5 +41,5 @@ pub use crc::crc32;
 pub use error::DurableError;
 pub use snapshot::{seal_bytes, unseal_bytes, unseal_strict_bytes, LoadedSnapshot, SnapshotSource};
 pub use storage::{DiskStorage, FaultPlan, FaultyStorage, Storage};
-pub use store::{DurableStore, Recovered, RecoveryReport};
+pub use store::{DurableStore, Recovered, RecoveryReport, WalFrame};
 pub use wal::{WalRecord, WalReport};

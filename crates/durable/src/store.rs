@@ -23,6 +23,11 @@ use crate::wal;
 use std::path::{Path, PathBuf};
 use std::sync::Arc;
 
+/// One committed WAL record, decoded: `(wal seq, window tag, rows)`.
+/// Untagged frames come from all-history engines; an empty tagged frame
+/// marks an explicit window advance.
+pub type WalFrame = (u64, Option<u64>, Vec<Vec<f64>>);
+
 /// What [`DurableStore::open`] reconstructed from disk.
 #[derive(Debug, Clone)]
 pub struct Recovered {
@@ -31,13 +36,12 @@ pub struct Recovered {
     pub snapshot: Option<Vec<u8>>,
     /// The WAL sequence the snapshot includes (0 when none).
     pub snapshot_seq: u64,
-    /// Committed records newer than the snapshot with their window tags:
-    /// `(window_seq, rows)` per frame, in log order, including empty
-    /// advance markers — replay these into the restored engine. A windowed
-    /// engine replays the tags to rebuild its ring exactly; an all-history
-    /// engine ignores them and skips the empty markers, so it loses
-    /// nothing recovering a windowed log.
-    pub frames: Vec<(Option<u64>, Vec<Vec<f64>>)>,
+    /// Committed records newer than the snapshot, in log order, including
+    /// empty advance markers — replay these into the restored engine. A
+    /// windowed engine replays the tags to rebuild its ring exactly; an
+    /// all-history engine ignores them and skips the empty markers, so it
+    /// loses nothing recovering a windowed log.
+    pub frames: Vec<WalFrame>,
     /// Diagnostics for operators and tests.
     pub report: RecoveryReport,
 }
@@ -127,7 +131,7 @@ impl DurableStore {
                     continue; // already inside the snapshot
                 }
                 match decode_frame(&record.body) {
-                    Ok(frame) => frames.push(frame),
+                    Ok((tag, rows)) => frames.push((record.seq, tag, rows)),
                     // CRC passed but the payload doesn't decode: an
                     // encoder/decoder version skew, not a torn tail.
                     Err(detail) => {
@@ -139,7 +143,7 @@ impl DurableStore {
                 }
             }
         }
-        report.wal_batches_replayed = frames.iter().filter(|(_, rows)| !rows.is_empty()).count();
+        report.wal_batches_replayed = frames.iter().filter(|(_, _, rows)| !rows.is_empty()).count();
 
         let store = DurableStore {
             storage,
@@ -286,7 +290,7 @@ mod tests {
         drop(store); // "crash"
 
         let (mut store, recovered) = open_disk(&dir);
-        assert_eq!(recovered.frames, vec![(None, batch(1.0, 3)), (None, batch(2.0, 2))]);
+        assert_eq!(recovered.frames, vec![(1, None, batch(1.0, 3)), (2, None, batch(2.0, 2))]);
         assert_eq!(recovered.report.wal_batches_replayed, 2);
         // Sequences continue where they left off.
         assert_eq!(store.log_batch(&batch(3.0, 1)).unwrap(), 3);
@@ -306,7 +310,7 @@ mod tests {
         let (_, recovered) = open_disk(&dir);
         assert_eq!(recovered.snapshot.as_deref(), Some(b"state after two batches\n".as_slice()));
         assert_eq!(recovered.snapshot_seq, 2);
-        assert_eq!(recovered.frames, vec![(None, batch(3.0, 2))], "only seq>2 replays");
+        assert_eq!(recovered.frames, vec![(3, None, batch(3.0, 2))], "only seq>2 replays");
         std::fs::remove_dir_all(&dir).ok();
     }
 
@@ -332,7 +336,7 @@ mod tests {
         assert_eq!(recovered.snapshot_seq, 1);
         assert_eq!(
             recovered.frames,
-            vec![(None, batch(2.0, 1)), (None, batch(3.0, 1)), (None, batch(4.0, 1))]
+            vec![(2, None, batch(2.0, 1)), (3, None, batch(3.0, 1)), (4, None, batch(4.0, 1))]
         );
         assert_eq!(recovered.report.corrupt_snapshots_skipped, 1);
         assert!(recovered.report.degraded_artifacts());
@@ -351,7 +355,7 @@ mod tests {
         let (_, recovered) = open_disk(&dir);
         assert_eq!(
             recovered.frames,
-            vec![(None, batch(1.0, 2)), (Some(7), batch(2.0, 3)), (Some(8), Vec::new()),]
+            vec![(1, None, batch(1.0, 2)), (2, Some(7), batch(2.0, 3)), (3, Some(8), Vec::new())]
         );
         // The replay count skips the empty marker but keeps the data.
         assert_eq!(recovered.report.wal_batches_replayed, 2);

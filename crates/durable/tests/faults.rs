@@ -49,7 +49,7 @@ fn assert_recovers_exactly(recovered: &dar_durable::Recovered, acked: u64) {
         "snapshot covers {base}, WAL replays {}, but {acked} were acknowledged",
         recovered.frames.len()
     );
-    for (offset, (_, rows)) in recovered.frames.iter().enumerate() {
+    for (offset, (_, _, rows)) in recovered.frames.iter().enumerate() {
         assert_eq!(rows, &batch(base + 1 + offset as u64), "replayed batch content");
     }
 }

@@ -82,9 +82,11 @@ pub struct QueryOutcome {
     pub s0: u64,
     /// The epoch this answer reflects.
     pub epoch: u64,
-    /// Rules entering the ranking pipeline (before filter/prune/top-k).
+    /// Rules the ranker scored (before filter/prune/top-k). An exact
+    /// top-k answer scores only the rules the bound-and-skip search
+    /// emitted, so this is at most the exhaustive rule count.
     pub rules_in: usize,
-    /// Rules dropped by redundancy pruning.
+    /// Scored rules dropped by redundancy pruning.
     pub pruned: usize,
     /// `Some(fraction)` iff this was an anytime (budgeted) answer: the
     /// fraction of clique pairs examined, in `(0, 1]`. `None` means exact.
@@ -109,6 +111,8 @@ fn rank_key(density_key: &[u64], query: &RuleQuery) -> Vec<u64> {
 }
 
 /// Mines (exact or budgeted) and ranks one answer from cached artifacts.
+/// An exact top-k query goes through the bound-and-skip search, which
+/// emits only the rules that can reach the answer.
 fn mine_ranked(
     artifacts: &Phase2Artifacts,
     metric: ClusterDistance,
@@ -116,20 +120,22 @@ fn mine_ranked(
     tuples: u64,
     query: &RuleQuery,
 ) -> (RankedAnswer, Option<f64>) {
-    let (raw, truncated, coverage) = if query.budget_ms > 0 {
+    let spec = RankSpec::from_query(query, artifacts.graph.clusters(), tuples);
+    let (ranked, truncated, coverage) = if query.budget_ms > 0 {
         let outcome = dar_rank::mine_budgeted(
             artifacts,
             metric,
             query,
             Duration::from_millis(query.budget_ms),
         );
-        (outcome.rules, outcome.truncated, Some(outcome.coverage))
+        (dar_rank::rank(outcome.rules, &spec), outcome.truncated, Some(outcome.coverage))
+    } else if query.top_k > 0 {
+        let (ranked, truncated) = dar_rank::mine_top_k(artifacts, metric, query, pool, tuples);
+        (ranked, truncated, None)
     } else {
         let (rules, truncated) = artifacts.mine_pooled(metric, query, pool);
-        (rules, truncated, None)
+        (dar_rank::rank(rules, &spec), truncated, None)
     };
-    let spec = RankSpec::from_query(query, artifacts.graph.clusters(), tuples);
-    let ranked = dar_rank::rank(raw, &spec);
     (
         RankedAnswer {
             rules: ranked.rules,
@@ -532,7 +538,7 @@ impl DarEngine {
         }
     }
 
-    /// Builds a coordinator engine from one sealed snapshot per shard — the
+    /// Builds a coordinator engine from one parsed snapshot per shard — the
     /// distributed analogue of [`DarEngine::restore`], justified by ACF
     /// additivity (Theorem 6.1): a cluster feature summarizing a set of
     /// tuples is exactly the entry-wise sum over any partition of that set,
@@ -540,11 +546,15 @@ impl DarEngine {
     /// clusters into one fresh forest loses nothing the single-engine scan
     /// would have kept at the same summary granularity.
     ///
-    /// `texts` are sealed snapshots in shard order (shard order is part of
-    /// the deterministic contract: insertion order shapes tree splits, so
-    /// the coordinator must always merge in the same order). `epoch_base`
-    /// is the coordinator's merge-round number: the merged engine starts
-    /// with `epoch() == epoch_base` and an *open* epoch, so the first query
+    /// `snaps` are parsed shard snapshots in shard order (shard order is
+    /// part of the deterministic contract: insertion order shapes tree
+    /// splits, so the coordinator must always merge in the same order).
+    /// The coordinator caches them against their ingest watermarks, so a
+    /// re-merge skips both the wire pull and the parse. The snapshots are
+    /// only borrowed (owned or by reference), so each cluster summary is
+    /// copied once, into the merged forest. `epoch_base` is the
+    /// coordinator's merge-round number: the merged engine starts with
+    /// `epoch() == epoch_base` and an *open* epoch, so the first query
     /// closes `epoch_base + 1` — mirroring a single engine whose matching
     /// ingest round has just finished.
     ///
@@ -555,33 +565,8 @@ impl DarEngine {
     /// shard had already absorbed.
     ///
     /// # Errors
-    /// Rejects an empty `bodies` slice, malformed or checksum-corrupt
-    /// snapshots, and partitionings that differ across shards.
-    pub fn merge_snapshots(
-        bodies: &[Vec<u8>],
-        epoch_base: u64,
-        config: EngineConfig,
-    ) -> Result<Self, CoreError> {
-        let pool = dar_par::ThreadPool::resolve(config.threads);
-        let mut snaps = Vec::with_capacity(bodies.len());
-        for (i, bytes) in bodies.iter().enumerate() {
-            let body = dar_durable::unseal_bytes(bytes).map_err(|detail| {
-                CoreError::LayoutMismatch(format!("shard {i} snapshot footer: {detail}"))
-            })?;
-            snaps.push(snapshot::parse_snapshot_bytes(body.0, &pool)?);
-        }
-        Self::merge_parsed_snapshots(snaps, epoch_base, config)
-    }
-
-    /// [`DarEngine::merge_snapshots`] over already-parsed snapshots, in
-    /// shard order. This is the coordinator's steady-state path: with
-    /// parsed shard snapshots cached against their ingest watermarks, a
-    /// re-merge skips both the wire pull and the parse. The snapshots are
-    /// only borrowed (owned or by reference), so each cluster summary is
-    /// copied once, into the merged forest.
-    ///
-    /// # Errors
-    /// As [`DarEngine::merge_snapshots`], minus the parse failures.
+    /// Rejects an empty `snaps` slice, and partitionings or threshold
+    /// arities that differ across shards.
     pub fn merge_parsed_snapshots<S: Borrow<snapshot::Snapshot>>(
         snaps: impl AsRef<[S]>,
         epoch_base: u64,
@@ -589,7 +574,7 @@ impl DarEngine {
     ) -> Result<Self, CoreError> {
         let snaps = snaps.as_ref();
         let Some(first) = snaps.first().map(Borrow::borrow) else {
-            return Err(CoreError::LayoutMismatch("merge_snapshots of zero shards".into()));
+            return Err(CoreError::LayoutMismatch("merge_parsed_snapshots of zero shards".into()));
         };
         let partitioning = first.partitioning.clone();
         let mut thresholds = first.thresholds.clone();
@@ -638,14 +623,14 @@ impl DarEngine {
     }
 
     /// Builds an engine around an already-populated live forest — the
-    /// in-process analogue of [`DarEngine::merge_snapshots`], used by the
-    /// sliding-window layer (`dar-stream`) to stand up a fresh engine over
-    /// the re-merged survivors on restore and whenever a window retires
-    /// under remerge (subtract retirement uses
-    /// [`DarEngine::subtract_retired`] instead). `tuples` is the
-    /// number of tuples the forest summarizes (it drives `s0`); like
-    /// `merge_snapshots`, the epoch starts at `epoch_base` and *open*, so
-    /// the first query closes `epoch_base + 1`.
+    /// in-process analogue of [`DarEngine::merge_parsed_snapshots`], used
+    /// by the sliding-window layer (`dar-stream`) to stand up a fresh engine
+    /// over the re-merged survivors on restore and whenever a window
+    /// retires under remerge (subtract retirement uses
+    /// [`DarEngine::subtract_retired`] instead). `tuples` is the number of
+    /// tuples the forest summarizes (it drives `s0`); like
+    /// `merge_parsed_snapshots`, the epoch starts at `epoch_base` and
+    /// *open*, so the first query closes `epoch_base + 1`.
     pub fn with_forest(
         forest: AcfForest,
         tuples: u64,
@@ -852,11 +837,12 @@ mod tests {
         let again = e.query(&RuleQuery::default()).unwrap();
         assert_eq!(again.rules, exact.rules);
         assert_eq!(again.values, exact.values);
-        // top_k keeps the best-ranked prefix and reports the pre-cut size.
+        // top_k keeps the best-ranked prefix; the bound-and-skip search
+        // scores at most the exhaustive rule count.
         let top = e.query(&RuleQuery { top_k: 1, ..RuleQuery::default() }).unwrap();
         assert_eq!(top.rules.len(), 1);
         assert_eq!(top.rules[0], exact.rules[0]);
-        assert_eq!(top.rules_in, exact.rules.len());
+        assert!(top.rules_in <= exact.rules.len());
         // Re-ranking by lift permutes, never invents or loses, rules.
         let lift = e.query(&RuleQuery { measure: Measure::Lift, ..RuleQuery::default() }).unwrap();
         assert_eq!(lift.measure, Measure::Lift);
@@ -901,12 +887,14 @@ mod tests {
             .collect()
     }
 
-    fn sealed_snapshot(e: &mut DarEngine) -> Vec<u8> {
-        dar_durable::seal_bytes(&e.snapshot().unwrap(), e.epoch())
+    /// `e`'s snapshot, parsed back: what a coordinator merges.
+    fn parsed_snapshot(e: &mut DarEngine) -> snapshot::Snapshot {
+        snapshot::parse_snapshot_bytes(&e.snapshot().unwrap(), &dar_par::ThreadPool::serial())
+            .unwrap()
     }
 
     #[test]
-    fn merge_snapshots_matches_single_engine() {
+    fn merge_parsed_snapshots_matches_single_engine() {
         // Control: one engine sees all rows in one round.
         let mut control = engine();
         let all: Vec<Vec<f64>> = dyadic_rows(30, 0).into_iter().chain(dyadic_rows(30, 1)).collect();
@@ -918,9 +906,9 @@ mod tests {
         a.ingest(&dyadic_rows(30, 0)).unwrap();
         let mut b = engine();
         b.ingest(&dyadic_rows(30, 1)).unwrap();
-        let texts = vec![sealed_snapshot(&mut a), sealed_snapshot(&mut b)];
+        let snaps = vec![parsed_snapshot(&mut a), parsed_snapshot(&mut b)];
         let config = control.config().clone();
-        let mut merged = DarEngine::merge_snapshots(&texts, 0, config).unwrap();
+        let mut merged = DarEngine::merge_parsed_snapshots(&snaps, 0, config).unwrap();
 
         assert_eq!(merged.tuples(), 60);
         assert_eq!(merged.epoch(), 0, "epoch_base installs verbatim");
@@ -931,8 +919,9 @@ mod tests {
     }
 
     #[test]
-    fn merge_snapshots_rejects_empty_and_mismatched_shards() {
-        assert!(DarEngine::merge_snapshots(&[], 0, EngineConfig::default()).is_err());
+    fn merge_parsed_snapshots_rejects_empty_and_mismatched_shards() {
+        let none: [snapshot::Snapshot; 0] = [];
+        assert!(DarEngine::merge_parsed_snapshots(none, 0, EngineConfig::default()).is_err());
 
         let mut two_attr = engine();
         two_attr.ingest(&dyadic_rows(10, 0)).unwrap();
@@ -943,8 +932,8 @@ mod tests {
         config.min_support_frac = 0.2;
         let mut three_attr = DarEngine::new(partitioning, config.clone()).unwrap();
         three_attr.ingest(&vec![vec![0.0, 1.0, 2.0]; 10]).unwrap();
-        let texts = vec![sealed_snapshot(&mut two_attr), sealed_snapshot(&mut three_attr)];
-        match DarEngine::merge_snapshots(&texts, 0, config) {
+        let snaps = vec![parsed_snapshot(&mut two_attr), parsed_snapshot(&mut three_attr)];
+        match DarEngine::merge_parsed_snapshots(&snaps, 0, config) {
             Err(CoreError::InvalidPartitioning(_)) => {}
             Err(other) => panic!("expected InvalidPartitioning, got {other:?}"),
             Ok(_) => panic!("mismatched partitionings must not merge"),
@@ -952,7 +941,7 @@ mod tests {
     }
 
     #[test]
-    fn merge_snapshots_takes_elementwise_max_thresholds() {
+    fn merge_parsed_snapshots_takes_elementwise_max_thresholds() {
         // Shard B's forest grew a larger threshold by absorbing a wide
         // spread; the merged forest must not shrink below it.
         let mut a = engine();
@@ -961,8 +950,8 @@ mod tests {
         let spread: Vec<Vec<f64>> =
             (0..200).map(|i| vec![(i % 40) as f64 * 5.0, 100.0 + (i % 17) as f64 * 7.0]).collect();
         b.ingest(&spread).unwrap();
-        let texts = vec![sealed_snapshot(&mut a), sealed_snapshot(&mut b)];
-        let merged = DarEngine::merge_snapshots(&texts, 3, a.config().clone()).unwrap();
+        let snaps = vec![parsed_snapshot(&mut a), parsed_snapshot(&mut b)];
+        let merged = DarEngine::merge_parsed_snapshots(&snaps, 3, a.config().clone()).unwrap();
         assert_eq!(merged.epoch(), 3);
         assert_eq!(merged.tuples(), 220);
         let merged_t = merged.forest.thresholds();

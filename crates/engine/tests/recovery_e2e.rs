@@ -56,7 +56,7 @@ impl Host {
             Some(body) => DarEngine::restore(body, config()).unwrap(),
             None => DarEngine::new(partitioning(), config()).unwrap(),
         };
-        for (_, rows) in &recovered.frames {
+        for (_, _, rows) in &recovered.frames {
             engine.replay_batch(rows).unwrap();
         }
         (Host { store, engine }, recovered)

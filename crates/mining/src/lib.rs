@@ -45,4 +45,7 @@ pub use clique::{maximal_cliques, maximal_cliques_pooled, non_trivial};
 pub use graph::{ClusterDistance, ClusteringGraph, GraphConfig};
 pub use pipeline::{DarConfig, DarMiner, MineResult, MineStats};
 pub use query::{DensitySpec, Measure, Phase2Artifacts, RuleQuery, MEASURES};
-pub use rules::{generate_dars_capped_pooled, sort_rules, Dar, RuleConfig, RuleKernel, Walker};
+pub use rules::{
+    generate_dars_capped_pooled, sort_rules, Dar, Emitter, RuleConfig, RuleKernel, Scan, Triple,
+    Walker,
+};

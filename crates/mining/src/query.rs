@@ -17,7 +17,7 @@
 use crate::clique::non_trivial;
 use crate::graph::{ClusterDistance, ClusteringGraph, GraphConfig};
 use crate::pipeline::auto_density_thresholds;
-use crate::rules::{generate_dars_capped_pooled, Dar, RuleConfig};
+use crate::rules::{Dar, RuleConfig, RuleKernel};
 use dar_core::{ClusterSummary, CoreError};
 
 /// How Phase II derives its per-set density thresholds `d0^X` (Dfn 4.2).
@@ -302,14 +302,24 @@ impl Phase2Artifacts {
         query: &RuleQuery,
         pool: &dar_par::ThreadPool,
     ) -> (Vec<Dar>, bool) {
+        self.mine_with(metric, query, pool, |kernel| kernel.generate(pool))
+    }
+
+    /// Builds the query's [`RuleKernel`] and runs `generate` over it, timed
+    /// and counted as one rule-generation pass. `generate` returns the
+    /// rules it emitted and whether a budget truncated them.
+    pub fn mine_with(
+        &self,
+        metric: ClusterDistance,
+        query: &RuleQuery,
+        pool: &dar_par::ThreadPool,
+        generate: impl FnOnce(&RuleKernel<'_>) -> (Vec<Dar>, bool),
+    ) -> (Vec<Dar>, bool) {
         let m = crate::metrics::metrics();
         let _t = dar_obs::Span::new(m.rule_gen_ns.clone());
-        let (rules, truncated) = generate_dars_capped_pooled(
-            &self.graph,
-            &self.cliques,
-            &query.rule_config(metric, &self.density_thresholds),
-            pool,
-        );
+        let config = query.rule_config(metric, &self.density_thresholds);
+        let (rules, truncated) =
+            generate(&RuleKernel::new(&self.graph, &self.cliques, &config, pool));
         m.rules_emitted.add(rules.len() as u64);
         if truncated {
             m.rules_truncated.inc();

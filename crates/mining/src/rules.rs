@@ -119,18 +119,22 @@ pub fn generate_dars_capped_pooled(
 }
 
 /// The rule-generation kernel of one query: its `assoc` sets as bitset
-/// rows, plus the walk over clique pairs that turns them into rules. The
-/// exact generator ([`generate_dars_capped_pooled`]) and the anytime
-/// sampler in `dar-rank` ([`RuleKernel::walker`]) both enumerate through
-/// it.
+/// rows with their `D / D0` ratios, plus the walk over clique pairs that
+/// turns them into rules. The exact generator
+/// ([`generate_dars_capped_pooled`]), and the top-k search and the anytime
+/// sampler in `dar-rank`, all enumerate through it.
 ///
 /// Row `y` has bit `x` set iff `set(x) ≠ set(y)` and
-/// `D(C_y[set(y)], C_x[set(y)]) ≤ D0[set(y)]`, computed once per query. A
-/// triple `(Q1, S)` then has candidates `Q1 ∩ ⋂_{y∈S} assoc(y)`, and every
-/// non-empty subset of them up to `max_antecedent` members is an
-/// antecedent. Consequents and antecedents are enumerated lazily, depth
-/// first, members ascending. A consequent prefix with no candidates ends
-/// its subtree, which is charged to the work budget by count.
+/// `D(C_y[set(y)], C_x[set(y)]) ≤ D0[set(y)]`, computed once per query
+/// together with the pair's ratio `D / D0`. A triple `(Q1, S)` then has
+/// candidates `Q1 ∩ ⋂_{y∈S} assoc(y)`, and every non-empty subset of them
+/// up to `max_antecedent` members is an antecedent.
+///
+/// The walk has two steps. The *scan* enumerates consequents lazily, depth
+/// first, members ascending; a consequent prefix with no candidates ends
+/// its subtree, which is charged to the work budget by count. Every
+/// productive triple it reaches is a [`Triple`]. *Emission* ([`Emitter`])
+/// enumerates one triple's antecedents, depth first, members ascending.
 ///
 /// In the exact walk, a rule `(A, S)` of task `Q2 = Qⱼ` at `Q1 = Q_q` is a
 /// first occurrence iff no clique `Qᵢ` with `i < j` contains `S` and no
@@ -141,7 +145,9 @@ pub fn generate_dars_capped_pooled(
 /// entirely inside `M − offsetᵢ`, because
 /// `offsetⱼ ≥ offsetᵢ + |subsets(Qᵢ)|·|cliques|`. So a skipped rule always
 /// occurred earlier, and dropping it changes neither the merged order nor
-/// where `max_rules` cuts it.
+/// where `max_rules` cuts it. The scan applies the first test and emission
+/// the second. Both depend on the triple alone, so the scan's triples may
+/// be emitted in any order and each rule still comes out exactly once.
 pub struct RuleKernel<'a> {
     graph: &'a ClusteringGraph,
     config: &'a RuleConfig,
@@ -151,15 +157,31 @@ pub struct RuleKernel<'a> {
     words: usize,
     /// One `assoc` row per node; empty when no rule is possible.
     assoc: Vec<u64>,
+    /// `D / D0` of each set bit of `assoc`, in bit order.
+    ratios: Vec<f64>,
+    /// Per `assoc` word: where its set bits' ratios start in `ratios`.
+    ratio_at: Vec<usize>,
     /// One node bitset per clique.
     members: Vec<u64>,
+    /// Per clique `Q`: `⋃_{y∈Q} assoc(y)`, the nodes any consequent drawn
+    /// from `Q` can have as a candidate.
+    reach: Vec<u64>,
+    /// Words per clique bitset.
+    cwords: usize,
+    /// Node `x`'s row: the cliques containing `x`, for the
+    /// first-occurrence tests.
+    containing: Vec<u64>,
     /// Members of the largest clique.
     largest: usize,
+    /// Consequent subsets per clique size.
     counts: SubsetCounts,
+    /// Antecedent subsets per candidate count.
+    ant_counts: SubsetCounts,
 }
 
 impl<'a> RuleKernel<'a> {
-    /// Builds the `assoc` rows, one row per task on `pool`.
+    /// Builds the `assoc` rows and their ratios, one row per task on
+    /// `pool`.
     pub fn new(
         graph: &'a ClusteringGraph,
         cliques: &[Vec<usize>],
@@ -167,7 +189,7 @@ impl<'a> RuleKernel<'a> {
         pool: &ThreadPool,
     ) -> Self {
         let clusters = graph.clusters();
-        let words = graph.len().div_ceil(64);
+        let (nodes, words) = (graph.len(), graph.len().div_ceil(64));
         let cliques: Vec<Vec<usize>> = cliques
             .iter()
             .map(|q| {
@@ -178,88 +200,118 @@ impl<'a> RuleKernel<'a> {
             .collect();
         let productive =
             config.max_antecedent > 0 && config.max_consequent > 0 && !cliques.is_empty();
-        let assoc = if productive {
-            pool.map_indexed("rule_assoc", graph.len(), 1, |y| {
+        let (assoc, ratios) = if productive {
+            let rows = pool.map_indexed("rule_assoc", nodes, 1, |y| {
                 let (cy, yset) = (&clusters[y], clusters[y].set);
-                let mut row = vec![0u64; words];
+                let d0 = config.degree_thresholds[yset];
+                let (mut bits, mut ratios) = (vec![0u64; words], Vec::new());
                 for (x, cx) in clusters.iter().enumerate() {
-                    if cx.set != yset
-                        && config
-                            .metric
-                            .between(&cy.acf, &cx.acf, yset)
-                            .expect("graph clusters are non-empty")
-                            <= config.degree_thresholds[yset]
-                    {
-                        row[x / 64] |= 1 << (x % 64);
+                    if cx.set == yset {
+                        continue;
+                    }
+                    let d = config
+                        .metric
+                        .between(&cy.acf, &cx.acf, yset)
+                        .expect("graph clusters are non-empty");
+                    if d <= d0 {
+                        bits[x / 64] |= 1 << (x % 64);
+                        ratios.push(if d0 > 0.0 { d / d0 } else { f64::INFINITY });
                     }
                 }
-                row
-            })
-            .concat()
+                (bits, ratios)
+            });
+            let (bits, ratios): (Vec<Vec<u64>>, Vec<Vec<f64>>) = rows.into_iter().unzip();
+            (bits.concat(), ratios.concat())
         } else {
-            Vec::new()
+            (Vec::new(), Vec::new())
         };
+        let ratio_at = assoc
+            .iter()
+            .scan(0, |next, word| {
+                let at = *next;
+                *next += word.count_ones() as usize;
+                Some(at)
+            })
+            .collect();
         let mut members = vec![0u64; cliques.len() * words];
         for (row, clique) in members.chunks_mut(words.max(1)).zip(&cliques) {
             for &x in clique {
                 row[x / 64] |= 1 << (x % 64);
             }
         }
+        let mut reach = vec![0u64; if assoc.is_empty() { 0 } else { cliques.len() * words }];
+        for (row, clique) in reach.chunks_mut(words.max(1)).zip(&cliques) {
+            for &y in clique {
+                for (r, &a) in row.iter_mut().zip(&assoc[y * words..(y + 1) * words]) {
+                    *r |= a;
+                }
+            }
+        }
+        let cwords = cliques.len().div_ceil(64);
+        let mut containing = vec![0u64; nodes * cwords];
+        for (q, clique) in cliques.iter().enumerate() {
+            for &x in clique {
+                containing[x * cwords + q / 64] |= 1 << (q % 64);
+            }
+        }
         let largest = cliques.iter().map(Vec::len).max().unwrap_or(0);
-        let counts = SubsetCounts::new(largest, config.max_consequent);
-        RuleKernel { graph, config, cliques, words, assoc, members, largest, counts }
+        RuleKernel {
+            graph,
+            config,
+            cliques,
+            words,
+            assoc,
+            ratios,
+            ratio_at,
+            members,
+            reach,
+            cwords,
+            containing,
+            largest,
+            counts: SubsetCounts::new(largest, config.max_consequent),
+            ant_counts: SubsetCounts::new(largest, config.max_antecedent),
+        }
     }
 
     /// A walker over single clique pairs, with no work budget and no
     /// deduplication across pairs (the anytime sampler's unit).
     pub fn walker(&self) -> Walker<'_, 'a> {
-        Walker::new(self, u64::MAX, None)
+        Walker { scan: Scanner::new(self, u64::MAX, None), emitter: Emitter::new(self, false) }
+    }
+
+    /// An emitter for the exact walk's triples: it keeps each rule only at
+    /// its first occurrence.
+    pub fn emitter(&self) -> Emitter<'_, 'a> {
+        Emitter::new(self, true)
+    }
+
+    /// `D / D0` of consequent `y` and candidate `x`, as the rules' degrees
+    /// fold it. Meaningful only where `x` is in `assoc(y)`.
+    pub fn ratio(&self, y: usize, x: usize) -> f64 {
+        let word = y * self.words + x / 64;
+        let below = self.assoc[word] & ((1u64 << (x % 64)) - 1);
+        self.ratios[self.ratio_at[word] + below.count_ones() as usize]
     }
 
     /// The exact, budgeted enumeration: one task per consequent clique,
-    /// merged in order (see [`generate_dars_capped_pooled`]).
-    fn generate(&self, pool: &ThreadPool) -> (Vec<Dar>, bool) {
+    /// each emitting its triples as it scans them, merged in order (see
+    /// [`generate_dars_capped_pooled`]).
+    pub fn generate(&self, pool: &ThreadPool) -> (Vec<Dar>, bool) {
         let config = self.config;
-        let len = self.cliques.len();
-        let mut offsets: Vec<u64> = Vec::with_capacity(len);
-        let mut total_work: u64 = 0;
-        for clique in &self.cliques {
-            offsets.push(total_work);
-            let subsets = self.counts.get(clique.len(), config.max_consequent);
-            total_work = total_work.saturating_add(subsets.saturating_mul(len as u64));
-        }
-        let mut truncated = config.max_pair_work != 0 && total_work > config.max_pair_work;
-
-        // Node → the cliques containing it, for the first-occurrence test.
-        let cwords = len.div_ceil(64);
-        let mut containing = vec![0u64; self.graph.len() * cwords];
-        for (q, clique) in self.cliques.iter().enumerate() {
-            for &x in clique {
-                containing[x * cwords + q / 64] |= 1 << (q % 64);
-            }
-        }
-
-        let tasks = pool.map_indexed("rule_gen", len, 1, |q2| {
-            let budget = if config.max_pair_work == 0 {
-                u64::MAX
-            } else {
-                config.max_pair_work.saturating_sub(offsets[q2])
-            };
-            let mut walk = Walker::new(self, budget, Some(Firsts { containing: &containing, q2 }));
+        let (budgets, mut truncated) = self.budgets();
+        let tasks = pool.map_indexed("rule_gen", self.cliques.len(), 1, |q2| {
+            let mut emitter = self.emitter();
             let mut out: Vec<Dar> = Vec::new();
-            let mut keep = |dar: Dar| {
-                out.push(dar);
-                if config.max_rules != 0 && out.len() >= config.max_rules {
-                    ControlFlow::Break(())
-                } else {
-                    ControlFlow::Continue(())
-                }
-            };
-            for q1 in 0..len {
-                if walk.pair(q1, q2, &mut keep).is_break() {
-                    break;
-                }
-            }
+            self.scan_task(q2, budgets[q2], &mut |triple| {
+                emitter.emit(triple, &mut |dar| {
+                    out.push(dar);
+                    if config.max_rules != 0 && out.len() >= config.max_rules {
+                        ControlFlow::Break(())
+                    } else {
+                        ControlFlow::Continue(())
+                    }
+                })
+            });
             out
         });
 
@@ -272,76 +324,208 @@ impl<'a> RuleKernel<'a> {
         (rules, truncated)
     }
 
+    /// The exact walk's scan without emission: every productive triple,
+    /// mapped by `record` on the pool, in scan order.
+    ///
+    /// Each triple can yield at most its antecedent-subset count of rules,
+    /// so when those counts sum below `max_rules` the cap cannot bind and
+    /// any emission order gives the exact answer. Otherwise the scan
+    /// reports no triples (a task stops recording once its own count
+    /// reaches the cap).
+    pub fn scan<T: Send>(
+        &self,
+        pool: &ThreadPool,
+        record: impl Fn(Triple<'_>) -> T + Sync,
+    ) -> Scan<T> {
+        let (budgets, truncated) = self.budgets();
+        let (cap, max_ant) = (self.config.max_rules as u64, self.config.max_antecedent);
+        let tasks = pool.map_indexed("rule_scan", self.cliques.len(), 1, |q2| {
+            let (mut out, mut rules) = (Vec::new(), 0u64);
+            self.scan_task(q2, budgets[q2], &mut |triple| {
+                rules = rules.saturating_add(self.ant_counts.get(triple.candidates.len(), max_ant));
+                out.push(record(triple));
+                if cap != 0 && rules >= cap {
+                    ControlFlow::Break(())
+                } else {
+                    ControlFlow::Continue(())
+                }
+            });
+            (out, rules)
+        });
+        let rules = tasks.iter().fold(0u64, |sum, (_, rules)| sum.saturating_add(*rules));
+        let triples = (cap == 0 || rules < cap)
+            .then(|| tasks.into_iter().flat_map(|(triples, _)| triples).collect());
+        Scan { triples, truncated }
+    }
+
+    /// Each task's share of `max_pair_work` (`u64::MAX` when unbounded)
+    /// and whether the budget truncates the walk. The triple count per
+    /// `Q2` (`|consequent subsets| × |cliques|`) is data-independent, so
+    /// task `i` may examine `max_pair_work − offsetᵢ` triples.
+    fn budgets(&self) -> (Vec<u64>, bool) {
+        let (config, len) = (self.config, self.cliques.len());
+        let mut budgets = Vec::with_capacity(len);
+        let mut total_work: u64 = 0;
+        for clique in &self.cliques {
+            budgets.push(if config.max_pair_work == 0 {
+                u64::MAX
+            } else {
+                config.max_pair_work.saturating_sub(total_work)
+            });
+            let subsets = self.counts.get(clique.len(), config.max_consequent);
+            total_work = total_work.saturating_add(subsets.saturating_mul(len as u64));
+        }
+        (budgets, config.max_pair_work != 0 && total_work > config.max_pair_work)
+    }
+
+    /// Scans task `q2` of the exact walk (every `Q1`, in order) within
+    /// `budget`, visiting its productive first-occurrence triples until
+    /// `visit` asks to stop.
+    ///
+    /// Only the cliques meeting `reach(Q2)` can pair with `Q2`. Every other
+    /// pair costs all of `Q2`'s consequent subsets and yields nothing, so
+    /// the pairs between two partners are charged in one step: the budget
+    /// left when the next partner is reached is the same.
+    fn scan_task(
+        &self,
+        q2: usize,
+        budget: u64,
+        visit: &mut dyn FnMut(Triple<'_>) -> ControlFlow<()>,
+    ) {
+        if self.assoc.is_empty() {
+            return;
+        }
+        let words = self.words;
+        let mut partners = vec![0u64; self.cwords];
+        for x in ones(&self.reach[q2 * words..(q2 + 1) * words]) {
+            let row = &self.containing[x * self.cwords..(x + 1) * self.cwords];
+            for (p, &c) in partners.iter_mut().zip(row) {
+                *p |= c;
+            }
+        }
+        let pair_cost = self.counts.get(self.cliques[q2].len(), self.config.max_consequent);
+        let mut scan = Scanner::new(self, budget, Some(q2));
+        let mut next = 0;
+        for q1 in ones(&partners) {
+            let skipped = pair_cost.saturating_mul((q1 - next) as u64);
+            scan.budget = scan.budget.saturating_sub(skipped);
+            if scan.pair(q1, q2, visit).is_break() {
+                break;
+            }
+            next = q1 + 1;
+        }
+    }
+
+    /// The candidates of the triple `(Q1 = clique q1, S)`, ascending, into
+    /// `out`: what the scan visited it with.
+    pub fn candidates_into(&self, q1: usize, consequent: &[usize], out: &mut Vec<usize>) {
+        let words = self.words;
+        let mut row = self.members[q1 * words..(q1 + 1) * words].to_vec();
+        for &y in consequent {
+            for (r, &a) in row.iter_mut().zip(self.assoc_row(y)) {
+                *r &= a;
+            }
+        }
+        out.clear();
+        out.extend(ones(&row));
+    }
+
     fn assoc_row(&self, y: usize) -> &[u64] {
         &self.assoc[y * self.words..(y + 1) * self.words]
     }
 }
 
-/// The exact walk's first-occurrence test (see [`RuleKernel`]).
-#[derive(Clone, Copy)]
-struct Firsts<'k> {
-    /// Node `x`'s row: the cliques containing `x`.
-    containing: &'k [u64],
-    /// The task's consequent clique.
-    q2: usize,
+/// A productive triple of the walk: clique `Q1`, a consequent subset `S`
+/// of `Q2`, and its candidates `Q1 ∩ ⋂_{y∈S} assoc(y)`, non-empty and
+/// ascending.
+#[derive(Debug, Clone, Copy)]
+pub struct Triple<'t> {
+    /// The antecedent clique's index.
+    pub q1: usize,
+    /// `S`, ascending.
+    pub consequent: &'t [usize],
+    /// The candidates, ascending.
+    pub candidates: &'t [usize],
 }
 
-/// Enumerates the rules of clique pairs through a [`RuleKernel`], reusing
-/// its scratch buffers from pair to pair.
+/// What [`RuleKernel::scan`] found.
+#[derive(Debug)]
+pub struct Scan<T> {
+    /// The recorded triples in scan order, or `None` when `max_rules`
+    /// could bind (the triples' antecedent-subset counts reach it).
+    pub triples: Option<Vec<T>>,
+    /// Whether `max_pair_work` truncated the walk.
+    pub truncated: bool,
+}
+
+/// Enumerates the rules of single clique pairs through a [`RuleKernel`]:
+/// a scan whose triples are emitted as they are found.
 pub struct Walker<'k, 'a> {
-    kernel: &'k RuleKernel<'a>,
-    /// Triples left to examine.
-    budget: u64,
-    firsts: Option<Firsts<'k>>,
-    /// Words per clique bitset.
-    cwords: usize,
-    /// Candidate bitset per consequent depth; row 0 is `Q1`.
-    rows: Vec<u64>,
-    /// Per consequent depth: the cliques before `Q2` containing the prefix.
-    cons_seen: Vec<u64>,
-    /// Per antecedent depth: the cliques before `Q1` containing the prefix.
-    ant_seen: Vec<u64>,
-    cons: Vec<usize>,
-    cand: Vec<usize>,
-    /// `ratio[k·|cand| + j]`: `D / D0` of consequent `k` and candidate `j`.
-    ratios: Vec<f64>,
-    /// The antecedent, as positions in `cand`.
-    ant: Vec<usize>,
+    scan: Scanner<'k, 'a>,
+    emitter: Emitter<'k, 'a>,
 }
 
-impl<'k, 'a> Walker<'k, 'a> {
-    fn new(kernel: &'k RuleKernel<'a>, budget: u64, firsts: Option<Firsts<'k>>) -> Self {
-        let cons_depth = kernel.config.max_consequent.min(kernel.largest) + 1;
-        let ant_depth = kernel.config.max_antecedent.min(kernel.largest) + 1;
-        let cwords = if firsts.is_some() { kernel.cliques.len().div_ceil(64) } else { 0 };
-        let mut cons_seen = vec![0u64; cons_depth * cwords];
-        if let Some(f) = firsts {
-            prefix_mask(&mut cons_seen, f.q2);
-        }
-        Walker {
-            kernel,
-            budget,
-            firsts,
-            cwords,
-            rows: vec![0; cons_depth * kernel.words],
-            cons_seen,
-            ant_seen: vec![0; ant_depth * cwords],
-            cons: Vec::new(),
-            cand: Vec::new(),
-            ratios: Vec::new(),
-            ant: Vec::new(),
-        }
-    }
-
+impl Walker<'_, '_> {
     /// Emits the rules of the pair (`Q1` = clique `q1`, `Q2` = clique
     /// `q2`) in enumeration order: consequent subsets of `Q2` depth first,
     /// each followed by its antecedents. Returns `Break` when `emit` asks
-    /// to stop or the work budget runs out.
+    /// to stop.
     pub fn pair(
         &mut self,
         q1: usize,
         q2: usize,
         emit: &mut dyn FnMut(Dar) -> ControlFlow<()>,
+    ) -> ControlFlow<()> {
+        let emitter = &mut self.emitter;
+        self.scan.pair(q1, q2, &mut |triple| emitter.emit(triple, emit))
+    }
+}
+
+/// The consequent walk of clique pairs, reusing its scratch buffers from
+/// pair to pair.
+struct Scanner<'k, 'a> {
+    kernel: &'k RuleKernel<'a>,
+    /// Triples left to examine.
+    budget: u64,
+    /// The exact walk's consequent clique, for the first-occurrence test
+    /// (`None`: every triple is visited).
+    q2: Option<usize>,
+    /// Candidate bitset per consequent depth; row 0 is `Q1`.
+    rows: Vec<u64>,
+    /// Per consequent depth: the cliques before `Q2` containing the prefix.
+    cons_seen: Vec<u64>,
+    cons: Vec<usize>,
+    cand: Vec<usize>,
+}
+
+impl<'k, 'a> Scanner<'k, 'a> {
+    fn new(kernel: &'k RuleKernel<'a>, budget: u64, q2: Option<usize>) -> Self {
+        let depth = kernel.config.max_consequent.min(kernel.largest) + 1;
+        let cwords = if q2.is_some() { kernel.cwords } else { 0 };
+        let mut cons_seen = vec![0u64; depth * cwords];
+        if let Some(q2) = q2 {
+            prefix_mask(&mut cons_seen, q2);
+        }
+        Scanner {
+            kernel,
+            budget,
+            q2,
+            rows: vec![0; depth * kernel.words],
+            cons_seen,
+            cons: Vec::new(),
+            cand: Vec::new(),
+        }
+    }
+
+    /// Visits the productive triples of the pair (`Q1` = clique `q1`,
+    /// `Q2` = clique `q2`): consequent subsets of `Q2` depth first.
+    /// Returns `Break` when `visit` asks to stop or the work budget runs
+    /// out.
+    fn pair(
+        &mut self,
+        q1: usize,
+        q2: usize,
+        visit: &mut dyn FnMut(Triple<'_>) -> ControlFlow<()>,
     ) -> ControlFlow<()> {
         let k = self.kernel;
         if k.assoc.is_empty() {
@@ -349,11 +533,8 @@ impl<'k, 'a> Walker<'k, 'a> {
         }
         let words = k.words;
         self.rows[..words].copy_from_slice(&k.members[q1 * words..(q1 + 1) * words]);
-        if self.firsts.is_some() {
-            prefix_mask(&mut self.ant_seen, q1);
-        }
         self.cons.clear();
-        self.consequents(q1, q2, 0, emit)
+        self.consequents(q1, q2, 0, visit)
     }
 
     /// The consequent subsets of `Q2` extending `self.cons` with members
@@ -363,7 +544,7 @@ impl<'k, 'a> Walker<'k, 'a> {
         q1: usize,
         q2: usize,
         start: usize,
-        emit: &mut dyn FnMut(Dar) -> ControlFlow<()>,
+        visit: &mut dyn FnMut(Triple<'_>) -> ControlFlow<()>,
     ) -> ControlFlow<()> {
         let k = self.kernel;
         let (words, depth, max_len) = (k.words, self.cons.len(), k.config.max_consequent);
@@ -383,134 +564,137 @@ impl<'k, 'a> Walker<'k, 'a> {
             }
             self.budget -= 1;
             self.cons.push(y);
-            let fresh = match self.firsts {
+            let fresh = match self.q2 {
                 None => true,
-                Some(f) => !self.seen_step(Side::Consequent, depth, f.containing, y, f.q2),
+                Some(q2) => !seen_step(&mut self.cons_seen, k.cwords, depth, &k.containing, y, q2),
             };
             if fresh {
-                self.triple(q1, emit)?;
+                self.triple(q1, visit)?;
             }
             if depth + 1 < max_len {
-                self.consequents(q1, q2, i + 1, emit)?;
+                self.consequents(q1, q2, i + 1, visit)?;
             }
             self.cons.pop();
         }
         ControlFlow::Continue(())
     }
 
-    /// The rules of one `(Q1, S)` triple, `S = self.cons`.
+    /// Visits the triple `(Q1, S)`, `S = self.cons`.
     fn triple(
         &mut self,
         q1: usize,
+        visit: &mut dyn FnMut(Triple<'_>) -> ControlFlow<()>,
+    ) -> ControlFlow<()> {
+        let (words, depth) = (self.kernel.words, self.cons.len());
+        self.cand.clear();
+        self.cand.extend(ones(&self.rows[depth * words..(depth + 1) * words]));
+        visit(Triple { q1, consequent: &self.cons, candidates: &self.cand })
+    }
+}
+
+/// Enumerates the antecedents of [`Triple`]s into rules, reusing its
+/// scratch buffers from triple to triple.
+pub struct Emitter<'k, 'a> {
+    kernel: &'k RuleKernel<'a>,
+    /// Whether to keep only first occurrences (the exact walk).
+    exact: bool,
+    /// Per antecedent depth: the cliques before `Q1` containing the prefix.
+    ant_seen: Vec<u64>,
+    /// The antecedent, as positions in the triple's candidates.
+    ant: Vec<usize>,
+}
+
+impl<'k, 'a> Emitter<'k, 'a> {
+    fn new(kernel: &'k RuleKernel<'a>, exact: bool) -> Self {
+        let depth = kernel.config.max_antecedent.min(kernel.largest) + 1;
+        let cwords = if exact { kernel.cwords } else { 0 };
+        Emitter { kernel, exact, ant_seen: vec![0; depth * cwords], ant: Vec::new() }
+    }
+
+    /// Emits the rules of `triple` in enumeration order: antecedents depth
+    /// first, members ascending. Returns `Break` when `emit` asks to stop.
+    pub fn emit(
+        &mut self,
+        triple: Triple<'_>,
         emit: &mut dyn FnMut(Dar) -> ControlFlow<()>,
     ) -> ControlFlow<()> {
-        let k = self.kernel;
-        let (clusters, words) = (k.graph.clusters(), k.words);
-        let depth = self.cons.len();
-        self.cand.clear();
-        for (w, &bits) in self.rows[depth * words..(depth + 1) * words].iter().enumerate() {
-            let mut bits = bits;
-            while bits != 0 {
-                self.cand.push(w * 64 + bits.trailing_zeros() as usize);
-                bits &= bits - 1;
-            }
+        let clusters = self.kernel.graph.clusters();
+        if self.exact {
+            prefix_mask(&mut self.ant_seen, triple.q1);
         }
-        // Filled by the triple's first emitted rule.
-        self.ratios.clear();
-        let support = self.cons.iter().map(|&y| clusters[y].support()).min().unwrap_or(0);
+        let support = triple.consequent.iter().map(|&y| clusters[y].support()).min().unwrap_or(0);
         self.ant.clear();
-        self.antecedents(q1, 0, support, emit)
+        self.antecedents(triple, 0, support, emit)
     }
 
     /// The antecedents extending `self.ant` with candidates from position
     /// `start` on.
     fn antecedents(
         &mut self,
-        q1: usize,
+        triple: Triple<'_>,
         start: usize,
         cons_support: u64,
         emit: &mut dyn FnMut(Dar) -> ControlFlow<()>,
     ) -> ControlFlow<()> {
         let k = self.kernel;
         let (depth, max_len) = (self.ant.len(), k.config.max_antecedent);
-        for j in start..self.cand.len() {
+        for j in start..triple.candidates.len() {
             self.ant.push(j);
-            let fresh = match self.firsts {
-                None => true,
-                Some(f) => !self.seen_step(Side::Antecedent, depth, f.containing, self.cand[j], q1),
-            };
+            let x = triple.candidates[j];
+            let fresh = !self.exact
+                || !seen_step(&mut self.ant_seen, k.cwords, depth, &k.containing, x, triple.q1);
             if fresh {
-                emit(self.rule(cons_support))?;
+                emit(self.rule(triple, cons_support))?;
             }
             if depth + 1 < max_len {
-                self.antecedents(q1, j + 1, cons_support, emit)?;
+                self.antecedents(triple, j + 1, cons_support, emit)?;
             }
             self.ant.pop();
         }
         ControlFlow::Continue(())
     }
 
-    /// The rule `(self.ant, self.cons)`. Its degree is the worst `D / D0`
-    /// ratio, folded consequent members outer, antecedent members inner
-    /// (the historical order, so the bits never change).
-    fn rule(&mut self, cons_support: u64) -> Dar {
-        let (clusters, config) = (self.kernel.graph.clusters(), self.kernel.config);
-        if self.ratios.is_empty() {
-            // The triple's ratios, each distance evaluated once.
-            for &y in &self.cons {
-                let yset = clusters[y].set;
-                let d0 = config.degree_thresholds[yset];
-                for &x in &self.cand {
-                    let d = config
-                        .metric
-                        .between(&clusters[y].acf, &clusters[x].acf, yset)
-                        .expect("graph clusters are non-empty");
-                    self.ratios.push(if d0 > 0.0 { d / d0 } else { f64::INFINITY });
-                }
-            }
-        }
-        let width = self.cand.len();
+    /// The rule `(self.ant, S)`. Its degree is the worst `D / D0` ratio,
+    /// folded consequent members outer, antecedent members inner (the
+    /// historical order, so the bits never change).
+    fn rule(&self, triple: Triple<'_>, cons_support: u64) -> Dar {
+        let (k, clusters) = (self.kernel, self.kernel.graph.clusters());
+        let antecedent: Vec<usize> = self.ant.iter().map(|&j| triple.candidates[j]).collect();
         let mut worst = 0.0f64;
-        for row in self.ratios.chunks(width) {
-            for &j in &self.ant {
-                worst = worst.max(row[j]);
+        for &y in triple.consequent {
+            for &x in &antecedent {
+                worst = worst.max(k.ratio(y, x));
             }
         }
-        let antecedent: Vec<usize> = self.ant.iter().map(|&j| self.cand[j]).collect();
         let min_cluster_support =
             antecedent.iter().map(|&x| clusters[x].support()).fold(cons_support, u64::min);
-        Dar { antecedent, consequent: self.cons.clone(), degree: worst, min_cluster_support }
-    }
-
-    /// Extends one side's first-occurrence stack by node `x`: the cliques
-    /// before `limit` that contain the prefix through depth `depth`.
-    /// Returns whether any remains (the rule occurred earlier).
-    fn seen_step(
-        &mut self,
-        side: Side,
-        depth: usize,
-        containing: &[u64],
-        x: usize,
-        limit: usize,
-    ) -> bool {
-        let (cwords, used) = (self.cwords, limit.div_ceil(64));
-        let stack = match side {
-            Side::Consequent => &mut self.cons_seen,
-            Side::Antecedent => &mut self.ant_seen,
-        };
-        let (done, next) = stack.split_at_mut((depth + 1) * cwords);
-        and_into(
-            &mut next[..used],
-            &done[depth * cwords..depth * cwords + used],
-            &containing[x * cwords..x * cwords + used],
-        )
+        Dar {
+            antecedent,
+            consequent: triple.consequent.to_vec(),
+            degree: worst,
+            min_cluster_support,
+        }
     }
 }
 
-#[derive(Clone, Copy)]
-enum Side {
-    Consequent,
-    Antecedent,
+/// Extends a first-occurrence stack by node `x`: row `depth + 1` becomes
+/// the cliques before `limit` that contain the prefix through depth
+/// `depth`. Returns whether any remains (the rule occurred earlier).
+fn seen_step(
+    stack: &mut [u64],
+    cwords: usize,
+    depth: usize,
+    containing: &[u64],
+    x: usize,
+    limit: usize,
+) -> bool {
+    let used = limit.div_ceil(64);
+    let (done, next) = stack.split_at_mut((depth + 1) * cwords);
+    and_into(
+        &mut next[..used],
+        &done[depth * cwords..depth * cwords + used],
+        &containing[x * cwords..x * cwords + used],
+    )
 }
 
 /// `dst = a & b` word by word; whether any bit survives.
@@ -521,6 +705,17 @@ fn and_into(dst: &mut [u64], a: &[u64], b: &[u64]) -> bool {
         any |= *d;
     }
     any != 0
+}
+
+/// The set bits of a bitset, ascending.
+fn ones(bits: &[u64]) -> impl Iterator<Item = usize> + '_ {
+    bits.iter().enumerate().flat_map(|(w, &word)| {
+        std::iter::successors((word != 0).then_some(word), |&rest| {
+            let rest = rest & (rest - 1);
+            (rest != 0).then_some(rest)
+        })
+        .map(move |rest| w * 64 + rest.trailing_zeros() as usize)
+    })
 }
 
 /// Sets bits `0..limit` of the bitset at the front of `bits`.

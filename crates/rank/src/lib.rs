@@ -18,6 +18,8 @@
 //! * [`prune`] collapses near-identical rules (same attribute sets,
 //!   overlapping cluster bounding boxes) to one representative per
 //!   redundancy cluster;
+//! * [`topk`] answers a top-k query by emitting rule triples
+//!   best-bound-first and stopping below the post-prune k-th rule;
 //! * [`anytime`] samples clique pairs under a wall-clock budget and
 //!   reports an honest coverage fraction instead of timing out.
 //!
@@ -34,7 +36,9 @@ pub mod measure;
 mod metrics;
 pub mod prune;
 pub mod rank;
+pub mod topk;
 
 pub use anytime::{mine_budgeted, AnytimeOutcome};
 pub use measure::{evaluate, RuleStats, CONVICTION_CAP};
 pub use rank::{rank, RankSpec, Ranked};
+pub use topk::mine_top_k;

@@ -67,8 +67,13 @@ impl RuleStats {
 ///   (`n == 0` or an empty side), so degenerate rules sink to the bottom
 ///   of a descending ranking rather than poisoning it with NaN.
 pub fn evaluate(measure: Measure, rule: &Dar, stats: &RuleStats) -> f64 {
+    value(measure, rule.degree, stats)
+}
+
+/// [`evaluate`] for a rule of degree `degree` scored from `stats`.
+pub(crate) fn value(measure: Measure, degree: f64, stats: &RuleStats) -> f64 {
     if measure == Measure::Degree {
-        return rule.degree;
+        return degree;
     }
     let (n, ant, cons, joint) =
         (stats.n as f64, stats.antecedent as f64, stats.consequent as f64, stats.joint as f64);

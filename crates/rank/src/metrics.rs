@@ -29,6 +29,17 @@ pub(crate) struct RankMetrics {
     /// `dar_rank_anytime_coverage_permille`: coverage fraction × 1000 per
     /// budgeted pass (1000 = the sampler saw every pair).
     pub anytime_coverage_permille: Histogram,
+    /// `dar_rank_topk_queries_total`: top-k search passes.
+    pub topk_queries: Counter,
+    /// `dar_rank_topk_triples_emitted_total`: triples the top-k search
+    /// emitted.
+    pub topk_triples_emitted: Counter,
+    /// `dar_rank_topk_triples_skipped_total`: scanned triples the top-k
+    /// search skipped, their bound worse than the k-th rule.
+    pub topk_triples_skipped: Counter,
+    /// `dar_rank_topk_fallbacks_total`: top-k passes that fell back to
+    /// exhaustive emission because `max_rules` could bind.
+    pub topk_fallbacks: Counter,
 }
 
 /// The cached handles.
@@ -45,6 +56,10 @@ pub(crate) fn metrics() -> &'static RankMetrics {
             anytime_queries: r.counter("dar_rank_anytime_queries_total"),
             anytime_pairs: r.counter("dar_rank_anytime_pairs_total"),
             anytime_coverage_permille: r.histogram("dar_rank_anytime_coverage_permille"),
+            topk_queries: r.counter("dar_rank_topk_queries_total"),
+            topk_triples_emitted: r.counter("dar_rank_topk_triples_emitted_total"),
+            topk_triples_skipped: r.counter("dar_rank_topk_triples_skipped_total"),
+            topk_fallbacks: r.counter("dar_rank_topk_fallbacks_total"),
         }
     })
 }

@@ -53,13 +53,8 @@ pub fn prune(ranked: &[&Dar], clusters: &[ClusterSummary]) -> PruneOutcome {
     let (mut member_starts, mut set_starts) = (vec![0], vec![0]);
     for rule in ranked {
         let from = members.len();
-        for side in [&rule.antecedent, &rule.consequent] {
-            let side_from = members.len();
-            members.extend_from_slice(side);
-            members[side_from..].sort_unstable_by_key(|&i| clusters[i].set);
-        }
-        sets.push(rule.antecedent.len());
-        sets.extend(members[from..].iter().map(|&i| clusters[i].set));
+        push_set_ordered(rule, clusters, &mut members);
+        push_signature(rule, &members[from..], clusters, &mut sets);
         member_starts.push(members.len());
         set_starts.push(sets.len());
     }
@@ -91,6 +86,36 @@ pub fn prune(ranked: &[&Dar], clusters: &[ClusterSummary]) -> PruneOutcome {
         }
     }
     PruneOutcome { kept, pruned, clusters: absorbed.iter().filter(|&&a| a).count() }
+}
+
+/// Appends `rule`'s antecedent, then its consequent, each side's members
+/// ordered by attribute set.
+fn push_set_ordered(rule: &Dar, clusters: &[ClusterSummary], members: &mut Vec<usize>) {
+    for side in [&rule.antecedent, &rule.consequent] {
+        let from = members.len();
+        members.extend_from_slice(side);
+        members[from..].sort_unstable_by_key(|&i| clusters[i].set);
+    }
+}
+
+/// Appends `rule`'s signature, given its set-ordered members: the
+/// antecedent length, then those members' sets.
+fn push_signature(
+    rule: &Dar,
+    set_ordered: &[usize],
+    clusters: &[ClusterSummary],
+    sets: &mut Vec<usize>,
+) {
+    sets.push(rule.antecedent.len());
+    sets.extend(set_ordered.iter().map(|&i| clusters[i].set));
+}
+
+/// The signature [`prune`] groups `rule` by.
+pub(crate) fn signature(rule: &Dar, clusters: &[ClusterSummary]) -> Vec<usize> {
+    let (mut members, mut sets) = (Vec::new(), Vec::new());
+    push_set_ordered(rule, clusters, &mut members);
+    push_signature(rule, &members, clusters, &mut sets);
+    sets
 }
 
 #[cfg(test)]

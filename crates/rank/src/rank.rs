@@ -58,12 +58,35 @@ pub struct Ranked {
     pub rules: Vec<Dar>,
     /// `rules[i]`'s value under the ranking measure.
     pub values: Vec<f64>,
-    /// Rules entering the pipeline (before filter/prune/top-k).
+    /// Rules the ranker scored: every rule entering the pipeline (before
+    /// filter/prune/top-k). The top-k search scores only the rules it
+    /// emitted, so there this is at most the exhaustive rule count.
     pub rules_in: usize,
-    /// Rules dropped as redundant.
+    /// Scored rules dropped as redundant.
     pub pruned: usize,
     /// Redundancy clusters that absorbed at least one duplicate.
     pub prune_clusters: usize,
+}
+
+/// `value` as a sort score: ranked answers run in ascending score, then
+/// rule identity. Degree (lower is stronger) scores as itself, every
+/// other measure as its negation, which reverses `f64::total_cmp` exactly.
+pub(crate) fn score(measure: Measure, value: f64) -> f64 {
+    if measure == Measure::Degree {
+        value
+    } else {
+        -value
+    }
+}
+
+/// Whether `value` passes `spec.min_measure`: a ceiling for degree, where
+/// lower is stronger, a floor otherwise.
+pub(crate) fn passes(spec: &RankSpec, value: f64) -> bool {
+    match (spec.min_measure, spec.measure) {
+        (None, _) => true,
+        (Some(floor), Measure::Degree) => value <= floor,
+        (Some(floor), _) => value >= floor,
+    }
 }
 
 /// Ranks a rule list under `spec`.
@@ -83,22 +106,15 @@ pub fn rank(mut rules: Vec<Dar>, spec: &RankSpec) -> Ranked {
         .collect();
     let mut order: Vec<usize> = (0..rules.len()).collect();
 
-    if let Some(floor) = spec.min_measure {
-        match spec.measure {
-            // Degree: lower is stronger, so the floor is a ceiling.
-            Measure::Degree => order.retain(|&i| values[i] <= floor),
-            _ => order.retain(|&i| values[i] >= floor),
-        }
+    if spec.min_measure.is_some() {
+        order.retain(|&i| passes(spec, values[i]));
     }
 
     // Stable total order: measure value (degree ascending, everything
     // else descending), rule identity as the tie-break.
     order.sort_by(|&a, &b| {
-        let by_value = match spec.measure {
-            Measure::Degree => values[a].total_cmp(&values[b]),
-            _ => values[b].total_cmp(&values[a]),
-        };
-        by_value
+        score(spec.measure, values[a])
+            .total_cmp(&score(spec.measure, values[b]))
             .then_with(|| rules[a].antecedent.cmp(&rules[b].antecedent))
             .then_with(|| rules[a].consequent.cmp(&rules[b].consequent))
     });

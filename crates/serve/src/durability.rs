@@ -91,7 +91,7 @@ pub fn recover_backend(
         }
         None => fresh,
     };
-    for (tag, rows) in &recovered.frames {
+    for (_, tag, rows) in &recovered.frames {
         backend.replay_frame(*tag, rows).map_err(invalid)?;
     }
     Ok((backend, recovered.report))

@@ -333,7 +333,7 @@ impl EngineBackend {
         let header = std::str::from_utf8(&bytes[..header_end])
             .map_err(|_| bad("dar-stream header is not UTF-8".into()))?;
         let (epoch, open_batches, window_batches, slots, num_windows, policy) =
-            parse_ring_header(header)?;
+            parse_ring_header(header, bytes.len() - header_end - 1)?;
         let mut pos = header_end + 1;
         let mut snaps = Vec::with_capacity(num_windows);
         for i in 0..num_windows {
@@ -380,7 +380,7 @@ impl EngineBackend {
         let mut lines = text.lines();
         let header = lines.next().ok_or_else(|| bad("empty dar-stream snapshot".into()))?;
         let (epoch, open_batches, window_batches, slots, num_windows, policy) =
-            parse_ring_header(header)?;
+            parse_ring_header(header, text.len().saturating_sub(header.len() + 1))?;
         let mut snaps = Vec::with_capacity(num_windows);
         for i in 0..num_windows {
             let section = lines.next().ok_or_else(|| bad(format!("missing window section {i}")))?;
@@ -464,11 +464,18 @@ impl EngineBackend {
     }
 }
 
+/// The shortest window section: its `window seq=…` line alone.
+const MIN_SECTION_BYTES: usize = "window seq=0\n".len();
+
 /// Parses the `dar-stream v1`/`v2` header line shared by both snapshot
-/// layouts. Returns `(epoch, open_batches, window_batches, slots,
-/// num_windows, policy)`.
+/// layouts, followed by `rest` bytes of window sections. Returns `(epoch,
+/// open_batches, window_batches, slots, num_windows, policy)`.
+///
+/// # Errors
+/// A malformed header, or a window count the `rest` bytes cannot hold.
 fn parse_ring_header(
     header: &str,
+    rest: usize,
 ) -> Result<(u64, u64, u64, usize, usize, RetirePolicy), CoreError> {
     let bad = |msg: String| CoreError::LayoutMismatch(msg);
     if !header.starts_with("dar-stream v1 ") && !header.starts_with("dar-stream v2 ") {
@@ -498,5 +505,44 @@ fn parse_ring_header(
     if num_windows == 0 {
         return Err(bad("dar-stream snapshot with zero windows".into()));
     }
+    if num_windows > rest / MIN_SECTION_BYTES {
+        return Err(bad(format!(
+            "dar-stream header claims {num_windows} windows but only {rest} bytes follow"
+        )));
+    }
     Ok((epoch, open_batches, window_batches, slots, num_windows, policy))
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    /// A ring header claiming a trillion windows, followed by one section
+    /// line: too few bytes for the claim, so restore must refuse before
+    /// sizing anything by it.
+    fn oversized(version: u32) -> Vec<u8> {
+        format!(
+            "dar-stream v{version} epoch=1 open_batches=0 policy=subtract window_batches=1 \
+             slots=1 windows=1000000000000\nwindow seq=0 bytes=0\n"
+        )
+        .into_bytes()
+    }
+
+    #[test]
+    fn v2_ring_header_with_an_impossible_window_count_is_refused() {
+        let err = EngineBackend::restore(&oversized(2), EngineConfig::default(), true).err();
+        assert!(
+            matches!(&err, Some(CoreError::LayoutMismatch(m)) if m.contains("1000000000000 windows")),
+            "{err:?}"
+        );
+    }
+
+    #[test]
+    fn v1_ring_header_with_an_impossible_window_count_is_refused() {
+        let err = EngineBackend::restore(&oversized(1), EngineConfig::default(), true).err();
+        assert!(
+            matches!(&err, Some(CoreError::LayoutMismatch(m)) if m.contains("1000000000000 windows")),
+            "{err:?}"
+        );
+    }
 }

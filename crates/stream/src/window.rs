@@ -292,7 +292,7 @@ impl WindowedForest {
     /// forest whose per-set thresholds are the element-wise maximum over
     /// the live windows (a summary absorbed under a threshold must not be
     /// re-split under a smaller one — the same rule
-    /// `DarEngine::merge_snapshots` applies). Remerge retirement and
+    /// `DarEngine::merge_parsed_snapshots` applies). Remerge retirement and
     /// restore use it.
     pub fn merged(&self) -> AcfForest {
         let live: Vec<&WindowSlot> =
