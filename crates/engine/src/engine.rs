@@ -1,6 +1,7 @@
 //! The long-lived engine: live Phase I forest + lazily-closed epochs with
 //! memoized Phase II artifacts.
 
+use crate::answer::SharedRules;
 use crate::config::EngineConfig;
 use crate::snapshot;
 use crate::stats::EngineStats;
@@ -50,11 +51,10 @@ impl EpochState {
     }
 }
 
-/// One fully-ranked answer, as memoized per knob-set.
-#[derive(Debug)]
+/// One fully-ranked answer, as memoized per knob-set. The rules and
+/// values are shared with every outcome the answer serves.
 pub(crate) struct RankedAnswer {
-    rules: Vec<Dar>,
-    values: Vec<f64>,
+    rules: SharedRules,
     truncated: bool,
     rules_in: usize,
     pruned: usize,
@@ -63,8 +63,9 @@ pub(crate) struct RankedAnswer {
 /// The result of one [`DarEngine::query`].
 #[derive(Debug, Clone)]
 pub struct QueryOutcome {
-    /// The mined rules, ranked best-first under [`QueryOutcome::measure`].
-    pub rules: Vec<Dar>,
+    /// The mined rules, ranked best-first under [`QueryOutcome::measure`]:
+    /// shared with the epoch's rank cache, not copied out of it.
+    pub rules: SharedRules,
     /// `rules[i]`'s value under the ranking measure.
     pub values: Vec<f64>,
     /// The measure the rules are ranked by.
@@ -93,6 +94,24 @@ pub struct QueryOutcome {
     pub coverage: Option<f64>,
 }
 
+impl QueryOutcome {
+    /// `encode(rules, values)` of this outcome, memoized on the rank-cache
+    /// entry it came from: the first call per cached answer runs `encode`,
+    /// later ones (from any outcome that entry serves) clone its result.
+    /// The memo is used only while the outcome still holds that answer's
+    /// own rules and values, so a struct-updated outcome with other rules
+    /// or values, or an anytime answer (never cached), encodes afresh. It
+    /// lives as long as the cache entry, that is, until the epoch closes.
+    /// `encode` must be a pure function of its arguments.
+    pub fn encoded_rules<T, F>(&self, encode: F) -> T
+    where
+        T: Clone + Send + Sync + 'static,
+        F: FnOnce(&[Dar], &[f64]) -> T,
+    {
+        self.rules.encoded(&self.values, encode)
+    }
+}
+
 /// Cache key for one ranked answer: the resolved density bits plus every
 /// knob that shapes rule generation and ranking.
 fn rank_key(density_key: &[u64], query: &RuleQuery) -> Vec<u64> {
@@ -112,13 +131,15 @@ fn rank_key(density_key: &[u64], query: &RuleQuery) -> Vec<u64> {
 
 /// Mines (exact or budgeted) and ranks one answer from cached artifacts.
 /// An exact top-k query goes through the bound-and-skip search, which
-/// emits only the rules that can reach the answer.
+/// emits only the rules that can reach the answer. `memoize` gives the
+/// answer an encode memo (rank-cache entries only).
 fn mine_ranked(
     artifacts: &Phase2Artifacts,
     metric: ClusterDistance,
     pool: &dar_par::ThreadPool,
     tuples: u64,
     query: &RuleQuery,
+    memoize: bool,
 ) -> (RankedAnswer, Option<f64>) {
     let spec = RankSpec::from_query(query, artifacts.graph.clusters(), tuples);
     let (ranked, truncated, coverage) = if query.budget_ms > 0 {
@@ -138,8 +159,7 @@ fn mine_ranked(
     };
     (
         RankedAnswer {
-            rules: ranked.rules,
-            values: ranked.values,
+            rules: SharedRules::new(ranked.rules, ranked.values, memoize),
             truncated,
             rules_in: ranked.rules_in,
             pruned: ranked.pruned,
@@ -160,7 +180,7 @@ fn ranked_for(
     tuples: u64,
 ) -> (Arc<RankedAnswer>, Option<f64>) {
     if query.budget_ms > 0 {
-        let (answer, coverage) = mine_ranked(artifacts, metric, pool, tuples, query);
+        let (answer, coverage) = mine_ranked(artifacts, metric, pool, tuples, query, false);
         return (Arc::new(answer), coverage);
     }
     let hit = {
@@ -170,7 +190,7 @@ fn ranked_for(
     if let Some(answer) = hit {
         return (answer, None);
     }
-    let (answer, _) = mine_ranked(artifacts, metric, pool, tuples, query);
+    let (answer, _) = mine_ranked(artifacts, metric, pool, tuples, query, true);
     let answer = Arc::new(answer);
     state
         .rank_cache
@@ -387,7 +407,7 @@ impl DarEngine {
         self.stats.queries += 1;
         Ok(QueryOutcome {
             rules: answer.rules.clone(),
-            values: answer.values.clone(),
+            values: answer.rules.values().to_vec(),
             measure: query.measure,
             truncated: answer.truncated,
             cached,
@@ -437,7 +457,7 @@ impl DarEngine {
         );
         Ok(Some(QueryOutcome {
             rules: answer.rules.clone(),
-            values: answer.values.clone(),
+            values: answer.rules.values().to_vec(),
             measure: query.measure,
             truncated: answer.truncated,
             cached: true,
@@ -846,7 +866,7 @@ mod tests {
         // Re-ranking by lift permutes, never invents or loses, rules.
         let lift = e.query(&RuleQuery { measure: Measure::Lift, ..RuleQuery::default() }).unwrap();
         assert_eq!(lift.measure, Measure::Lift);
-        let mut relifted = lift.rules.clone();
+        let mut relifted = lift.rules.to_vec();
         mining::sort_rules(&mut relifted);
         assert_eq!(relifted, exact.rules);
     }

@@ -62,12 +62,14 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
+mod answer;
 mod config;
 mod engine;
 mod metrics;
 pub mod snapshot;
 mod stats;
 
+pub use answer::SharedRules;
 pub use config::EngineConfig;
 pub use engine::{DarEngine, QueryOutcome};
 pub use stats::EngineStats;

@@ -2,10 +2,11 @@
 //!
 //! The pool is deliberately minimal: it owns nothing but a worker count.
 //! Every parallel region spawns scoped workers (`std::thread::scope`),
-//! drains a shared chunked queue, and joins before returning — so borrowed
-//! data (`&mut` ACF trees, `&` adjacency bitsets) flows into tasks without
-//! `unsafe`, `'static` bounds, or channels, and a panicking task panics
-//! the caller at the join. Workers tag every result with its input index
+//! drains a shared chunked queue with the caller as one of the workers
+//! (so a `w`-worker region spawns `w − 1` threads), and joins before
+//! returning — so borrowed data (`&mut` ACF trees, `&` adjacency bitsets)
+//! flows into tasks without `unsafe`, `'static` bounds, or channels, and
+//! a panicking task panics the caller at the join. Workers tag every result with its input index
 //! and the caller reassembles them in input order: scheduling is
 //! non-deterministic, results never are.
 
@@ -91,20 +92,17 @@ impl ThreadPool {
         }
         let queue = Mutex::new(items.iter_mut().enumerate());
         let results: Mutex<Vec<(usize, R)>> = Mutex::new(Vec::with_capacity(n));
-        std::thread::scope(|scope| {
-            for _ in 0..self.workers.min(n) {
-                scope.spawn(|| {
-                    let mut local: Vec<(usize, R)> = Vec::new();
-                    loop {
-                        let claimed = queue.lock().expect("queue lock").next();
-                        let Some((i, item)) = claimed else { break };
-                        m.queue_depth.add(-1);
-                        local.push((i, f(i, item)));
-                    }
-                    results.lock().expect("results lock").extend(local);
-                });
+        let work = || {
+            let mut local: Vec<(usize, R)> = Vec::new();
+            loop {
+                let claimed = queue.lock().expect("queue lock").next();
+                let Some((i, item)) = claimed else { break };
+                m.queue_depth.add(-1);
+                local.push((i, f(i, item)));
             }
-        });
+            results.lock().expect("results lock").extend(local);
+        };
+        fan_out(self.workers.min(n), &work);
         let out = ordered(results.into_inner().expect("no live workers"), n);
         self.region_end(region, t0);
         out
@@ -131,24 +129,21 @@ impl ThreadPool {
         }
         let cursor = AtomicUsize::new(0);
         let results: Mutex<Vec<(usize, R)>> = Mutex::new(Vec::with_capacity(n));
-        std::thread::scope(|scope| {
-            for _ in 0..self.workers.min(n.div_ceil(chunk)) {
-                scope.spawn(|| {
-                    let mut local: Vec<(usize, R)> = Vec::new();
-                    loop {
-                        let start = cursor.fetch_add(chunk, Ordering::Relaxed);
-                        if start >= n {
-                            break;
-                        }
-                        m.queue_depth.add(-1);
-                        for i in start..(start + chunk).min(n) {
-                            local.push((i, f(i)));
-                        }
-                    }
-                    results.lock().expect("results lock").extend(local);
-                });
+        let work = || {
+            let mut local: Vec<(usize, R)> = Vec::new();
+            loop {
+                let start = cursor.fetch_add(chunk, Ordering::Relaxed);
+                if start >= n {
+                    break;
+                }
+                m.queue_depth.add(-1);
+                for i in start..(start + chunk).min(n) {
+                    local.push((i, f(i)));
+                }
             }
-        });
+            results.lock().expect("results lock").extend(local);
+        };
+        fan_out(self.workers.min(n.div_ceil(chunk)), &work);
         let out = ordered(results.into_inner().expect("no live workers"), n);
         self.region_end(region, t0);
         out
@@ -178,6 +173,19 @@ impl Default for ThreadPool {
     fn default() -> Self {
         ThreadPool::resolve(0)
     }
+}
+
+/// Runs `work` on `workers` threads: `workers − 1` spawned ones and the
+/// caller's own, joining them all before returning. A panic in any of
+/// them, the caller's included, panics the caller once every spawned
+/// thread has joined.
+fn fan_out(workers: usize, work: &(impl Fn() + Sync)) {
+    std::thread::scope(|scope| {
+        for _ in 1..workers {
+            scope.spawn(work);
+        }
+        work();
+    });
 }
 
 /// Reassembles index-tagged results into input order.
@@ -246,6 +254,48 @@ mod tests {
             });
         });
         assert!(result.is_err(), "a panicking task must panic the region");
+    }
+
+    #[test]
+    fn a_panic_in_a_task_the_caller_runs_panics_the_caller() {
+        use std::sync::atomic::AtomicBool;
+        use std::time::Duration;
+        // Spawned workers hold their first task until the caller has
+        // claimed one, so the caller always runs a task; only the
+        // caller's tasks panic, and the payload shows the panic that
+        // surfaced is the caller's own, not the scope's "a scoped thread
+        // panicked".
+        let caller = std::thread::current().id();
+        let deadline = Instant::now() + Duration::from_secs(10);
+        let task = |caller_ran: &AtomicBool| {
+            if std::thread::current().id() == caller {
+                caller_ran.store(true, Ordering::SeqCst);
+                std::panic::panic_any("caller task failed");
+            }
+            while !caller_ran.load(Ordering::SeqCst) && Instant::now() < deadline {
+                std::thread::yield_now();
+            }
+        };
+        let payload = |result: std::thread::Result<()>| {
+            result.expect_err("the caller's panic must surface").downcast::<&str>().ok()
+        };
+        for workers in [2, 4] {
+            let caller_ran = AtomicBool::new(false);
+            let result = std::panic::catch_unwind(|| {
+                ThreadPool::new(workers).map_indexed("test_panic", 64, 1, |_| {
+                    task(&caller_ran);
+                });
+            });
+            assert_eq!(payload(result).as_deref(), Some(&"caller task failed"), "map_indexed");
+            let caller_ran = AtomicBool::new(false);
+            let mut items = vec![0u8; 64];
+            let result = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+                ThreadPool::new(workers).run_mut("test_panic", &mut items, |_, _| {
+                    task(&caller_ran);
+                });
+            }));
+            assert_eq!(payload(result).as_deref(), Some(&"caller task failed"), "run_mut");
+        }
     }
 
     #[test]

@@ -159,7 +159,9 @@ impl Client {
         if n == 0 {
             return Err(io::Error::new(io::ErrorKind::UnexpectedEof, "server closed connection"));
         }
-        Ok(response.trim_end_matches('\n').to_string())
+        let line_len = response.trim_end_matches('\n').len();
+        response.truncate(line_len);
+        Ok(response)
     }
 
     /// Sends a [`Request`] and returns the decoded response.

@@ -18,17 +18,28 @@
 //! `format!`-per-number, push-per-char codec this replaced; the golden
 //! fixtures under `tests/fixtures/` pin them.
 //!
+//! **Shared keys.** Object keys are [`Key`]s: shared, immutable text. The
+//! parser keeps a per-document memo of the escape-free keys it has seen
+//! (up to [`MAX_SHARED_KEYS`] distinct ones), so a full answer's 75K rule
+//! objects share five key allocations instead of making 374K, and
+//! dropping the tree releases reference counts instead of strings. Keys
+//! compare by content, so two parses of one text are equal.
+//!
 //! **Pre-encoded fragments.** A full query answer carries tens of
 //! thousands of rules; building a [`Json`] object per rule only to
 //! flatten it again dominated the encode. [`write_rule`] streams a rule's
 //! wire object straight into a buffer, and [`Json::Raw`] carries such a
-//! fragment through the tree, copied verbatim by `encode`. The invariant:
+//! fragment through the tree, copied verbatim by `encode`. A fragment
+//! shares its bytes, so cloning one (say, out of a memo) copies nothing;
+//! `encode` copies it once, into the output line. The invariant:
 //! a [`RawJson`] holds exactly the bytes `encode` would produce for the
 //! value it stands for. Only this module's writers construct one (its
 //! field is private), and [`parse`] never produces one, so a parsed tree
 //! is always plain values.
 
 use std::fmt::{self, Write as _};
+use std::ops::Deref;
+use std::sync::Arc;
 
 /// A parsed JSON value.
 ///
@@ -49,7 +60,7 @@ pub enum Json {
     /// An array.
     Arr(Vec<Json>),
     /// An object, in insertion order.
-    Obj(Vec<(String, Json)>),
+    Obj(Vec<(Key, Json)>),
     /// A fragment pre-encoded by one of this module's writers ([`rule`],
     /// [`rule_array`]), copied verbatim by `encode`. Accessors see it as
     /// opaque (`get`, `as_array` return `None`), and it compares equal
@@ -61,12 +72,57 @@ pub enum Json {
 /// exactly the encoder's output form. The field is private so nothing
 /// outside this module can smuggle unchecked text onto the wire.
 #[derive(Debug, Clone, PartialEq)]
-pub struct RawJson(String);
+pub struct RawJson(Arc<str>);
+
+/// An object key: shared, immutable text that compares by content.
+/// Cloning one is a reference-count bump, which is what lets the parser
+/// hand every repeat of a key the same allocation.
+#[derive(Clone, PartialEq, Eq)]
+pub struct Key(Arc<str>);
+
+impl Key {
+    /// The key's text.
+    pub fn as_str(&self) -> &str {
+        &self.0
+    }
+}
+
+impl Deref for Key {
+    type Target = str;
+
+    fn deref(&self) -> &str {
+        &self.0
+    }
+}
+
+impl From<&str> for Key {
+    fn from(text: &str) -> Key {
+        Key(Arc::from(text))
+    }
+}
+
+impl From<String> for Key {
+    fn from(text: String) -> Key {
+        Key(Arc::from(text))
+    }
+}
+
+impl PartialEq<str> for Key {
+    fn eq(&self, other: &str) -> bool {
+        *self.0 == *other
+    }
+}
+
+impl fmt::Debug for Key {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        self.as_str().fmt(f)
+    }
+}
 
 impl Json {
     /// Builds an object from key/value pairs (a readability helper).
     pub fn obj(pairs: Vec<(&str, Json)>) -> Json {
-        Json::Obj(pairs.into_iter().map(|(k, v)| (k.to_string(), v)).collect())
+        Json::Obj(pairs.into_iter().map(|(k, v)| (Key::from(k), v)).collect())
     }
 
     /// Looks up a key in an object; `None` on missing key or non-object.
@@ -156,10 +212,19 @@ impl Json {
                 }
                 out.push('}');
             }
-            Json::Raw(raw) => out.push_str(&raw.0),
+            Json::Raw(raw) => {
+                // Room for the fragment and a short tail (closing
+                // brackets, a frame's newline) in one growth, so a large
+                // fragment is copied once, not again by a later doubling.
+                out.reserve(raw.0.len() + RAW_TAIL_SLACK);
+                out.push_str(&raw.0);
+            }
         }
     }
 }
+
+/// The spare capacity `encode` leaves after a [`Json::Raw`] fragment.
+const RAW_TAIL_SLACK: usize = 64;
 
 /// Integers below this magnitude are exact in an `f64`, so their
 /// shortest round-trip `Display` is just their decimal digits.
@@ -226,7 +291,7 @@ fn write_indices(indices: &[usize], out: &mut String) {
 pub fn rule(rule: &mining::Dar, value: f64) -> Json {
     let mut out = String::with_capacity(RULE_BYTES_HINT);
     write_rule(&mut out, rule, value);
-    Json::Raw(RawJson(out))
+    Json::Raw(RawJson(out.into()))
 }
 
 /// A rule array as one pre-encoded [`Json::Raw`] fragment, built in a
@@ -241,7 +306,7 @@ pub fn rule_array<'a>(rules: impl ExactSizeIterator<Item = (&'a mining::Dar, f64
         write_rule(&mut out, r, value);
     }
     out.push(']');
-    Json::Raw(RawJson(out))
+    Json::Raw(RawJson(out.into()))
 }
 
 /// A typical encoded rule's length (two short index lists, three
@@ -309,8 +374,14 @@ const EXACT_DIGITS: usize = 15;
 /// # Errors
 /// Returns a [`JsonError`] naming the offending byte offset.
 pub fn parse(input: &str) -> Result<Json, JsonError> {
-    let mut p =
-        Parser { input, bytes: input.as_bytes(), pos: 0, items: Vec::new(), pairs: Vec::new() };
+    let mut p = Parser {
+        input,
+        bytes: input.as_bytes(),
+        pos: 0,
+        items: Vec::new(),
+        pairs: Vec::new(),
+        keys: Vec::new(),
+    };
     p.skip_ws();
     let value = p.value(0)?;
     p.skip_ws();
@@ -331,8 +402,16 @@ struct Parser<'a> {
     /// reallocation — a full answer has tens of thousands of small
     /// objects, and the regrowth dominated its parse.
     items: Vec<Json>,
-    pairs: Vec<(String, Json)>,
+    pairs: Vec<(Key, Json)>,
+    /// The distinct escape-free keys seen so far, at most
+    /// [`MAX_SHARED_KEYS`]: every repeat of one shares its allocation.
+    keys: Vec<Key>,
 }
+
+/// How many distinct keys one parse shares. A protocol document has a
+/// few dozen at most (a full answer has 13); keys past the bound still
+/// parse, each into its own allocation.
+pub const MAX_SHARED_KEYS: usize = 64;
 
 impl<'a> Parser<'a> {
     fn err(&self, message: &str) -> JsonError {
@@ -418,7 +497,7 @@ impl<'a> Parser<'a> {
         let base = self.pairs.len();
         loop {
             self.skip_ws();
-            let key = self.string()?;
+            let key = self.key()?;
             self.skip_ws();
             self.expect(b':')?;
             self.skip_ws();
@@ -434,6 +513,32 @@ impl<'a> Parser<'a> {
                 _ => return Err(self.err("expected ',' or '}' in object")),
             }
         }
+    }
+
+    /// An object key: an escape-free one comes from (or enters) the
+    /// document's shared-key memo; an escaped one is decoded by
+    /// [`Parser::string`] into its own allocation.
+    fn key(&mut self) -> Result<Key, JsonError> {
+        if self.peek() == Some(b'"') {
+            let start = self.pos + 1;
+            let mut end = start;
+            while matches!(self.bytes.get(end), Some(&b) if b != b'"' && b != b'\\' && b >= 0x20) {
+                end += 1;
+            }
+            if self.bytes.get(end) == Some(&b'"') {
+                self.pos = end + 1;
+                let text = &self.input[start..end];
+                if let Some(key) = self.keys.iter().find(|k| k.as_str() == text) {
+                    return Ok(key.clone());
+                }
+                let key = Key::from(text);
+                if self.keys.len() < MAX_SHARED_KEYS {
+                    self.keys.push(key.clone());
+                }
+                return Ok(key);
+            }
+        }
+        self.string().map(Key::from)
     }
 
     fn string(&mut self) -> Result<String, JsonError> {

@@ -496,7 +496,8 @@ pub fn ingest_response(tuples: u64, total: u64) -> Json {
 /// `"approx":true` and its honest `"coverage"` fraction; exact answers
 /// omit both keys entirely.
 pub fn query_response(outcome: &QueryOutcome) -> Json {
-    let rules = json::rule_array(outcome.rules.iter().zip(outcome.values.iter().copied()));
+    let rules = outcome
+        .encoded_rules(|rules, values| json::rule_array(rules.iter().zip(values.iter().copied())));
     let mut pairs = vec![
         ("ok", Json::Bool(true)),
         ("verb", Json::Str("query".into())),

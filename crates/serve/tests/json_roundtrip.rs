@@ -3,7 +3,8 @@
 //! full of escapes, empty arrays/objects, and arbitrarily nested trees —
 //! and encoding is deterministic. The codec's fast paths (the integer
 //! number writer and reader, run-copying strings, pre-encoded rule
-//! fragments) are each checked against the plain path they shortcut.
+//! fragments, shared parse keys) are each checked against the plain path
+//! they shortcut.
 
 use dar_serve::json::{self, parse, Json};
 use mining::Dar;
@@ -81,8 +82,8 @@ fn tree(tokens: &[Token], depth: usize) -> Json {
         Json::Arr(vec![tree(left, depth + 1), tree(right, depth + 1)])
     } else {
         Json::Obj(vec![
-            (STRINGS[head.2 as usize % STRINGS.len()].to_string(), tree(left, depth + 1)),
-            (format!("k{}", head.2), tree(right, depth + 1)),
+            (STRINGS[head.2 as usize % STRINGS.len()].to_string().into(), tree(left, depth + 1)),
+            (format!("k{}", head.2).into(), tree(right, depth + 1)),
         ])
     }
 }
@@ -218,7 +219,7 @@ fn strings_with_runs_and_escapes_round_trip() {
         prop_assert_eq!(parse(&encoded).ok(), Some(Json::Str(s.clone())), "wire: {}", encoded);
         prop_assert_eq!(parse(&unicode_escaped(&s)).ok(), Some(Json::Str(s.clone())));
         // As an object key too: keys share the string codec.
-        let keyed = Json::Obj(vec![(s.clone(), Json::Null)]);
+        let keyed = Json::Obj(vec![(s.clone().into(), Json::Null)]);
         prop_assert_eq!(parse(&keyed.encode()).ok(), Some(keyed));
     });
 }
@@ -296,14 +297,130 @@ fn raw_fragments_encode_like_the_values_they_stand_for() {
         // Embedded at a random spot of a random tree, each spelling of
         // the rules encodes to the same bytes.
         let host = |rules: Json| Json::Obj(vec![
-            ("before".to_string(), tree(&tokens, 3)),
-            ("rules".to_string(), rules),
-            ("after".to_string(), tree(&tokens[tokens.len() / 2..], 3)),
+            ("before".to_string().into(), tree(&tokens, 3)),
+            ("rules".to_string().into(), rules),
+            ("after".to_string().into(), tree(&tokens[tokens.len() / 2..], 3)),
         ]);
         let want = host(plain.clone()).encode();
         prop_assert_eq!(host(raw_each).encode(), want.clone());
         prop_assert_eq!(host(raw_all).encode(), want.clone());
         // A fragment parses back to the plain values.
         prop_assert_eq!(parse(&want).ok(), Some(host(plain)));
+    });
+}
+
+/// Every object key of a tree, depth first, in document order.
+fn keys(value: &Json, out: &mut Vec<json::Key>) {
+    match value {
+        Json::Arr(items) => items.iter().for_each(|item| keys(item, out)),
+        Json::Obj(pairs) => {
+            for (key, item) in pairs {
+                out.push(key.clone());
+                keys(item, out);
+            }
+        }
+        _ => {}
+    }
+}
+
+/// Whether two keys share one allocation.
+fn shared(a: &json::Key, b: &json::Key) -> bool {
+    a.as_str().as_ptr() == b.as_str().as_ptr()
+}
+
+#[test]
+fn repeated_keys_share_one_allocation_up_to_the_bound() {
+    let text = r#"[{"a":1,"bb":2},{"a":3,"bb":4},{"bb":5,"a":6}]"#;
+    let doc = parse(text).unwrap();
+    let mut found = Vec::new();
+    keys(&doc, &mut found);
+    assert_eq!(
+        found.iter().map(|k| k.as_str()).collect::<Vec<_>>(),
+        ["a", "bb", "a", "bb", "bb", "a"]
+    );
+    assert!(shared(&found[0], &found[2]) && shared(&found[0], &found[5]));
+    assert!(shared(&found[1], &found[3]) && shared(&found[1], &found[4]));
+    assert_eq!(doc.encode(), text);
+    // Two parses of one text share nothing, yet compare equal: keys
+    // compare by content.
+    let again = parse(text).unwrap();
+    let mut other = Vec::new();
+    keys(&again, &mut other);
+    assert!(!shared(&found[0], &other[0]));
+    assert_eq!(again, doc);
+}
+
+#[test]
+fn documents_with_more_keys_than_the_memo_holds_still_parse() {
+    let distinct = json::MAX_SHARED_KEYS + 10;
+    // Every key twice: the first pass fills the memo past its bound, the
+    // second looks each one up again.
+    let pairs: Vec<String> =
+        (0..2 * distinct).map(|i| format!("\"key{}\":{i}", i % distinct)).collect();
+    let text = format!("{{{}}}", pairs.join(","));
+    let doc = parse(&text).unwrap();
+    assert_eq!(doc.encode(), text);
+    for k in 0..distinct {
+        // Duplicate keys: `get` returns the first.
+        assert_eq!(doc.get(&format!("key{k}")).and_then(Json::as_u64), Some(k as u64), "key{k}");
+    }
+    let mut found = Vec::new();
+    keys(&doc, &mut found);
+    assert!(shared(&found[0], &found[distinct]), "a key inside the bound is shared");
+    assert_eq!(found[distinct - 1], found[2 * distinct - 1], "a key past it still compares equal");
+    assert_eq!(parse(&text).unwrap(), doc);
+}
+
+#[test]
+fn escaped_keys_equal_their_plain_spelling() {
+    let escaped = parse(r#"{"a\u0062":1}"#).unwrap();
+    assert_eq!(escaped.get("ab").and_then(Json::as_u64), Some(1));
+    assert_eq!(escaped, parse(r#"{"ab":1}"#).unwrap());
+    assert_eq!(escaped.encode(), r#"{"ab":1}"#);
+    // Plain then escaped, escaped then plain: `get` finds the first.
+    let both = parse(r#"{"ab":1,"a\u0062":2,"x\u0022y":3,"x\"y":4}"#).unwrap();
+    assert_eq!(both.get("ab").and_then(Json::as_u64), Some(1));
+    assert_eq!(both.get("x\"y").and_then(Json::as_u64), Some(3));
+    let flipped = parse(r#"{"a\u0062":2,"ab":1}"#).unwrap();
+    assert_eq!(flipped.get("ab").and_then(Json::as_u64), Some(2));
+    assert_eq!(flipped.encode(), r#"{"ab":2,"ab":1}"#);
+}
+
+/// A key drawn from a pool larger than the parser's memo, escaped now
+/// and then, so documents mix shared, unshared and escaped keys.
+fn pool_key(index: u32) -> String {
+    let pool = json::MAX_SHARED_KEYS as u32 * 2;
+    match index % 7 {
+        0 => format!("esc\"{}", index % pool),
+        _ => format!("k{}", index % pool),
+    }
+}
+
+#[test]
+fn documents_with_shared_keys_re_encode_byte_for_byte() {
+    proptest!(|(entries in prop::collection::vec((0u32..1024, 0u8..6, -1.0e6f64..1.0e6), 0..300))| {
+        // Rows of small objects, as in a full answer, with keys repeated
+        // across rows and sometimes within one.
+        let rows: Vec<Json> = entries
+            .chunks(5)
+            .map(|row| {
+                Json::Obj(row.iter().map(|&(k, kind, x)| {
+                    let value = match kind % 3 {
+                        0 => Json::Num(x),
+                        1 => Json::Arr(vec![Json::Num(x.trunc()), Json::Null]),
+                        _ => Json::Obj(vec![(pool_key(k / 3).into(), Json::Bool(kind > 3))]),
+                    };
+                    (pool_key(k).into(), value)
+                }).collect())
+            })
+            .collect();
+        let original = Json::Obj(vec![("rows".into(), Json::Arr(rows))]);
+        let text = original.encode();
+        let parsed = parse(&text).map_err(|e| {
+            proptest::TestCaseError::Fail(format!("{e} while parsing {text:?}"))
+        })?;
+        prop_assert_eq!(parsed.encode(), text.clone());
+        prop_assert_eq!(&parsed, &original);
+        prop_assert_eq!(parse(&text).ok(), Some(parsed));
     });
 }

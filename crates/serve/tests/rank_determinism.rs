@@ -180,7 +180,7 @@ fn zero_budget_sampler_reports_partial_coverage_on_the_wire() {
     let spec = RankSpec::from_query(&query, exact.artifacts.graph.clusters(), TUPLES as u64);
     let ranked = dar_rank::rank(sampled.rules, &spec);
     let outcome = QueryOutcome {
-        rules: ranked.rules,
+        rules: ranked.rules.into(),
         values: ranked.values,
         truncated: true,
         rules_in: ranked.rules_in,

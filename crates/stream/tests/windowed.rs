@@ -50,7 +50,7 @@ fn windowed(policy: RetirePolicy, threads: usize) -> EngineBackend {
 fn oneshot_rules(rows: &[Vec<f64>]) -> Vec<mining::rules::Dar> {
     let mut e = DarEngine::new(partitioning(), config(1)).unwrap();
     e.ingest(rows).unwrap();
-    e.query(&RuleQuery::default()).unwrap().rules
+    e.query(&RuleQuery::default()).unwrap().rules.to_vec()
 }
 
 #[test]
