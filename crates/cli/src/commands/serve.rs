@@ -31,7 +31,8 @@ use crate::CliError;
 use dar_core::{Metric, Partitioning, Schema};
 use dar_engine::EngineConfig;
 use dar_serve::{
-    recover_backend, EngineBackend, RetirePolicy, ServeConfig, ServeSummary, Server, WindowSpec,
+    recover_backend, EngineBackend, RetirePolicy, ServeConfig, ServeSummary, Server, Verb,
+    WindowSpec,
 };
 use std::fmt::Write as _;
 use std::sync::Arc;
@@ -169,22 +170,19 @@ fn report(summary: &ServeSummary) -> String {
         s.connections,
         s.rejected_connections,
         s.total_requests(),
-        s.ingest_requests,
-        s.query_requests,
-        s.clusters_requests,
-        s.stats_requests,
-        s.snapshot_requests,
-        s.shutdown_requests,
+        s.requests(Verb::Ingest),
+        s.requests(Verb::Query),
+        s.requests(Verb::Clusters),
+        s.requests(Verb::Stats),
+        s.requests(Verb::Snapshot),
+        s.requests(Verb::Shutdown),
         s.error_responses,
         s.p50_us,
         s.p99_us,
     );
-    if s.advance_requests + s.subscribe_requests > 0 {
-        let _ = writeln!(
-            out,
-            "serve: streaming — {} advance / {} subscribe",
-            s.advance_requests, s.subscribe_requests,
-        );
+    let (advance, subscribe) = (s.requests(Verb::Advance), s.requests(Verb::Subscribe));
+    if advance + subscribe > 0 {
+        let _ = writeln!(out, "serve: streaming — {advance} advance / {subscribe} subscribe");
     }
     if let Some(path) = &summary.snapshot_path {
         let _ = writeln!(out, "serve: final snapshot written to {}", path.display());

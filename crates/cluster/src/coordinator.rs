@@ -300,7 +300,7 @@ impl Coordinator {
             .client
             .as_mut()
             .expect("client dialed above")
-            .request_with_retry_deadline(request, &self.config.backoff, deadline);
+            .request_with_retry_deadline(request, &self.config.backoff, Some(deadline));
         shard.request_ns.observe_duration(t.elapsed());
         match &result {
             Ok(_) => {

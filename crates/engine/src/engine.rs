@@ -32,7 +32,43 @@ pub(crate) struct EpochState {
     /// `&self` [`DarEngine::query_cached`] fast path can populate it; dies
     /// with the epoch on ingest like the artifact cache above. Exact-mode
     /// answers only — anytime answers depend on the wall clock.
-    pub(crate) rank_cache: Mutex<HashMap<Vec<u64>, Arc<RankedAnswer>>>,
+    pub(crate) rank_cache: Mutex<RankCache>,
+}
+
+/// Ranked answers one epoch keeps at most: each distinct knob set a
+/// client sends costs its ranked rules plus their wire memo (several MB
+/// for a full answer), so the cache evicts the least recently used entry
+/// rather than grow with every new knob set.
+pub(crate) const RANK_CACHE_CAPACITY: usize = 64;
+
+/// The per-epoch rank cache: least-recently-used over
+/// [`RANK_CACHE_CAPACITY`] entries. Each entry carries the stamp of its
+/// last use; a hit bumps it, and an insert at capacity evicts the
+/// smallest.
+#[derive(Default)]
+pub(crate) struct RankCache {
+    entries: HashMap<Vec<u64>, (u64, Arc<RankedAnswer>)>,
+    clock: u64,
+}
+
+impl RankCache {
+    fn get(&mut self, key: &[u64]) -> Option<Arc<RankedAnswer>> {
+        self.clock += 1;
+        let (stamp, answer) = self.entries.get_mut(key)?;
+        *stamp = self.clock;
+        Some(Arc::clone(answer))
+    }
+
+    fn insert(&mut self, key: Vec<u64>, answer: Arc<RankedAnswer>) {
+        if self.entries.len() >= RANK_CACHE_CAPACITY && !self.entries.contains_key(&key) {
+            let oldest = self.entries.iter().min_by_key(|(_, (stamp, _))| *stamp).map(|(k, _)| k);
+            if let Some(oldest) = oldest.cloned() {
+                self.entries.remove(&oldest);
+            }
+        }
+        self.clock += 1;
+        self.entries.insert(key, (self.clock, answer));
+    }
 }
 
 impl EpochState {
@@ -46,7 +82,7 @@ impl EpochState {
             tree_thresholds,
             s0,
             cache: HashMap::new(),
-            rank_cache: Mutex::new(HashMap::new()),
+            rank_cache: Mutex::new(RankCache::default()),
         }
     }
 }
@@ -183,10 +219,7 @@ fn ranked_for(
         let (answer, coverage) = mine_ranked(artifacts, metric, pool, tuples, query, false);
         return (Arc::new(answer), coverage);
     }
-    let hit = {
-        let cache = state.rank_cache.lock().unwrap_or_else(|poisoned| poisoned.into_inner());
-        cache.get(&rkey).cloned()
-    };
+    let hit = state.rank_cache.lock().unwrap_or_else(|poisoned| poisoned.into_inner()).get(&rkey);
     if let Some(answer) = hit {
         return (answer, None);
     }
@@ -869,6 +902,38 @@ mod tests {
         let mut relifted = lift.rules.to_vec();
         mining::sort_rules(&mut relifted);
         assert_eq!(relifted, exact.rules);
+    }
+
+    #[test]
+    fn rank_cache_is_bounded_least_recently_used() {
+        let mut e = engine();
+        e.ingest(&block_rows(60, 0)).unwrap();
+        let knobs =
+            |i: usize| RuleQuery { degree_factor: 1.5 + i as f64 / 64.0, ..RuleQuery::default() };
+        let hot_query = RuleQuery::default();
+        let hot = e.query(&hot_query).unwrap();
+        let first = e.query(&knobs(0)).unwrap();
+        assert!(!hot.rules.is_empty() && !first.rules.is_empty(), "pointers need rules");
+        let cache_len = |e: &DarEngine| {
+            e.epoch_state.as_ref().unwrap().rank_cache.lock().unwrap().entries.len()
+        };
+        for i in 1..200 {
+            e.query(&knobs(i)).unwrap();
+            assert!(cache_len(&e) <= RANK_CACHE_CAPACITY, "{} entries", cache_len(&e));
+            if i % 10 == 0 {
+                // A hit shares the cached rules; a re-rank would allocate.
+                let again = e.query(&hot_query).unwrap();
+                assert_eq!(again.rules.as_ptr(), hot.rules.as_ptr(), "hot set evicted at {i}");
+            }
+        }
+        assert_eq!(cache_len(&e), RANK_CACHE_CAPACITY);
+        // The first cold set was evicted long ago: it is ranked afresh, to
+        // the same rules and values.
+        let reranked = e.query(&knobs(0)).unwrap();
+        assert_ne!(reranked.rules.as_ptr(), first.rules.as_ptr(), "evicted set still cached");
+        assert_eq!(reranked.rules, first.rules);
+        let bits = |values: &[f64]| values.iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+        assert_eq!(bits(&reranked.values), bits(&first.values));
     }
 
     #[test]

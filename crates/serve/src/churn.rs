@@ -13,6 +13,9 @@
 //! * a subscriber whose queue is full is *dropped* — the publisher never
 //!   blocks and never buffers unboundedly — and its connection thread
 //!   writes a final structured `lagged` frame before hanging up;
+//! * at most `MAX_SUBSCRIBERS` (64) subscribers are registered at once; a
+//!   subscriber whose connection thread has ended (its client hung up)
+//!   no longer counts;
 //! * a bounded history of recent events lets a reconnecting subscriber
 //!   resume from its last seen epoch without replaying everything; a gap
 //!   beyond the history is bridged with a `resync` baseline frame
@@ -32,6 +35,10 @@ const HISTORY_DEPTH: usize = 64;
 /// Per-subscriber bounded queue depth (event lines). Overflow drops the
 /// subscriber, never delays the publisher.
 const QUEUE_DEPTH: usize = 256;
+/// Registered subscribers one feed serves at most; each holds a pusher
+/// thread and up to [`QUEUE_DEPTH`] event lines. A `subscribe` past the
+/// cap is refused with `overloaded`.
+pub(crate) const MAX_SUBSCRIBERS: usize = 64;
 
 /// Why a subscriber's stream ended, shared between the publisher (which
 /// decides) and the connection thread (which tells the client).
@@ -93,7 +100,7 @@ pub(crate) struct SubscriptionRx {
 /// The per-server churn feed (see module docs).
 pub(crate) struct ChurnFeed {
     state: Mutex<ChurnState>,
-    /// Detached subscriber connection threads, joined on close.
+    /// Subscriber connection threads still running, joined on close.
     threads: Mutex<Vec<JoinHandle<()>>>,
 }
 
@@ -153,11 +160,20 @@ impl ChurnFeed {
 
     /// Registers a subscriber, enqueueing its catch-up frames under the
     /// same lock that orders live publishes — no event can fall between
-    /// catch-up and the live stream.
-    pub fn subscribe(&self, from_epoch: Option<u64>) -> SubscriptionRx {
+    /// catch-up and the live stream. `None` when [`MAX_SUBSCRIBERS`] are
+    /// already registered.
+    pub fn subscribe(&self, from_epoch: Option<u64>) -> Option<SubscriptionRx> {
         let mut state = self.lock();
-        let (tx, rx) = std::sync::mpsc::sync_channel::<String>(QUEUE_DEPTH);
         let metrics = dar_stream::metrics::metrics();
+        // A subscriber whose receiving half is gone (its connection thread
+        // ended) holds the only reference left to its cut.
+        let before = state.subscribers.len();
+        state.subscribers.retain(|sub| Arc::strong_count(&sub.cut) > 1);
+        metrics.subscribers.add(-((before - state.subscribers.len()) as i64));
+        if state.subscribers.len() >= MAX_SUBSCRIBERS {
+            return None;
+        }
+        let (tx, rx) = std::sync::mpsc::sync_channel::<String>(QUEUE_DEPTH);
         match from_epoch {
             // Resume: replay retained events newer than the subscriber's
             // last seen epoch, if the history still covers the gap.
@@ -189,12 +205,15 @@ impl ChurnFeed {
             Arc::new(SubscriberCut { lagged: AtomicBool::new(false), at_epoch: AtomicU64::new(0) });
         state.subscribers.push(Subscriber { tx, cut: Arc::clone(&cut) });
         metrics.subscribers.add(1);
-        SubscriptionRx { rx, cut, epoch: state.prev_epoch, window_span: state.prev_span }
+        Some(SubscriptionRx { rx, cut, epoch: state.prev_epoch, window_span: state.prev_span })
     }
 
-    /// Tracks a subscriber connection thread for join-on-close.
+    /// Tracks a subscriber connection thread for join-on-close, dropping
+    /// the handles of threads that already ended.
     pub fn track(&self, handle: JoinHandle<()>) {
-        self.threads.lock().unwrap_or_else(|p| p.into_inner()).push(handle);
+        let mut threads = self.threads.lock().unwrap_or_else(|p| p.into_inner());
+        threads.retain(|thread| !thread.is_finished());
+        threads.push(handle);
     }
 
     /// Closes the feed: drops every subscriber sender (their connection
@@ -266,7 +285,7 @@ mod tests {
     #[test]
     fn events_flow_in_epoch_order_and_skip_no_churn_epochs() {
         let feed = ChurnFeed::new();
-        let sub = feed.subscribe(None);
+        let sub = feed.subscribe(None).unwrap();
         feed.publish(1, Some((0, 0)), rules(&[1, 2]));
         feed.publish(2, Some((0, 1)), rules(&[1, 2])); // no churn: no event
         feed.publish(3, Some((1, 2)), rules(&[2, 3]));
@@ -284,7 +303,7 @@ mod tests {
         let feed = ChurnFeed::new();
         feed.publish(1, None, rules(&[1, 2]));
         feed.publish(2, None, rules(&[2, 3]));
-        let sub = feed.subscribe(None);
+        let sub = feed.subscribe(None).unwrap();
         assert_eq!(sub.epoch, 2);
         let baseline = sub.rx.try_recv().unwrap();
         let frame = json::parse(&baseline).unwrap();
@@ -298,7 +317,7 @@ mod tests {
         feed.publish(1, None, rules(&[1]));
         feed.publish(2, None, rules(&[1, 2]));
         feed.publish(3, None, rules(&[1, 2, 3]));
-        let sub = feed.subscribe(Some(1));
+        let sub = feed.subscribe(Some(1)).unwrap();
         let lines: Vec<String> = sub.rx.try_iter().collect();
         assert_eq!(lines.len(), 2);
         assert_eq!(added_tags(&lines[0]), vec![2]);
@@ -310,7 +329,7 @@ mod tests {
     #[test]
     fn stale_epochs_are_ignored() {
         let feed = ChurnFeed::new();
-        let sub = feed.subscribe(None);
+        let sub = feed.subscribe(None).unwrap();
         feed.publish(5, None, rules(&[1]));
         feed.publish(4, None, rules(&[9])); // stale racing writer
         let lines: Vec<String> = sub.rx.try_iter().collect();
@@ -321,7 +340,7 @@ mod tests {
     #[test]
     fn a_full_queue_cuts_the_subscriber_not_the_publisher() {
         let feed = ChurnFeed::new();
-        let sub = feed.subscribe(None);
+        let sub = feed.subscribe(None).unwrap();
         // Overflow the bounded queue: one event per epoch, never draining.
         for epoch in 1..=(QUEUE_DEPTH as u64 + 8) {
             feed.publish(epoch, None, rules(&[epoch]));
@@ -333,5 +352,17 @@ mod tests {
         let delivered = sub.rx.try_iter().count();
         assert_eq!(delivered, QUEUE_DEPTH);
         assert!(sub.rx.try_recv().is_err());
+    }
+
+    #[test]
+    fn subscribers_are_capped_and_gone_ones_free_their_place() {
+        let feed = ChurnFeed::new();
+        let mut subs: Vec<SubscriptionRx> =
+            (0..MAX_SUBSCRIBERS).map(|_| feed.subscribe(None).unwrap()).collect();
+        assert!(feed.subscribe(None).is_none(), "one past the cap is refused");
+        drop(subs.pop());
+        let replacement = feed.subscribe(None);
+        assert!(replacement.is_some(), "a dropped subscriber frees its place");
+        assert!(feed.subscribe(None).is_none());
     }
 }

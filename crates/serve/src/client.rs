@@ -126,15 +126,6 @@ impl Client {
         Ok(Client { addr, timeout, reader, writer: stream })
     }
 
-    /// Drops the current socket and dials the same address again.
-    ///
-    /// # Errors
-    /// Connection/setup failures.
-    pub fn reconnect(&mut self) -> io::Result<()> {
-        *self = Client::connect(self.addr, self.timeout)?;
-        Ok(())
-    }
-
     /// Temporarily clamps the socket's I/O timeouts to
     /// `min(limit, self.timeout)` — how the deadline-budgeted path keeps
     /// a single blocked read from overrunning the caller's budget.
@@ -176,40 +167,25 @@ impl Client {
 
     /// Sends a [`Request`], retrying transient failures — `overloaded`
     /// backpressure, `degraded` mode, or a connection the server hung up
-    /// on — under `backoff`, reconnecting before each retry.
+    /// on — under `backoff`, reconnecting before each retry. A read
+    /// timeout is not retried: a plain `ingest` is not idempotent, so
+    /// resending it after a timeout could apply it twice.
     ///
     /// # Errors
     /// The last failure once retries are exhausted, or immediately on a
     /// non-transient error.
     pub fn request_with_retry(&mut self, request: &Request, backoff: &Backoff) -> io::Result<Json> {
-        let mut attempt = 0;
-        loop {
-            match self.expect_ok(request) {
-                Ok(response) => return Ok(response),
-                Err(e) => {
-                    let transient = ServerError::of(&e).is_some_and(ServerError::is_transient)
-                        || e.kind() == io::ErrorKind::UnexpectedEof;
-                    if !transient || attempt >= backoff.attempts {
-                        return Err(e);
-                    }
-                    std::thread::sleep(backoff.delay(attempt));
-                    attempt += 1;
-                    // A refused connection was hung up on; start clean. If
-                    // the dial fails, the next expect_ok reports it.
-                    let _ = self.reconnect();
-                }
-            }
-        }
+        self.request_with_retry_deadline(request, backoff, None)
     }
 
-    /// [`Client::request_with_retry`] under a hard wall-clock `deadline`:
-    /// the total spent across attempts, socket reads, and backoff sleeps
-    /// stays within the budget. Each attempt's socket timeout is clamped
-    /// to the remaining budget, read timeouts count as transient (the
-    /// next attempt redials, escaping a blackholed connection), and the
-    /// loop never sleeps past the deadline. On exhaustion the last
-    /// failure is returned (or a `deadline` [`ServerError`] when the
-    /// budget was spent before the first attempt).
+    /// The retry loop behind [`Client::request_with_retry`]. With a
+    /// `deadline`, the total spent across attempts, socket reads, and
+    /// backoff sleeps stays within the budget: each attempt's socket
+    /// timeout is clamped to the remaining budget, read timeouts count as
+    /// transient (the next attempt redials, escaping a blackholed
+    /// connection), and the loop never sleeps past the deadline. On
+    /// exhaustion the last failure is returned, or a `deadline`
+    /// [`ServerError`] when the budget ran out first.
     ///
     /// # Errors
     /// As [`Client::request_with_retry`], plus deadline exhaustion.
@@ -217,37 +193,38 @@ impl Client {
         &mut self,
         request: &Request,
         backoff: &Backoff,
-        deadline: Instant,
+        deadline: Option<Instant>,
     ) -> io::Result<Json> {
+        let remaining = || deadline.map(|d| d.saturating_duration_since(Instant::now()));
         let mut attempt = 0;
         let result = loop {
-            let remaining = deadline.saturating_duration_since(Instant::now());
-            if remaining.is_zero() {
-                break Err(io::Error::new(
-                    io::ErrorKind::TimedOut,
-                    ServerError {
-                        code: "deadline".into(),
-                        message: "request deadline exhausted before an attempt".into(),
-                    },
-                ));
+            if let Some(remaining) = remaining() {
+                if remaining.is_zero() {
+                    break Err(io::Error::new(
+                        io::ErrorKind::TimedOut,
+                        ServerError {
+                            code: "deadline".into(),
+                            message: "request deadline exhausted before an attempt".into(),
+                        },
+                    ));
+                }
+                self.clamp_io_timeout(remaining);
             }
-            self.clamp_io_timeout(remaining);
             match self.expect_ok(request) {
                 Ok(response) => break Ok(response),
                 Err(e) => {
                     let transient = ServerError::of(&e).is_some_and(ServerError::is_transient)
-                        || matches!(
-                            e.kind(),
-                            io::ErrorKind::UnexpectedEof
-                                | io::ErrorKind::WouldBlock
-                                | io::ErrorKind::TimedOut
-                        );
-                    let delay = backoff.delay(attempt);
-                    let remaining = deadline.saturating_duration_since(Instant::now());
+                        || e.kind() == io::ErrorKind::UnexpectedEof
+                        || (deadline.is_some()
+                            && matches!(
+                                e.kind(),
+                                io::ErrorKind::WouldBlock | io::ErrorKind::TimedOut
+                            ));
                     if !transient || attempt >= backoff.attempts {
                         break Err(e);
                     }
-                    if delay >= remaining {
+                    let delay = backoff.delay(attempt);
+                    if remaining().is_some_and(|remaining| delay >= remaining) {
                         // The budget, not the retry policy, ended the
                         // request: surface the structured deadline error
                         // so callers can tell a stall from a refusal.
@@ -264,10 +241,11 @@ impl Client {
                     }
                     std::thread::sleep(delay);
                     attempt += 1;
-                    // Redial within what is left of the budget; a failed
-                    // dial surfaces on the next attempt's write.
-                    let limit = deadline.saturating_duration_since(Instant::now());
-                    if let Ok(fresh) = Client::connect(self.addr, limit.min(self.timeout)) {
+                    // A refused connection was hung up on; start clean,
+                    // within what is left of the budget. A failed dial
+                    // surfaces on the next attempt's write.
+                    let limit = remaining().map_or(self.timeout, |r| r.min(self.timeout));
+                    if let Ok(fresh) = Client::connect(self.addr, limit) {
                         let timeout = self.timeout;
                         *self = fresh;
                         self.timeout = timeout;
@@ -275,7 +253,9 @@ impl Client {
                 }
             }
         };
-        self.clamp_io_timeout(self.timeout);
+        if deadline.is_some() {
+            self.clamp_io_timeout(self.timeout);
+        }
         result
     }
 

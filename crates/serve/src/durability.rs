@@ -13,19 +13,39 @@
 //! the recovered replay sequence is exactly the acknowledged sequence —
 //! and makes deadlock impossible by construction.
 
+use crate::json::Json;
 use crate::shared::SharedEngine;
-use crate::stats::ServerStats;
-use dar_durable::{DurableStore, RecoveryReport, Storage};
+use dar_durable::{DurableError, DurableStore, RecoveryReport, Storage};
 use dar_stream::EngineBackend;
 use std::io;
 use std::path::Path;
-use std::sync::atomic::Ordering;
+use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, MutexGuard};
 
 /// The server's handle on the durable artifacts: the [`DurableStore`]
-/// under the mutex that defines the store-before-engine lock order.
+/// under the mutex that defines the store-before-engine lock order, and
+/// the counters of what went through it.
 pub struct Durability {
     store: Mutex<DurableStore>,
+    counters: Counters,
+}
+
+/// What went through a durable store, reported in `stats.server`.
+#[derive(Default)]
+struct Counters {
+    /// Snapshots installed (periodic, `snapshot` verb, final).
+    snapshots_written: AtomicU64,
+    /// Snapshot installs that failed (the previous good snapshot stays).
+    snapshot_failures: AtomicU64,
+    /// Batches (and advance markers) committed to the write-ahead log.
+    wal_appends: AtomicU64,
+    /// WAL appends that failed; each flips the server to degraded mode.
+    wal_append_failures: AtomicU64,
+    /// Whether the server is in degraded (read-only) mode. Sticky — once
+    /// the WAL refuses a committed batch, acknowledging further ingest
+    /// would silently lose data on the next crash, so ingest stays
+    /// refused until an operator restarts with healthy storage.
+    degraded: AtomicBool,
 }
 
 impl Durability {
@@ -47,13 +67,50 @@ impl Durability {
             wal_path.map(Path::to_path_buf),
         )
         .map_err(io::Error::other)?;
-        Ok(Durability { store: Mutex::new(store) })
+        Ok(Durability { store: Mutex::new(store), counters: Counters::default() })
     }
 
     /// Locks the store. Callers must take this lock *before* any engine
     /// lock they intend to hold concurrently.
     pub fn lock(&self) -> MutexGuard<'_, DurableStore> {
         self.store.lock().unwrap_or_else(|poisoned| poisoned.into_inner())
+    }
+
+    /// Whether the server is refusing ingest in degraded mode.
+    pub fn is_degraded(&self) -> bool {
+        self.counters.degraded.load(Ordering::SeqCst)
+    }
+
+    /// Counts one WAL append's outcome; a failure flips the server into
+    /// degraded (read-only) mode for good.
+    pub(crate) fn count_append(
+        &self,
+        appended: Result<u64, DurableError>,
+    ) -> Result<u64, DurableError> {
+        if appended.is_ok() {
+            self.counters.wal_appends.fetch_add(1, Ordering::Relaxed);
+        } else {
+            self.counters.wal_append_failures.fetch_add(1, Ordering::Relaxed);
+            self.counters.degraded.store(true, Ordering::SeqCst);
+            crate::metrics::metrics().degraded.set(1);
+            dar_obs::event("serve.degraded", &[("mode", "read-only")]);
+        }
+        appended
+    }
+
+    /// The durability keys of `dar serve`'s `stats.server` response, all
+    /// zero (and not degraded) for a server without a durable store.
+    pub(crate) fn stats_json(durability: Option<&Durability>) -> [(&'static str, Json); 5] {
+        let none = Counters::default();
+        let c = durability.map_or(&none, |d| &d.counters);
+        let count = |n: &AtomicU64| Json::Num(n.load(Ordering::Relaxed) as f64);
+        [
+            ("snapshots_written", count(&c.snapshots_written)),
+            ("snapshot_failures", count(&c.snapshot_failures)),
+            ("wal_appends", count(&c.wal_appends)),
+            ("wal_append_failures", count(&c.wal_append_failures)),
+            ("degraded", Json::Bool(c.degraded.load(Ordering::SeqCst))),
+        ]
     }
 }
 
@@ -98,17 +155,13 @@ pub fn recover_backend(
 }
 
 /// Closes the current epoch and installs it through the atomic snapshot
-/// protocol, returning `(epoch, tuples)`. Counts the outcome in
-/// `snapshots_written` / `snapshot_failures`.
+/// protocol, returning `(epoch, tuples)`. Counts the outcome in the
+/// store's `snapshots_written` / `snapshot_failures`.
 ///
 /// # Errors
 /// Serialization or install failures; the previous good snapshot (and the
 /// WAL records it needs) remain untouched on disk.
-pub fn persist_snapshot(
-    shared: &SharedEngine,
-    durability: &Durability,
-    stats: &ServerStats,
-) -> io::Result<(u64, u64)> {
+pub fn persist_snapshot(shared: &SharedEngine, durability: &Durability) -> io::Result<(u64, u64)> {
     // Store lock before engine lock — same order as the ingest path.
     let mut store = durability.lock();
     let outcome = (|| {
@@ -119,8 +172,8 @@ pub fn persist_snapshot(
         Ok((epoch, tuples))
     })();
     match &outcome {
-        Ok(_) => stats.snapshots_written.fetch_add(1, Ordering::Relaxed),
-        Err(_) => stats.snapshot_failures.fetch_add(1, Ordering::Relaxed),
+        Ok(_) => durability.counters.snapshots_written.fetch_add(1, Ordering::Relaxed),
+        Err(_) => durability.counters.snapshot_failures.fetch_add(1, Ordering::Relaxed),
     };
     outcome
 }

@@ -19,14 +19,18 @@
 //!   encoding makes equal rule sets byte-identical on the wire.
 //! * [`protocol`] — the verb vocabulary: `ingest`, `query`, `clusters`,
 //!   `stats`, `metrics`, `snapshot`, `shutdown`, with structured errors.
-//! * [`Server`] / [`ServerHandle`] — a std-only threaded TCP server:
-//!   fixed worker pool, bounded accept queue with refuse-not-queue
-//!   backpressure, per-connection timeouts, periodic snapshot-to-disk,
-//!   and graceful shutdown that drains, closes the epoch, and persists a
-//!   final snapshot.
-//! * [`ServerStats`] — connections, per-verb request counters, rejects,
-//!   histogram-derived p50/p99 latency; served over the wire by the
-//!   `stats` verb. The `metrics` verb returns the full `dar-obs`
+//! * [`front`] — the front door `dar serve` and the cluster coordinator
+//!   share: bounded accept queue with refuse-not-queue backpressure,
+//!   fixed worker pool, per-connection timeouts, bounded request lines,
+//!   parsing, the `metrics`/`shutdown` verbs, and per-request
+//!   accounting. Each server passes in a [`front::Handler`].
+//! * [`Server`] / [`ServerHandle`] — `dar serve`'s handler plus periodic
+//!   snapshot-to-disk and a graceful shutdown that drains, closes the
+//!   epoch, and persists a final snapshot.
+//! * [`ServerStats`] — one per-server request table indexed by
+//!   [`Verb`]: connections, rejects, per-verb request counts, bytes,
+//!   errors, histogram-derived p50/p99 latency; served over the wire by
+//!   the `stats` verb. The `metrics` verb returns the full `dar-obs`
 //!   registry (every crate's metrics plus the event journal) as JSON,
 //!   and [`ServeConfig::metrics_addr`] adds a plain-TCP Prometheus
 //!   text-exposition listener for scrapers.
@@ -57,6 +61,7 @@ pub mod b64;
 pub mod churn;
 pub mod client;
 mod durability;
+pub mod front;
 pub mod json;
 mod metrics;
 pub mod protocol;
@@ -67,7 +72,7 @@ mod stats;
 pub use client::{Backoff, Client, ServerError, Subscription};
 pub use durability::{recover_backend, Durability};
 pub use json::{Json, JsonError};
-pub use protocol::Request;
+pub use protocol::{Request, Verb};
 pub use server::{ServeConfig, ServeSummary, Server, ServerHandle};
 pub use shared::SharedEngine;
 pub use stats::{ServerStats, StatsSnapshot};

@@ -1,34 +1,19 @@
 //! Global observability handles for the serving layer (`dar_serve_*`).
 //!
 //! Per-verb request counters, latency histograms, and byte counters are
-//! resolved once into a fixed table, so the per-request path is a table
-//! scan over a dozen static strings plus relaxed atomics — no registry
+//! resolved once into a fixed table indexed like a server's own
+//! [`ServerStats`](crate::ServerStats) table: one row per
+//! [`Verb`], plus an `error` row for lines that never resolved to a verb.
+//! The per-request path is an index plus relaxed atomics — no registry
 //! lookup, no mutex.
 
+use crate::protocol::Verb;
+use crate::stats::slot;
 use dar_obs::{global, Counter, Gauge, Histogram};
 use std::sync::OnceLock;
 
-/// Verb labels with dedicated series. Unknown labels fold into `error`.
-const VERBS: [&str; 14] = [
-    "ingest",
-    "query",
-    "clusters",
-    "stats",
-    "snapshot",
-    "shutdown",
-    "metrics",
-    "advance",
-    "subscribe",
-    "shard_ingest",
-    "pull_snapshot",
-    "shard_stats",
-    "shard_rescan",
-    "error",
-];
-
 /// One verb's metric handles.
 pub(crate) struct VerbMetrics {
-    name: &'static str,
     /// `dar_serve_requests_total{verb=…}`.
     pub requests: Counter,
     /// `dar_serve_request_ns{verb=…}`.
@@ -51,14 +36,14 @@ pub(crate) struct ServeMetrics {
     pub errors: Counter,
     /// `dar_serve_degraded`: 0/1 read-only mode flag.
     pub degraded: Gauge,
-    /// The per-verb series, in [`VERBS`] order.
-    verbs: [VerbMetrics; VERBS.len()],
+    /// The per-verb series, in [`Verb::ALL`] order, then `error`.
+    verbs: [VerbMetrics; Verb::ALL.len() + 1],
 }
 
 impl ServeMetrics {
-    /// The metric handles for a verb label.
-    pub fn verb(&self, verb: &str) -> &VerbMetrics {
-        self.verbs.iter().find(|v| v.name == verb).unwrap_or(&self.verbs[VERBS.len() - 1])
+    /// The metric handles for a request's verb (`None`: the `error` row).
+    pub fn verb(&self, verb: Option<Verb>) -> &VerbMetrics {
+        &self.verbs[slot(verb)]
     }
 }
 
@@ -73,9 +58,8 @@ pub(crate) fn metrics() -> &'static ServeMetrics {
             errors: r.counter("dar_serve_errors_total"),
             degraded: r.gauge("dar_serve_degraded"),
             verbs: std::array::from_fn(|i| {
-                let verb = VERBS[i];
+                let verb = Verb::ALL.get(i).map_or("error", |v| v.as_str());
                 VerbMetrics {
-                    name: verb,
                     requests: r.counter_with("dar_serve_requests_total", &[("verb", verb)]),
                     request_ns: r.histogram_with("dar_serve_request_ns", &[("verb", verb)]),
                     bytes_read: r.counter_with("dar_serve_bytes_read_total", &[("verb", verb)]),

@@ -159,6 +159,76 @@ pub enum Request {
     },
 }
 
+/// The verbs of the protocol, one per [`Request`] variant: the key every
+/// server's per-verb accounting is indexed by.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+pub enum Verb {
+    /// `ingest`.
+    Ingest,
+    /// `query`.
+    Query,
+    /// `clusters`.
+    Clusters,
+    /// `stats`.
+    Stats,
+    /// `snapshot`.
+    Snapshot,
+    /// `shutdown`.
+    Shutdown,
+    /// `metrics`.
+    Metrics,
+    /// `advance`.
+    Advance,
+    /// `subscribe`.
+    Subscribe,
+    /// `shard_ingest`.
+    ShardIngest,
+    /// `pull_snapshot`.
+    PullSnapshot,
+    /// `shard_stats`.
+    ShardStats,
+    /// `shard_rescan`.
+    ShardRescan,
+}
+
+impl Verb {
+    /// Every verb, in declaration order (`ALL[v as usize] == v`).
+    pub const ALL: [Verb; 13] = [
+        Verb::Ingest,
+        Verb::Query,
+        Verb::Clusters,
+        Verb::Stats,
+        Verb::Snapshot,
+        Verb::Shutdown,
+        Verb::Metrics,
+        Verb::Advance,
+        Verb::Subscribe,
+        Verb::ShardIngest,
+        Verb::PullSnapshot,
+        Verb::ShardStats,
+        Verb::ShardRescan,
+    ];
+
+    /// The verb's wire name (the request's `"verb"` value).
+    pub fn as_str(self) -> &'static str {
+        match self {
+            Verb::Ingest => "ingest",
+            Verb::Query => "query",
+            Verb::Clusters => "clusters",
+            Verb::Stats => "stats",
+            Verb::Snapshot => "snapshot",
+            Verb::Shutdown => "shutdown",
+            Verb::Metrics => "metrics",
+            Verb::Advance => "advance",
+            Verb::Subscribe => "subscribe",
+            Verb::ShardIngest => "shard_ingest",
+            Verb::PullSnapshot => "pull_snapshot",
+            Verb::ShardStats => "shard_stats",
+            Verb::ShardRescan => "shard_rescan",
+        }
+    }
+}
+
 /// Decodes an `ingest`/`shard_ingest` rows array.
 fn parse_rows(value: &Json, verb: &str) -> Result<Vec<Vec<f64>>, String> {
     let rows = value
@@ -194,19 +264,22 @@ impl Request {
     /// # Errors
     /// A human-readable message naming the malformed part.
     pub fn from_json_with(value: &Json, base: &RuleQuery) -> Result<Request, String> {
-        let verb = value
+        let name = value
             .get("verb")
             .and_then(Json::as_str)
             .ok_or_else(|| "request must be an object with a string \"verb\"".to_string())?;
+        let Some(verb) = Verb::ALL.into_iter().find(|v| v.as_str() == name) else {
+            return Err(format!("unknown verb {name:?}"));
+        };
         match verb {
-            "ingest" => Ok(Request::Ingest { rows: parse_rows(value, "ingest")? }),
-            "query" => Ok(Request::Query { query: parse_query_with(value, base)? }),
-            "clusters" => Ok(Request::Clusters),
-            "stats" => Ok(Request::Stats),
-            "metrics" => Ok(Request::Metrics),
-            "snapshot" => Ok(Request::Snapshot),
-            "advance" => Ok(Request::Advance),
-            "subscribe" => {
+            Verb::Ingest => Ok(Request::Ingest { rows: parse_rows(value, "ingest")? }),
+            Verb::Query => Ok(Request::Query { query: parse_query_with(value, base)? }),
+            Verb::Clusters => Ok(Request::Clusters),
+            Verb::Stats => Ok(Request::Stats),
+            Verb::Metrics => Ok(Request::Metrics),
+            Verb::Snapshot => Ok(Request::Snapshot),
+            Verb::Advance => Ok(Request::Advance),
+            Verb::Subscribe => {
                 let from_epoch = match value.get("from_epoch") {
                     None | Some(Json::Null) => None,
                     Some(v) => Some(v.as_u64().ok_or_else(|| {
@@ -215,17 +288,17 @@ impl Request {
                 };
                 Ok(Request::Subscribe { from_epoch })
             }
-            "shutdown" => Ok(Request::Shutdown),
-            "shard_ingest" => {
+            Verb::Shutdown => Ok(Request::Shutdown),
+            Verb::ShardIngest => {
                 let seq = value
                     .get("seq")
                     .and_then(Json::as_u64)
                     .ok_or_else(|| "shard_ingest needs a non-negative \"seq\"".to_string())?;
                 Ok(Request::ShardIngest { seq, rows: parse_rows(value, "shard_ingest")? })
             }
-            "pull_snapshot" => Ok(Request::PullSnapshot),
-            "shard_stats" => Ok(Request::ShardStats),
-            "shard_rescan" => {
+            Verb::PullSnapshot => Ok(Request::PullSnapshot),
+            Verb::ShardStats => Ok(Request::ShardStats),
+            Verb::ShardRescan => {
                 let clusters = value
                     .get("clusters")
                     .and_then(Json::as_str)
@@ -252,7 +325,25 @@ impl Request {
                     .collect();
                 Ok(Request::ShardRescan { clusters, rules: rules? })
             }
-            other => Err(format!("unknown verb {other:?}")),
+        }
+    }
+
+    /// The verb this request resolved to.
+    pub fn verb(&self) -> Verb {
+        match self {
+            Request::Ingest { .. } => Verb::Ingest,
+            Request::Query { .. } => Verb::Query,
+            Request::Clusters => Verb::Clusters,
+            Request::Stats => Verb::Stats,
+            Request::Metrics => Verb::Metrics,
+            Request::Snapshot => Verb::Snapshot,
+            Request::Advance => Verb::Advance,
+            Request::Subscribe { .. } => Verb::Subscribe,
+            Request::Shutdown => Verb::Shutdown,
+            Request::ShardIngest { .. } => Verb::ShardIngest,
+            Request::PullSnapshot => Verb::PullSnapshot,
+            Request::ShardStats => Verb::ShardStats,
+            Request::ShardRescan { .. } => Verb::ShardRescan,
         }
     }
 
@@ -264,12 +355,10 @@ impl Request {
                 rows.iter().map(|r| Json::Arr(r.iter().map(|v| Json::Num(*v)).collect())).collect(),
             )
         };
+        let mut pairs = vec![("verb", Json::Str(self.verb().as_str().into()))];
         match self {
-            Request::Ingest { rows } => {
-                Json::obj(vec![("verb", Json::Str("ingest".into())), ("rows", rows_json(rows))])
-            }
+            Request::Ingest { rows } => pairs.push(("rows", rows_json(rows))),
             Request::Query { query } => {
-                let mut pairs = vec![("verb", Json::Str("query".into()))];
                 match &query.density {
                     DensitySpec::Auto { factor } => {
                         pairs.push(("density_factor", Json::Num(*factor)));
@@ -293,32 +382,19 @@ impl Request {
                 pairs.push(("top_k", Json::Num(query.top_k as f64)));
                 pairs.push(("prune_redundant", Json::Bool(query.prune_redundant)));
                 pairs.push(("budget_ms", Json::Num(query.budget_ms as f64)));
-                Json::obj(pairs)
             }
-            Request::Clusters => verb_only("clusters"),
-            Request::Stats => verb_only("stats"),
-            Request::Metrics => verb_only("metrics"),
-            Request::Snapshot => verb_only("snapshot"),
-            Request::Advance => verb_only("advance"),
             Request::Subscribe { from_epoch } => {
-                let mut pairs = vec![("verb", Json::Str("subscribe".into()))];
                 if let Some(epoch) = from_epoch {
                     pairs.push(("from_epoch", Json::Num(*epoch as f64)));
                 }
-                Json::obj(pairs)
             }
-            Request::Shutdown => verb_only("shutdown"),
-            Request::ShardIngest { seq, rows } => Json::obj(vec![
-                ("verb", Json::Str("shard_ingest".into())),
-                ("seq", Json::Num(*seq as f64)),
-                ("rows", rows_json(rows)),
-            ]),
-            Request::PullSnapshot => verb_only("pull_snapshot"),
-            Request::ShardStats => verb_only("shard_stats"),
-            Request::ShardRescan { clusters, rules } => Json::obj(vec![
-                ("verb", Json::Str("shard_rescan".into())),
-                ("clusters", Json::Str(clusters.clone())),
-                (
+            Request::ShardIngest { seq, rows } => {
+                pairs.push(("seq", Json::Num(*seq as f64)));
+                pairs.push(("rows", rows_json(rows)));
+            }
+            Request::ShardRescan { clusters, rules } => {
+                pairs.push(("clusters", Json::Str(clusters.clone())));
+                pairs.push((
                     "rules",
                     Json::Arr(
                         rules
@@ -326,14 +402,19 @@ impl Request {
                             .map(|r| Json::Arr(r.iter().map(|&p| Json::Num(p as f64)).collect()))
                             .collect(),
                     ),
-                ),
-            ]),
+                ));
+            }
+            Request::Clusters
+            | Request::Stats
+            | Request::Metrics
+            | Request::Snapshot
+            | Request::Advance
+            | Request::Shutdown
+            | Request::PullSnapshot
+            | Request::ShardStats => {}
         }
+        Json::obj(pairs)
     }
-}
-
-fn verb_only(verb: &str) -> Json {
-    Json::obj(vec![("verb", Json::Str(verb.into()))])
 }
 
 fn parse_query_with(value: &Json, base: &RuleQuery) -> Result<RuleQuery, String> {
@@ -803,6 +884,15 @@ mod tests {
             let line = request.to_json().encode();
             let back = Request::from_json(&parse(&line).unwrap()).unwrap();
             assert_eq!(back, request, "{line}");
+            let name = parse(&line).unwrap().get("verb").and_then(Json::as_str).map(String::from);
+            assert_eq!(name.as_deref(), Some(request.verb().as_str()), "{line}");
+        }
+    }
+
+    #[test]
+    fn verbs_are_listed_in_declaration_order() {
+        for (i, verb) in Verb::ALL.into_iter().enumerate() {
+            assert_eq!(verb as usize, i, "{}", verb.as_str());
         }
     }
 

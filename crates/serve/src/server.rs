@@ -1,41 +1,35 @@
-//! The multi-threaded TCP server: a fixed worker pool behind a bounded
-//! accept queue, serving the newline-delimited JSON protocol over a
-//! [`SharedEngine`].
+//! `dar serve`: the engine's handler behind the shared [front
+//! door](crate::front), serving the newline-delimited JSON protocol over
+//! a [`SharedEngine`].
 //!
-//! Concurrency model (`std::net` + `std::thread` only):
-//!
-//! * one **acceptor** thread pushes accepted sockets into a bounded
-//!   `sync_channel`; when the queue is full the connection is *refused
-//!   with a structured error* rather than queued unboundedly
-//!   (backpressure, counted in
-//!   [`ServerStats::rejected_connections`](crate::ServerStats));
-//! * `threads` **workers** pop connections and serve requests line by
-//!   line under per-connection read/write timeouts — `query`/`stats`
-//!   answer under the engine's read lock (cached Phase II), `ingest`/
-//!   `snapshot` take the write lock;
-//! * an optional **snapshotter** thread persists the epoch to disk every
-//!   `snapshot_interval`;
-//! * **graceful shutdown** via a shutdown pipe (an atomic flag plus a
-//!   self-connection to unblock `accept`): triggered by
-//!   [`ServerHandle::shutdown`] or the wire verb `shutdown`, it stops
-//!   accepting, drains queued connections, joins every thread, closes the
-//!   epoch, and writes a final snapshot.
+//! The front door owns the sockets, the worker pool, request parsing,
+//! `metrics`/`shutdown` and per-request accounting. The handler here
+//! answers the rest: `query`/`clusters`/`stats` under the engine's read
+//! lock (cached Phase II), `ingest`/`snapshot` under the write lock
+//! behind the durable store's lock, the shard verbs, and the streaming
+//! verbs `advance` and `subscribe` (which hands its socket to a pusher
+//! thread). An optional **snapshotter** thread persists the epoch to
+//! disk every `snapshot_interval`. Graceful shutdown ([`ServerHandle::
+//! shutdown`] or the wire verb `shutdown`) stops accepting, drains
+//! queued connections, joins every thread, closes the epoch, and writes
+//! a final snapshot.
 
-use crate::churn::{ChurnFeed, SubscriptionRx};
+use crate::churn::{ChurnFeed, SubscriptionRx, MAX_SUBSCRIBERS};
 use crate::durability::{persist_snapshot, Durability};
-use crate::json::{self, Json};
-use crate::protocol::{self, Request, RequestLine};
+use crate::front::{FrontConfig, FrontDoor, Handler, Reply};
+use crate::json::Json;
+use crate::protocol::{self, Request};
 use crate::shared::SharedEngine;
 use crate::stats::{ServerStats, StatsSnapshot};
-use dar_durable::{DiskStorage, Storage};
+use dar_core::CoreError;
+use dar_durable::{DiskStorage, DurableError, DurableStore, Storage};
 use dar_stream::{EngineBackend, WindowedIngest};
 use mining::RuleQuery;
 use std::io;
-use std::net::{SocketAddr, TcpListener, TcpStream};
+use std::net::{SocketAddr, TcpStream};
 use std::path::PathBuf;
-use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::mpsc::{Receiver, TrySendError};
-use std::sync::{Arc, Mutex};
+use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::Arc;
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
@@ -95,49 +89,21 @@ impl Default for ServeConfig {
     }
 }
 
-/// The shutdown pipe: an atomic flag plus the listener's own address, so
-/// `trigger` can unblock the acceptor's blocking `accept` with a
-/// self-connection (the SIGINT-equivalent in a std-only server).
-struct ShutdownSignal {
-    flag: AtomicBool,
-    addr: SocketAddr,
-}
-
-impl ShutdownSignal {
-    fn is_set(&self) -> bool {
-        self.flag.load(Ordering::SeqCst)
-    }
-
-    fn trigger(&self) {
-        if self.flag.swap(true, Ordering::SeqCst) {
-            return; // already shutting down
-        }
-        // Wake the acceptor out of accept(2).
-        let _ = TcpStream::connect_timeout(&self.addr, Duration::from_millis(250));
-    }
-}
-
-/// Everything a worker needs to serve one connection.
-struct WorkerCtx {
+/// What `dar serve` puts behind the front door: the engine, its durable
+/// store, the churn feed, and the shard duplicate-suppression watermark.
+struct ServeHandler {
     shared: Arc<SharedEngine>,
-    stats: Arc<ServerStats>,
-    shutdown: Arc<ShutdownSignal>,
-    durability: Option<Arc<Durability>>,
+    durability: Option<Durability>,
     churn: Arc<ChurnFeed>,
     config: ServeConfig,
-}
-
-/// What a request line asks the connection loop to do after the response.
-enum Action {
-    /// Keep serving this connection.
-    Continue,
-    /// Trigger server shutdown (the `shutdown` verb).
-    Shutdown,
-    /// Hand the connection to the churn feed as a long-lived subscriber.
-    Subscribe {
-        /// The resume point from the `subscribe` request.
-        from_epoch: Option<u64>,
-    },
+    /// Highest coordinator batch sequence applied via `shard_ingest` —
+    /// the duplicate-suppression watermark. In-memory only: a restarted
+    /// shard starts at 0, so a (single) coordinator must not retry
+    /// batches it has already seen acknowledged across a shard restart.
+    shard_last_seq: AtomicU64,
+    /// `shard_ingest` requests acknowledged as duplicates (sequence at or
+    /// below the watermark) without re-applying the batch.
+    shard_dup_batches: AtomicU64,
 }
 
 /// The running server's entry point.
@@ -145,10 +111,9 @@ pub struct Server;
 
 impl Server {
     /// Binds `addr` (e.g. `"127.0.0.1:7878"`, port 0 for ephemeral) and
-    /// starts the acceptor, the worker pool, and (if configured) the
-    /// snapshotter. Returns immediately with a handle; the server runs on
-    /// background threads until [`ServerHandle::shutdown`] or a wire
-    /// `shutdown` request.
+    /// starts the front door and (if configured) the snapshotter. Returns
+    /// immediately with a handle; the server runs on background threads
+    /// until [`ServerHandle::shutdown`] or a wire `shutdown` request.
     ///
     /// # Errors
     /// Propagates bind failures and unrepairable durability artifacts.
@@ -162,66 +127,45 @@ impl Server {
         addr: &str,
         config: ServeConfig,
     ) -> io::Result<ServerHandle> {
-        let listener = TcpListener::bind(addr)?;
-        let local_addr = listener.local_addr()?;
-        let shared = Arc::new(SharedEngine::new(engine));
-        let stats = Arc::new(ServerStats::default());
-        let churn = Arc::new(ChurnFeed::new());
-        let shutdown = Arc::new(ShutdownSignal { flag: AtomicBool::new(false), addr: local_addr });
         let durability = if config.snapshot_path.is_some() || config.wal_path.is_some() {
-            Some(Arc::new(Durability::open(
+            Some(Durability::open(
                 Arc::clone(&config.storage),
                 config.snapshot_path.as_deref(),
                 config.wal_path.as_deref(),
-            )?))
+            )?)
         } else {
             None
         };
-
-        let (tx, rx) = std::sync::mpsc::sync_channel::<TcpStream>(config.queue_depth.max(1));
-        let rx = Arc::new(Mutex::new(rx));
-
-        let mut workers = Vec::with_capacity(config.threads.max(1));
-        for worker_id in 0..config.threads.max(1) {
-            let rx = Arc::clone(&rx);
-            let ctx = WorkerCtx {
-                shared: Arc::clone(&shared),
-                stats: Arc::clone(&stats),
-                shutdown: Arc::clone(&shutdown),
-                durability: durability.clone(),
-                churn: Arc::clone(&churn),
-                config: config.clone(),
-            };
-            workers.push(
-                std::thread::Builder::new()
-                    .name(format!("dar-serve-worker-{worker_id}"))
-                    .spawn(move || worker_loop(&rx, &ctx))?,
-            );
-        }
-
-        let acceptor = {
-            let stats = Arc::clone(&stats);
-            let shutdown = Arc::clone(&shutdown);
-            let write_timeout = config.write_timeout;
-            std::thread::Builder::new().name("dar-serve-acceptor".into()).spawn(move || {
-                accept_loop(&listener, &tx, &stats, &shutdown, write_timeout);
-                // Dropping `tx` here lets workers drain the queue and exit.
-            })?
+        let front_config = FrontConfig {
+            threads: config.threads,
+            queue_depth: config.queue_depth,
+            read_timeout: config.read_timeout,
+            write_timeout: config.write_timeout,
+            allow_remote_shutdown: config.allow_remote_shutdown,
+            metrics_addr: config.metrics_addr.clone(),
+            base_query: config.base_query.clone(),
         };
+        let handler = Arc::new(ServeHandler {
+            shared: Arc::new(SharedEngine::new(engine)),
+            durability,
+            churn: Arc::new(ChurnFeed::new()),
+            config,
+            shard_last_seq: AtomicU64::new(0),
+            shard_dup_batches: AtomicU64::new(0),
+        });
+        let front = FrontDoor::start(addr, front_config, handler.clone())?;
 
-        let snapshotter = match (&durability, &config.snapshot_path, config.snapshot_interval) {
-            (Some(durability), Some(_), Some(interval)) => {
-                let shared = Arc::clone(&shared);
-                let stats = Arc::clone(&stats);
-                let shutdown = Arc::clone(&shutdown);
-                let durability = Arc::clone(durability);
+        let snapshotter = match (&handler.config.snapshot_path, handler.config.snapshot_interval) {
+            (Some(_), Some(interval)) => {
+                let handler = Arc::clone(&handler);
+                let shutdown = front.shutdown_signal();
                 Some(std::thread::Builder::new().name("dar-serve-snapshotter".into()).spawn(
                     move || {
                         let mut last = Instant::now();
                         while !shutdown.is_set() {
                             std::thread::sleep(Duration::from_millis(25));
                             if last.elapsed() >= interval {
-                                let _ = persist_snapshot(&shared, &durability, &stats);
+                                let _ = handler.persist();
                                 last = Instant::now();
                             }
                         }
@@ -230,42 +174,16 @@ impl Server {
             }
             _ => None,
         };
-
-        let exposer = match &config.metrics_addr {
-            Some(metrics_addr) => Some(dar_obs::MetricsExposer::bind(metrics_addr.as_str())?),
-            None => None,
-        };
-
-        Ok(ServerHandle {
-            addr: local_addr,
-            shared,
-            stats,
-            shutdown,
-            acceptor: Some(acceptor),
-            workers,
-            snapshotter,
-            durability,
-            churn,
-            snapshot_path: config.snapshot_path,
-            exposer,
-        })
+        Ok(ServerHandle { front, handler, snapshotter })
     }
 }
 
 /// A handle to a running server: its address, shared state for
 /// inspection, and the shutdown/join lifecycle.
 pub struct ServerHandle {
-    addr: SocketAddr,
-    shared: Arc<SharedEngine>,
-    stats: Arc<ServerStats>,
-    shutdown: Arc<ShutdownSignal>,
-    acceptor: Option<JoinHandle<()>>,
-    workers: Vec<JoinHandle<()>>,
+    front: FrontDoor,
+    handler: Arc<ServeHandler>,
     snapshotter: Option<JoinHandle<()>>,
-    durability: Option<Arc<Durability>>,
-    churn: Arc<ChurnFeed>,
-    snapshot_path: Option<PathBuf>,
-    exposer: Option<dar_obs::MetricsExposer>,
 }
 
 /// What a graceful shutdown left behind.
@@ -281,34 +199,34 @@ pub struct ServeSummary {
 impl ServerHandle {
     /// The bound address (useful with port 0).
     pub fn addr(&self) -> SocketAddr {
-        self.addr
+        self.front.addr()
     }
 
     /// The shared engine, for in-process inspection alongside the server.
     pub fn shared(&self) -> &Arc<SharedEngine> {
-        &self.shared
+        &self.handler.shared
     }
 
     /// A point-in-time copy of the server counters.
     pub fn stats(&self) -> StatsSnapshot {
-        self.stats.snapshot()
+        self.front.stats().snapshot()
     }
 
     /// This server's latency histogram — the exact population the `stats`
     /// verb derives p50/p99 from.
     pub fn latency_snapshot(&self) -> dar_obs::HistogramSnapshot {
-        self.stats.latency_snapshot()
+        self.front.stats().latency_snapshot()
     }
 
     /// Where the Prometheus exposition listener is bound, if enabled.
     pub fn metrics_addr(&self) -> Option<SocketAddr> {
-        self.exposer.as_ref().map(dar_obs::MetricsExposer::addr)
+        self.front.metrics_addr()
     }
 
     /// Triggers graceful shutdown (idempotent): stop accepting, drain the
     /// queue, let in-flight connections finish.
     pub fn shutdown(&self) {
-        self.shutdown.trigger();
+        self.front.shutdown();
     }
 
     /// Waits for every thread to exit, closes the epoch, writes the final
@@ -320,148 +238,28 @@ impl ServerHandle {
     /// Propagates final-snapshot I/O failures (the threads are already
     /// down by then).
     pub fn join(mut self) -> io::Result<ServeSummary> {
-        if let Some(acceptor) = self.acceptor.take() {
-            let _ = acceptor.join();
-        }
-        for worker in self.workers.drain(..) {
-            let _ = worker.join();
-        }
+        self.front.join();
         if let Some(snapshotter) = self.snapshotter.take() {
             let _ = snapshotter.join();
         }
         // Disconnect every churn subscriber and join their threads.
-        self.churn.close();
-        if let Some(mut exposer) = self.exposer.take() {
-            exposer.shutdown();
-        }
-        if self.snapshot_path.is_some() {
-            if let Some(durability) = &self.durability {
-                persist_snapshot(&self.shared, durability, &self.stats)?;
-            }
-        }
-        Ok(ServeSummary { stats: self.stats.snapshot(), snapshot_path: self.snapshot_path })
+        self.handler.churn.close();
+        self.handler.persist().transpose()?;
+        let snapshot_path = self.handler.config.snapshot_path.clone();
+        Ok(ServeSummary { stats: self.stats(), snapshot_path })
     }
-}
-
-fn accept_loop(
-    listener: &TcpListener,
-    tx: &std::sync::mpsc::SyncSender<TcpStream>,
-    stats: &ServerStats,
-    shutdown: &ShutdownSignal,
-    write_timeout: Duration,
-) {
-    loop {
-        let stream = match listener.accept() {
-            Ok((stream, _)) => stream,
-            Err(_) => {
-                if shutdown.is_set() {
-                    break;
-                }
-                continue;
-            }
-        };
-        if shutdown.is_set() {
-            break; // the wake-up self-connection (or a late client)
-        }
-        // Every frame goes out in one write; don't hold its tail for an ACK.
-        let _ = stream.set_nodelay(true);
-        match tx.try_send(stream) {
-            Ok(()) => {
-                stats.connections.fetch_add(1, Ordering::Relaxed);
-                crate::metrics::metrics().connections.inc();
-            }
-            Err(TrySendError::Full(stream)) => {
-                stats.rejected_connections.fetch_add(1, Ordering::Relaxed);
-                crate::metrics::metrics().rejected_connections.inc();
-                refuse(stream, write_timeout);
-            }
-            Err(TrySendError::Disconnected(_)) => break,
-        }
-    }
-}
-
-/// Backpressure: tell the refused client why, then hang up.
-fn refuse(mut stream: TcpStream, write_timeout: Duration) {
-    let _ = stream.set_write_timeout(Some(write_timeout));
-    let line = protocol::error_response("overloaded", "accept queue is full, retry later").encode();
-    let _ = protocol::write_frame(&mut stream, line);
-}
-
-fn worker_loop(rx: &Mutex<Receiver<TcpStream>>, ctx: &WorkerCtx) {
-    loop {
-        // Hold the lock only for the pop, never while serving.
-        let stream = match rx.lock() {
-            Ok(guard) => guard.recv(),
-            Err(poisoned) => poisoned.into_inner().recv(),
-        };
-        match stream {
-            Ok(stream) => {
-                let _ = serve_connection(stream, ctx);
-            }
-            Err(_) => break, // acceptor gone and queue drained
-        }
-    }
-}
-
-fn serve_connection(mut stream: TcpStream, ctx: &WorkerCtx) -> io::Result<()> {
-    stream.set_read_timeout(Some(ctx.config.read_timeout))?;
-    stream.set_write_timeout(Some(ctx.config.write_timeout))?;
-    let mut lines = protocol::RequestLines::new(stream.try_clone()?);
-    loop {
-        let line = match lines.next_line() {
-            Ok(RequestLine::Line(line)) => line,
-            Ok(RequestLine::TooLong) => {
-                let (code, message) = protocol::LINE_TOO_LONG;
-                protocol::write_frame(&mut stream, error(ctx, code, message).encode())?;
-                break;
-            }
-            // EOF, timeout, reset, or a line that is not UTF-8.
-            Ok(RequestLine::Eof) | Err(_) => break,
-        };
-        if line.trim().is_empty() {
-            continue;
-        }
-        let started = Instant::now();
-        let (response, verb, action) = handle_line(line, ctx);
-        if let Action::Subscribe { from_epoch } = action {
-            // The connection stops being request/response: register with
-            // the churn feed (handshake + catch-up under the feed's lock,
-            // so no event falls in between), then hand the socket to a
-            // dedicated pusher thread and free this worker.
-            let subscription = ctx.churn.subscribe(from_epoch);
-            let handshake =
-                protocol::subscribe_response(subscription.epoch, subscription.window_span).encode();
-            let written = protocol::write_frame(&mut stream, handshake)?;
-            ctx.stats.record_latency(verb, started.elapsed());
-            ctx.stats.record_io(verb, line.len() as u64 + 1, written);
-            let handle = std::thread::Builder::new()
-                .name("dar-serve-subscriber".into())
-                .spawn(move || subscriber_loop(stream, subscription))?;
-            ctx.churn.track(handle);
-            return Ok(());
-        }
-        let written = protocol::write_frame(&mut stream, response.encode())?;
-        ctx.stats.record_latency(verb, started.elapsed());
-        // Both sides count the newline framing the codec strips/adds.
-        ctx.stats.record_io(verb, line.len() as u64 + 1, written);
-        if matches!(action, Action::Shutdown) {
-            ctx.shutdown.trigger();
-            break;
-        }
-    }
-    Ok(())
 }
 
 /// The long-lived half of a `subscribe` connection: pushes event lines as
 /// the feed delivers them; a disconnect means either a server shutdown
 /// (hang up silently) or a lagged cut (write the structured final frame
-/// first). A client that stopped reading fails the write and is reaped by
-/// the publisher on its next fan-out.
+/// first). A client that hung up is noticed before the next event is
+/// written, and the thread ends, which unregisters the subscription.
 fn subscriber_loop(mut stream: TcpStream, subscription: SubscriptionRx) {
     loop {
         match subscription.rx.recv() {
             Ok(line) => {
-                if protocol::write_frame(&mut stream, line).is_err() {
+                if peer_hung_up(&stream) || protocol::write_frame(&mut stream, line).is_err() {
                     return;
                 }
             }
@@ -476,386 +274,360 @@ fn subscriber_loop(mut stream: TcpStream, subscription: SubscriptionRx) {
     }
 }
 
-/// Dispatches one request line; returns the response, the verb label the
-/// request's latency is recorded under (`"error"` when it never resolved
-/// to a verb), and what the connection loop should do after the response
-/// is written.
-fn handle_line(line: &str, ctx: &WorkerCtx) -> (Json, &'static str, Action) {
-    let request = match json::parse(line) {
-        Ok(value) => match Request::from_json_with(&value, &ctx.config.base_query) {
-            Ok(request) => request,
-            Err(message) => {
-                return (error(ctx, "bad-request", &message), "error", Action::Continue)
-            }
-        },
-        Err(e) => return (error(ctx, "bad-json", &e.to_string()), "error", Action::Continue),
+/// Whether a subscriber's peer has closed its side: a subscriber sends
+/// nothing after `subscribe`, so a readable end-of-stream (or a reset)
+/// means it is gone. A write to such a peer can still succeed once, so
+/// the write alone would notice only at the second event.
+fn peer_hung_up(stream: &TcpStream) -> bool {
+    if stream.set_nonblocking(true).is_err() {
+        return true;
+    }
+    let gone = match stream.peek(&mut [0u8; 1]) {
+        Ok(n) => n == 0,
+        Err(e) => e.kind() != io::ErrorKind::WouldBlock,
     };
-    let verb = match &request {
-        Request::Ingest { .. } => "ingest",
-        Request::Query { .. } => "query",
-        Request::Clusters => "clusters",
-        Request::Stats => "stats",
-        Request::Metrics => "metrics",
-        Request::Snapshot => "snapshot",
-        Request::Shutdown => "shutdown",
-        Request::Advance => "advance",
-        Request::Subscribe { .. } => "subscribe",
-        Request::ShardIngest { .. } => "shard_ingest",
-        Request::PullSnapshot => "pull_snapshot",
-        Request::ShardStats => "shard_stats",
-        Request::ShardRescan { .. } => "shard_rescan",
-    };
-    let count = |counter: &std::sync::atomic::AtomicU64| {
-        counter.fetch_add(1, Ordering::Relaxed);
-    };
-    let (response, action) = match request {
-        Request::Ingest { rows } => match commit_batch(ctx, &rows) {
-            Ok((total, _)) => {
-                count(&ctx.stats.ingest_requests);
-                (protocol::ingest_response(rows.len() as u64, total), Action::Continue)
-            }
-            Err(response) => (response, Action::Continue),
-        },
-        Request::Advance => match advance_window(ctx) {
-            Ok(response) => {
-                count(&ctx.stats.advance_requests);
-                (response, Action::Continue)
-            }
-            Err(response) => (response, Action::Continue),
-        },
-        Request::Subscribe { from_epoch } => {
-            if ctx.shared.is_windowed() {
-                count(&ctx.stats.subscribe_requests);
-                // The handshake is written by the connection loop, under
-                // the feed's lock, so no event can slip in between.
-                (Json::Null, Action::Subscribe { from_epoch })
-            } else {
-                (
-                    error(
-                        ctx,
-                        "unsupported",
-                        "subscriptions require a windowed server (--window-batches)",
-                    ),
-                    Action::Continue,
-                )
-            }
-        }
-        Request::ShardIngest { seq, rows } => {
-            count(&ctx.stats.shard_ingest_requests);
-            // Duplicate suppression: the coordinator retries at-least-once,
-            // so a sequence at or below the watermark was already applied
-            // (and, when a WAL is configured, committed) — acknowledge it
-            // without touching the engine.
-            if seq <= ctx.stats.shard_last_seq.load(Ordering::SeqCst) {
-                count(&ctx.stats.shard_dup_batches);
-                let total = ctx.shared.tuples();
-                (
-                    protocol::shard_ingest_response(seq, false, rows.len() as u64, total),
-                    Action::Continue,
-                )
-            } else {
-                match commit_batch(ctx, &rows) {
-                    Ok((total, _)) => {
-                        ctx.stats.shard_last_seq.fetch_max(seq, Ordering::SeqCst);
-                        (
-                            protocol::shard_ingest_response(seq, true, rows.len() as u64, total),
-                            Action::Continue,
-                        )
+    gone || stream.set_nonblocking(false).is_err()
+}
+
+impl Handler for ServeHandler {
+    fn handle(&self, request: Request, stats: &ServerStats) -> Reply {
+        let response = match request {
+            Request::Ingest { rows } => match self.commit_batch(&rows) {
+                Ok((total, _)) => protocol::ingest_response(rows.len() as u64, total),
+                Err(response) => response,
+            },
+            Request::Advance => self.advance_window().unwrap_or_else(|response| response),
+            Request::Subscribe { from_epoch } => return self.subscribe(from_epoch),
+            Request::ShardIngest { seq, rows } => {
+                // Duplicate suppression: the coordinator retries
+                // at-least-once, so a sequence at or below the watermark
+                // was already applied (and, when a WAL is configured,
+                // committed) — acknowledge it without touching the engine.
+                if seq <= self.shard_last_seq.load(Ordering::SeqCst) {
+                    self.shard_dup_batches.fetch_add(1, Ordering::Relaxed);
+                    let total = self.shared.tuples();
+                    protocol::shard_ingest_response(seq, false, rows.len() as u64, total)
+                } else {
+                    match self.commit_batch(&rows) {
+                        Ok((total, _)) => {
+                            self.shard_last_seq.fetch_max(seq, Ordering::SeqCst);
+                            protocol::shard_ingest_response(seq, true, rows.len() as u64, total)
+                        }
+                        Err(response) => response,
                     }
-                    Err(response) => (response, Action::Continue),
                 }
             }
-        }
-        Request::PullSnapshot => match ctx.shared.pull_snapshot() {
-            Ok((bytes, epoch, tuples)) => {
-                count(&ctx.stats.pull_snapshot_requests);
-                let sealed = dar_durable::seal_bytes(
-                    &bytes,
-                    ctx.stats.shard_last_seq.load(Ordering::SeqCst),
-                );
-                (protocol::pull_snapshot_response(epoch, tuples, &sealed), Action::Continue)
-            }
-            Err(e) => (error(ctx, "snapshot", &e.to_string()), Action::Continue),
-        },
-        Request::ShardStats => {
-            count(&ctx.stats.stats_requests);
-            let (epoch, tuples, width) = ctx.shared.meta();
-            (
+            Request::PullSnapshot => match self.shared.pull_snapshot() {
+                Ok((bytes, epoch, tuples)) => {
+                    let sealed =
+                        dar_durable::seal_bytes(&bytes, self.shard_last_seq.load(Ordering::SeqCst));
+                    protocol::pull_snapshot_response(epoch, tuples, &sealed)
+                }
+                Err(e) => protocol::error_response("snapshot", &e.to_string()),
+            },
+            Request::ShardStats => {
+                let (epoch, tuples, width) = self.shared.meta();
                 protocol::shard_stats_response(
                     epoch,
                     tuples,
                     width,
-                    ctx.stats.is_degraded(),
-                    ctx.stats.shard_last_seq.load(Ordering::SeqCst),
-                ),
-                Action::Continue,
-            )
-        }
-        Request::ShardRescan { clusters, rules } => match shard_rescan(ctx, &clusters, &rules) {
-            Ok(response) => {
-                count(&ctx.stats.shard_rescan_requests);
-                (response, Action::Continue)
+                    self.is_degraded(),
+                    self.shard_last_seq.load(Ordering::SeqCst),
+                )
             }
-            Err((code, message)) => (error(ctx, code, &message), Action::Continue),
-        },
-        Request::Query { query } => match ctx.shared.query(&query) {
-            Ok(outcome) => {
-                count(&ctx.stats.query_requests);
-                (protocol::query_response(&outcome), Action::Continue)
-            }
-            Err(e) => (error(ctx, "bad-query", &e.to_string()), Action::Continue),
-        },
-        Request::Clusters => {
-            count(&ctx.stats.clusters_requests);
-            let (epoch, clusters) = ctx.shared.clusters();
-            (protocol::clusters_response(epoch, &clusters), Action::Continue)
-        }
-        Request::Metrics => {
-            count(&ctx.stats.metrics_requests);
-            (protocol::metrics_response(), Action::Continue)
-        }
-        Request::Stats => {
-            count(&ctx.stats.stats_requests);
-            let (engine_stats, read_hits) = ctx.shared.stats();
-            let response = Json::obj(vec![
-                ("ok", Json::Bool(true)),
-                ("verb", Json::Str("stats".into())),
-                ("server", ctx.stats.snapshot().to_json()),
-                ("engine", protocol::engine_stats_json(&engine_stats, read_hits)),
-            ]);
-            (response, Action::Continue)
-        }
-        Request::Snapshot => match (&ctx.durability, &ctx.config.snapshot_path) {
-            (Some(durability), Some(path)) => {
-                match persist_snapshot(&ctx.shared, durability, &ctx.stats) {
-                    Ok((epoch, tuples)) => {
-                        count(&ctx.stats.snapshot_requests);
-                        let shown = path.display().to_string();
-                        (protocol::snapshot_response(epoch, tuples, Some(&shown)), Action::Continue)
-                    }
-                    Err(e) => (error(ctx, "io", &e.to_string()), Action::Continue),
+            Request::ShardRescan { clusters, rules } => {
+                match self.shard_rescan(&clusters, &rules) {
+                    Ok(response) => response,
+                    Err((code, message)) => protocol::error_response(code, &message),
                 }
             }
-            _ => match ctx.shared.snapshot() {
-                Ok((_, epoch, tuples)) => {
-                    count(&ctx.stats.snapshot_requests);
-                    (protocol::snapshot_response(epoch, tuples, None), Action::Continue)
-                }
-                Err(e) => (error(ctx, "snapshot", &e.to_string()), Action::Continue),
+            Request::Query { query } => match self.shared.query(&query) {
+                Ok(outcome) => protocol::query_response(&outcome),
+                Err(e) => protocol::error_response("bad-query", &e.to_string()),
             },
-        },
-        Request::Shutdown => {
-            if ctx.config.allow_remote_shutdown {
-                count(&ctx.stats.shutdown_requests);
-                (protocol::shutdown_response(), Action::Shutdown)
-            } else {
-                (error(ctx, "forbidden", "remote shutdown is disabled"), Action::Continue)
+            Request::Clusters => {
+                let (epoch, clusters) = self.shared.clusters();
+                protocol::clusters_response(epoch, &clusters)
             }
-        }
-    };
-    (response, verb, action)
+            Request::Stats => {
+                let (engine_stats, read_hits) = self.shared.stats();
+                Json::obj(vec![
+                    ("ok", Json::Bool(true)),
+                    ("verb", Json::Str("stats".into())),
+                    ("server", self.server_stats_json(stats)),
+                    ("engine", protocol::engine_stats_json(&engine_stats, read_hits)),
+                ])
+            }
+            Request::Snapshot => match self.persist() {
+                Some(Ok((epoch, tuples))) => {
+                    let shown = self.config.snapshot_path.as_ref().map(|p| p.display().to_string());
+                    protocol::snapshot_response(epoch, tuples, shown.as_deref())
+                }
+                Some(Err(e)) => protocol::error_response("io", &e.to_string()),
+                None => match self.shared.snapshot() {
+                    Ok((_, epoch, tuples)) => protocol::snapshot_response(epoch, tuples, None),
+                    Err(e) => protocol::error_response("snapshot", &e.to_string()),
+                },
+            },
+            // The front door answers these itself.
+            Request::Metrics | Request::Shutdown => {
+                protocol::error_response("internal", "verb is served by the front door")
+            }
+        };
+        Reply::Respond(response)
+    }
 }
 
-/// The shared writer-path commit protocol for `ingest` and
-/// `shard_ingest`: refuse in degraded mode, apply to the engine under
-/// store-before-engine lock order, append to the WAL, and acknowledge
-/// only after the append. A windowed backend's batches are logged as
-/// *tagged* frames carrying the window sequence they landed in, so
-/// recovery rebuilds the ring exactly; a batch that sealed a window also
-/// publishes rule churn to subscribers (after the store lock drops).
-/// Returns the engine's post-batch tuple total plus the window movement,
-/// or the structured error response to send instead.
-fn commit_batch(ctx: &WorkerCtx, rows: &[Vec<f64>]) -> Result<(u64, Option<WindowedIngest>), Json> {
-    if ctx.stats.is_degraded() {
-        return Err(error(
-            ctx,
-            "degraded",
-            "write-ahead log unavailable; serving reads only — \
-             restart with healthy storage to resume ingest",
-        ));
+impl ServeHandler {
+    /// Closes the epoch and installs it at the snapshot path; `None`
+    /// when no snapshot path is configured.
+    fn persist(&self) -> Option<io::Result<(u64, u64)>> {
+        let durability =
+            self.durability.as_ref().filter(|_| self.config.snapshot_path.is_some())?;
+        Some(persist_snapshot(&self.shared, durability))
     }
-    // Store lock before engine lock: WAL commit order must equal engine
-    // apply order, or recovery replays a different history than the one
-    // that was acknowledged.
-    let mut store =
-        ctx.durability.as_ref().filter(|_| ctx.config.wal_path.is_some()).map(|d| d.lock());
-    let (total, windowed) = match ctx.shared.ingest(rows) {
-        Ok(outcome) => outcome,
-        Err(e) => return Err(error(ctx, "rejected", &e.to_string())),
-    };
-    if let Some(store) = store.as_deref_mut() {
-        // Apply-then-log: acknowledge only once the batch is both
-        // in memory and on the log.
-        let logged = match &windowed {
-            Some(w) => store.log_tagged_batch(w.window_seq, rows),
-            None => store.log_batch(rows),
+
+    fn is_degraded(&self) -> bool {
+        self.durability.as_ref().is_some_and(Durability::is_degraded)
+    }
+
+    /// The durable store when a write-ahead log is configured: the one
+    /// `ingest`, `shard_ingest` and `advance` commit through.
+    fn wal(&self) -> Option<&Durability> {
+        self.durability.as_ref().filter(|_| self.config.wal_path.is_some())
+    }
+
+    /// The `server` half of the `stats` response: the front door's
+    /// request table plus the shard watermark and the durability
+    /// counters (zero without a durable store).
+    fn server_stats_json(&self, stats: &ServerStats) -> Json {
+        let mut server = stats.snapshot().to_json();
+        if let Json::Obj(pairs) = &mut server {
+            let watermark = |n: &AtomicU64| Json::Num(n.load(Ordering::SeqCst) as f64);
+            pairs.push(("shard_dup_batches".into(), watermark(&self.shard_dup_batches)));
+            pairs.push(("shard_last_seq".into(), watermark(&self.shard_last_seq)));
+            for (key, value) in Durability::stats_json(self.durability.as_ref()) {
+                pairs.push((key.into(), value));
+            }
+        }
+        server
+    }
+
+    /// The `subscribe` verb (windowed servers only): registers with the
+    /// churn feed — catch-up frames enqueue under the feed's lock, so no
+    /// event falls in between — answers with the handshake, and hands the
+    /// socket to a dedicated pusher thread. Past [`MAX_SUBSCRIBERS`]
+    /// registered subscribers the request is refused with `overloaded`
+    /// and the connection keeps serving requests.
+    fn subscribe(&self, from_epoch: Option<u64>) -> Reply {
+        if !self.shared.is_windowed() {
+            return protocol::error_response(
+                "unsupported",
+                "subscriptions require a windowed server (--window-batches)",
+            )
+            .into();
+        }
+        let Some(subscription) = self.churn.subscribe(from_epoch) else {
+            return protocol::error_response(
+                "overloaded",
+                &format!("{MAX_SUBSCRIBERS} subscribers already registered, retry later"),
+            )
+            .into();
         };
-        if let Err(e) = logged {
-            ctx.stats.wal_append_failures.fetch_add(1, Ordering::Relaxed);
-            ctx.stats.set_degraded();
-            return Err(error(
-                ctx,
+        let handshake = protocol::subscribe_response(subscription.epoch, subscription.window_span);
+        let churn = Arc::clone(&self.churn);
+        Reply::HandOver(
+            handshake,
+            Box::new(move |stream| {
+                let handle = std::thread::Builder::new()
+                    .name("dar-serve-subscriber".into())
+                    .spawn(move || subscriber_loop(stream, subscription))?;
+                churn.track(handle);
+                Ok(())
+            }),
+        )
+    }
+
+    /// The writer-path commit protocol `ingest`, `shard_ingest` and
+    /// `advance` share: refuse in degraded mode, `apply` to the engine
+    /// under store-before-engine lock order, `log` the change to the WAL,
+    /// and acknowledge only after the append. `what` names the change in
+    /// the error a failed append answers with.
+    fn commit<T>(
+        &self,
+        what: &str,
+        apply: impl FnOnce(&SharedEngine) -> Result<T, CoreError>,
+        log: impl FnOnce(&mut DurableStore, &T) -> Result<u64, DurableError>,
+    ) -> Result<T, Json> {
+        if self.is_degraded() {
+            return Err(protocol::error_response(
                 "degraded",
-                &format!(
-                    "batch applied in memory but not committed to the \
-                     write-ahead log ({e}); entering read-only mode"
-                ),
+                "write-ahead log unavailable; serving reads only — \
+                 restart with healthy storage to resume ingest",
             ));
         }
-        ctx.stats.wal_appends.fetch_add(1, Ordering::Relaxed);
+        // Store lock before engine lock: WAL commit order must equal engine
+        // apply order, or recovery replays a different history than the one
+        // that was acknowledged.
+        let wal = self.wal();
+        let mut store = wal.map(Durability::lock);
+        let applied = apply(&self.shared)
+            .map_err(|e| protocol::error_response("rejected", &e.to_string()))?;
+        if let (Some(wal), Some(store)) = (wal, store.as_deref_mut()) {
+            // Apply-then-log: acknowledge only once the change is both in
+            // memory and on the log.
+            if let Err(e) = wal.count_append(log(store, &applied)) {
+                return Err(protocol::error_response(
+                    "degraded",
+                    &format!(
+                        "{what} in memory but not committed to the \
+                         write-ahead log ({e}); entering read-only mode"
+                    ),
+                ));
+            }
+        }
+        Ok(applied)
     }
-    drop(store);
-    if windowed.as_ref().is_some_and(|w| w.advanced) {
-        publish_churn(ctx);
-    }
-    Ok((total, windowed))
-}
 
-/// The `advance` verb: seal the open window explicitly (windowed backend
-/// only), log an empty tagged frame as the advance marker so recovery
-/// replays the seal at the same point in the batch order, and publish the
-/// resulting rule churn.
-fn advance_window(ctx: &WorkerCtx) -> Result<Json, Json> {
-    if !ctx.shared.is_windowed() {
-        return Err(error(
-            ctx,
-            "unsupported",
-            "advance requires a windowed server (--window-batches)",
-        ));
+    /// Commits an `ingest`/`shard_ingest` batch. A windowed backend's
+    /// batches are logged as *tagged* frames carrying the window sequence
+    /// they landed in, so recovery rebuilds the ring exactly; a batch that
+    /// sealed a window also publishes rule churn to subscribers (after the
+    /// store lock drops). Returns the engine's post-batch tuple total plus
+    /// the window movement, or the structured error response to send
+    /// instead.
+    fn commit_batch(&self, rows: &[Vec<f64>]) -> Result<(u64, Option<WindowedIngest>), Json> {
+        let (total, windowed) = self.commit(
+            "batch applied",
+            |shared| shared.ingest(rows),
+            |store, (_, windowed)| match windowed {
+                Some(w) => store.log_tagged_batch(w.window_seq, rows),
+                None => store.log_batch(rows),
+            },
+        )?;
+        if windowed.as_ref().is_some_and(|w| w.advanced) {
+            self.publish_churn();
+        }
+        Ok((total, windowed))
     }
-    if ctx.stats.is_degraded() {
-        return Err(error(
-            ctx,
-            "degraded",
-            "write-ahead log unavailable; serving reads only — \
-             restart with healthy storage to resume ingest",
-        ));
-    }
-    // Same store-before-engine order as commit_batch: the advance marker
-    // must land in the log exactly where the seal happened.
-    let mut store =
-        ctx.durability.as_ref().filter(|_| ctx.config.wal_path.is_some()).map(|d| d.lock());
-    let outcome = match ctx.shared.advance() {
-        Ok(outcome) => outcome,
-        Err(e) => return Err(error(ctx, "rejected", &e.to_string())),
-    };
-    if let Some(store) = store.as_deref_mut() {
-        // An empty frame tagged with the freshly-opened window: replay
+
+    /// The `advance` verb: seal the open window explicitly (windowed backend
+    /// only), log an empty tagged frame as the advance marker so recovery
+    /// replays the seal at the same point in the batch order, and publish the
+    /// resulting rule churn.
+    fn advance_window(&self) -> Result<Json, Json> {
+        if !self.shared.is_windowed() {
+            return Err(protocol::error_response(
+                "unsupported",
+                "advance requires a windowed server (--window-batches)",
+            ));
+        }
+        // The empty frame is tagged with the freshly-opened window: replay
         // fast-forwards `open_seq` past the sealed window and ingests
         // nothing.
-        if let Err(e) = store.log_tagged_batch(outcome.opened_seq, &[]) {
-            ctx.stats.wal_append_failures.fetch_add(1, Ordering::Relaxed);
-            ctx.stats.set_degraded();
-            return Err(error(
-                ctx,
-                "degraded",
-                &format!(
-                    "window advanced in memory but not committed to the \
-                     write-ahead log ({e}); entering read-only mode"
-                ),
-            ));
-        }
-        ctx.stats.wal_appends.fetch_add(1, Ordering::Relaxed);
+        let outcome = self.commit("window advanced", SharedEngine::advance, |store, outcome| {
+            store.log_tagged_batch(outcome.opened_seq, &[])
+        })?;
+        self.publish_churn();
+        let span = self.shared.window_span().unwrap_or((0, outcome.opened_seq));
+        Ok(protocol::advance_response(
+            outcome.sealed_seq,
+            outcome.opened_seq,
+            outcome.retired_seq,
+            span,
+        ))
     }
-    drop(store);
-    publish_churn(ctx);
-    let span = ctx.shared.window_span().unwrap_or((0, outcome.opened_seq));
-    Ok(protocol::advance_response(
-        outcome.sealed_seq,
-        outcome.opened_seq,
-        outcome.retired_seq,
-        span,
-    ))
-}
 
-/// Mines the live horizon at the server's base query and hands the
-/// encoded rule set to the churn feed, which diffs it against the
-/// previous epoch and fans events out to subscribers. Each event rule
-/// carries its value under the base query's measure, so downstream
-/// consumers can filter on quality without re-querying. Called after a
-/// window seal, with no locks held — the query takes the engine lock,
-/// the feed its own.
-fn publish_churn(ctx: &WorkerCtx) {
-    let Ok(outcome) = ctx.shared.query(&ctx.config.base_query) else {
-        return; // a failed base query leaves subscribers at the old epoch
-    };
-    let rules: Vec<String> = outcome
-        .rules
-        .iter()
-        .zip(&outcome.values)
-        .map(|(rule, &value)| protocol::rule_json(rule, value).encode())
-        .collect();
-    ctx.churn.publish(outcome.epoch, ctx.shared.window_span(), rules);
-}
-
-/// The `shard_rescan` verb: re-read this shard's write-ahead log, assign
-/// every retained tuple to its nearest coordinator-supplied cluster per
-/// set, and count the tuples matching every position of each rule. The
-/// scan is exact over the rows the WAL retains; `rows_scanned` lets the
-/// coordinator detect a shard whose WAL no longer covers its whole
-/// history (e.g. pruned by a snapshot install).
-fn shard_rescan(
-    ctx: &WorkerCtx,
-    clusters: &str,
-    rules: &[Vec<usize>],
-) -> Result<Json, (&'static str, String)> {
-    let Some(wal_path) = &ctx.config.wal_path else {
-        return Err(("no-wal", "shard_rescan needs a write-ahead log to re-read".into()));
-    };
-    let pool = dar_par::ThreadPool::resolve(ctx.shared.engine_threads());
-    // Base64 persist-v2 is the wire format; raw v1 text (which contains
-    // spaces, so it can never decode as base64) is the legacy fallback.
-    let clusters = match crate::b64::decode(clusters) {
-        Ok(bytes) => mining::persist::decode_clusters(&bytes, &pool)
-            .map_err(|e| ("bad-request", format!("clusters: {e}")))?,
-        Err(_) => mining::persist::read_clusters(clusters)
-            .map_err(|e| ("bad-request", format!("clusters: {e}")))?,
-    };
-    for (i, rule) in rules.iter().enumerate() {
-        if let Some(&pos) = rule.iter().find(|&&pos| pos >= clusters.len()) {
-            return Err((
-                "bad-request",
-                format!("rule {i} references cluster {pos} of {}", clusters.len()),
-            ));
-        }
+    /// Mines the live horizon at the server's base query and hands the
+    /// encoded rule set to the churn feed, which diffs it against the
+    /// previous epoch and fans events out to subscribers. Each event rule
+    /// carries its value under the base query's measure, so downstream
+    /// consumers can filter on quality without re-querying. Called after a
+    /// window seal, with no locks held — the query takes the engine lock,
+    /// the feed its own.
+    fn publish_churn(&self) {
+        let Ok(outcome) = self.shared.query(&self.config.base_query) else {
+            return; // a failed base query leaves subscribers at the old epoch
+        };
+        let rules: Vec<String> = outcome
+            .rules
+            .iter()
+            .zip(&outcome.values)
+            .map(|(rule, &value)| protocol::rule_json(rule, value).encode())
+            .collect();
+        self.churn.publish(outcome.epoch, self.shared.window_span(), rules);
     }
-    let (records, _) = dar_durable::wal::read_records(&*ctx.config.storage, wal_path)
-        .map_err(|e| ("io", e.to_string()))?;
-    let partitioning = ctx.shared.partitioning();
-    let width =
-        partitioning.sets().iter().flat_map(|s| s.attrs.iter()).copied().max().map_or(0, |m| m + 1);
-    let mut builder = dar_core::RelationBuilder::new(dar_core::Schema::interval_attrs(width));
-    for record in &records {
-        let (_, rows) = dar_durable::decode_frame(&record.body)
-            .map_err(|e| ("io", format!("WAL record {}: {e}", record.seq)))?;
-        for row in &rows {
-            builder.push_row(row).map_err(|e| ("io", format!("WAL record {}: {e}", record.seq)))?;
-        }
-    }
-    let relation = builder.finish();
-    // Each rule re-shaped as a candidate `Dar` (only the positions
-    // matter to the rescan); degree/support are placeholders.
-    let candidates: Vec<mining::Dar> = rules
-        .iter()
-        .map(|positions| mining::Dar {
-            antecedent: positions.clone(),
-            consequent: Vec::new(),
-            degree: 0.0,
-            min_cluster_support: 0,
-        })
-        .collect();
-    let counts = mining::pipeline::rescan_frequencies_pooled(
-        &relation,
-        &partitioning,
-        &clusters,
-        &candidates,
-        &pool,
-    );
-    Ok(protocol::shard_rescan_response(relation.len() as u64, &counts))
-}
 
-fn error(ctx: &WorkerCtx, code: &str, message: &str) -> Json {
-    ctx.stats.error_responses.fetch_add(1, Ordering::Relaxed);
-    crate::metrics::metrics().errors.inc();
-    protocol::error_response(code, message)
+    /// The `shard_rescan` verb: re-read this shard's write-ahead log, assign
+    /// every retained tuple to its nearest coordinator-supplied cluster per
+    /// set, and count the tuples matching every position of each rule. The
+    /// scan is exact over the rows the WAL retains; `rows_scanned` lets the
+    /// coordinator detect a shard whose WAL no longer covers its whole
+    /// history (e.g. pruned by a snapshot install).
+    fn shard_rescan(
+        &self,
+        clusters: &str,
+        rules: &[Vec<usize>],
+    ) -> Result<Json, (&'static str, String)> {
+        let Some(wal_path) = &self.config.wal_path else {
+            return Err(("no-wal", "shard_rescan needs a write-ahead log to re-read".into()));
+        };
+        let pool = dar_par::ThreadPool::resolve(self.shared.engine_threads());
+        // Base64 persist-v2 is the wire format; raw v1 text (which contains
+        // spaces, so it can never decode as base64) is the legacy fallback.
+        let clusters = match crate::b64::decode(clusters) {
+            Ok(bytes) => mining::persist::decode_clusters(&bytes, &pool)
+                .map_err(|e| ("bad-request", format!("clusters: {e}")))?,
+            Err(_) => mining::persist::read_clusters(clusters)
+                .map_err(|e| ("bad-request", format!("clusters: {e}")))?,
+        };
+        for (i, rule) in rules.iter().enumerate() {
+            if let Some(&pos) = rule.iter().find(|&&pos| pos >= clusters.len()) {
+                return Err((
+                    "bad-request",
+                    format!("rule {i} references cluster {pos} of {}", clusters.len()),
+                ));
+            }
+        }
+        let (records, _) = dar_durable::wal::read_records(&*self.config.storage, wal_path)
+            .map_err(|e| ("io", e.to_string()))?;
+        let partitioning = self.shared.partitioning();
+        let width = partitioning
+            .sets()
+            .iter()
+            .flat_map(|s| s.attrs.iter())
+            .copied()
+            .max()
+            .map_or(0, |m| m + 1);
+        let mut builder = dar_core::RelationBuilder::new(dar_core::Schema::interval_attrs(width));
+        for record in &records {
+            let (_, rows) = dar_durable::decode_frame(&record.body)
+                .map_err(|e| ("io", format!("WAL record {}: {e}", record.seq)))?;
+            for row in &rows {
+                builder
+                    .push_row(row)
+                    .map_err(|e| ("io", format!("WAL record {}: {e}", record.seq)))?;
+            }
+        }
+        let relation = builder.finish();
+        // Each rule re-shaped as a candidate `Dar` (only the positions
+        // matter to the rescan); degree/support are placeholders.
+        let candidates: Vec<mining::Dar> = rules
+            .iter()
+            .map(|positions| mining::Dar {
+                antecedent: positions.clone(),
+                consequent: Vec::new(),
+                degree: 0.0,
+                min_cluster_support: 0,
+            })
+            .collect();
+        let counts = mining::pipeline::rescan_frequencies_pooled(
+            &relation,
+            &partitioning,
+            &clusters,
+            &candidates,
+            &pool,
+        );
+        Ok(protocol::shard_rescan_response(relation.len() as u64, &counts))
+    }
 }

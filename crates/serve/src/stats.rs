@@ -1,118 +1,90 @@
-//! Server observability: lock-free counters plus a lock-free latency
-//! histogram, exposed over the wire via the `stats` verb.
+//! Per-server request accounting: one table indexed by [`Verb`], exposed
+//! over the wire via the `stats` verb.
 //!
-//! Latencies land in a per-server `dar-obs` log2-bucket [`Histogram`]
-//! (replacing the old mutex-guarded overwrite-when-full reservoir): every
-//! request is counted — no sampling window, no bias, no lock on the hot
-//! path — and p50/p99 are derived from the full population at snapshot
-//! time. Each request is also recorded into the process-global per-verb
-//! `dar_serve_requests_total{verb=…}` / `dar_serve_request_ns{verb=…}`
+//! The front door records every request once, after its response is
+//! written: its verb (or none, for a line that never resolved to one),
+//! its latency, the bytes it read and wrote, and whether the response was
+//! a structured error. That one record updates this server's own table
+//! and the process-global `dar_serve_requests_total{verb=…}` /
+//! `dar_serve_request_ns{verb=…}` / `dar_serve_bytes_*_total{verb=…}`
 //! series for Prometheus exposition.
+//!
+//! The table stays per server rather than registry-only: several servers
+//! can share one process (in-process shards in the cluster tests), and
+//! each `stats` verb must report its own traffic exactly. Latencies land
+//! in a per-server `dar-obs` log2-bucket [`Histogram`]: every request is
+//! counted, with no sampling window and no lock on the hot path, and
+//! p50/p99 are derived from the full population at snapshot time.
 
-use crate::json::Json;
+use crate::json::{Json, Key};
+use crate::protocol::Verb;
 use dar_obs::{Histogram, HistogramSnapshot};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::time::Duration;
 
-/// Shared, thread-safe server counters. Every update is lock-free,
-/// including latency recording (relaxed atomics into histogram buckets).
+/// The table slot of a request: its verb's index, or the slot past the
+/// last verb for a line that never resolved to one.
+pub(crate) fn slot(verb: Option<Verb>) -> usize {
+    verb.map_or(Verb::ALL.len(), |v| v as usize)
+}
+
+/// Shared, thread-safe request accounting for one server. Every update is
+/// lock-free, including latency recording (relaxed atomics into
+/// histogram buckets).
 #[derive(Default)]
 pub struct ServerStats {
-    /// Connections accepted and handed to the worker pool.
-    pub connections: AtomicU64,
-    /// Connections refused because the bounded accept queue was full
-    /// (each received a structured `overloaded` error before close).
-    pub rejected_connections: AtomicU64,
-    /// `ingest` requests served.
-    pub ingest_requests: AtomicU64,
-    /// `query` requests served.
-    pub query_requests: AtomicU64,
-    /// `clusters` requests served.
-    pub clusters_requests: AtomicU64,
-    /// `stats` requests served.
-    pub stats_requests: AtomicU64,
-    /// `snapshot` requests served.
-    pub snapshot_requests: AtomicU64,
-    /// `shutdown` requests served.
-    pub shutdown_requests: AtomicU64,
-    /// `metrics` requests served.
-    pub metrics_requests: AtomicU64,
-    /// `advance` requests served (explicit window seals).
-    pub advance_requests: AtomicU64,
-    /// `subscribe` requests served (accepted churn subscriptions).
-    pub subscribe_requests: AtomicU64,
-    /// `shard_ingest` requests served (coordinator-routed batches,
-    /// including duplicate acknowledgements).
-    pub shard_ingest_requests: AtomicU64,
-    /// `shard_ingest` requests acknowledged as duplicates (sequence at or
-    /// below the watermark) without re-applying the batch.
-    pub shard_dup_batches: AtomicU64,
-    /// `pull_snapshot` requests served.
-    pub pull_snapshot_requests: AtomicU64,
-    /// `shard_rescan` requests served.
-    pub shard_rescan_requests: AtomicU64,
-    /// Highest coordinator batch sequence applied via `shard_ingest` —
-    /// the duplicate-suppression watermark. In-memory only: a restarted
-    /// shard starts at 0, so a (single) coordinator must not retry
-    /// batches it has already seen acknowledged across a shard restart.
-    pub shard_last_seq: AtomicU64,
-    /// Request-line bytes read across all verbs (newline included).
-    pub bytes_read: AtomicU64,
-    /// Response-line bytes written across all verbs (newline included).
-    pub bytes_written: AtomicU64,
-    /// Requests that produced a structured error response (parse errors,
-    /// unknown verbs, engine rejections).
-    pub error_responses: AtomicU64,
-    /// Snapshots written to disk (periodic + final).
-    pub snapshots_written: AtomicU64,
-    /// Snapshot installs that failed (the previous good snapshot stays).
-    pub snapshot_failures: AtomicU64,
-    /// Ingest batches committed to the write-ahead log.
-    pub wal_appends: AtomicU64,
-    /// WAL appends that failed; each flips the server to degraded mode.
-    pub wal_append_failures: AtomicU64,
-    /// 0/1: whether the server is in degraded (read-only) mode. Sticky —
-    /// once the WAL refuses a committed batch, acknowledging further
-    /// ingest would silently lose data on the next crash, so ingest stays
-    /// refused until an operator restarts with healthy storage.
-    degraded: AtomicU64,
-    /// Per-server request-latency histogram in nanoseconds. Private (not
-    /// the global registry) so each server's `stats` verb reports its own
-    /// traffic exactly, even with several servers in one process.
+    connections: AtomicU64,
+    rejected_connections: AtomicU64,
+    /// Requests per [`slot`].
+    requests: [AtomicU64; Verb::ALL.len() + 1],
+    bytes_read: AtomicU64,
+    bytes_written: AtomicU64,
+    error_responses: AtomicU64,
     latency: Histogram,
 }
 
 impl ServerStats {
-    /// Flips the server into degraded (read-only) mode. Sticky.
-    pub fn set_degraded(&self) {
-        self.degraded.store(1, Ordering::SeqCst);
-        crate::metrics::metrics().degraded.set(1);
-        dar_obs::event("serve.degraded", &[("mode", "read-only")]);
+    /// Counts a connection handed to the worker pool.
+    pub(crate) fn count_connection(&self) {
+        self.connections.fetch_add(1, Ordering::Relaxed);
+        crate::metrics::metrics().connections.inc();
     }
 
-    /// Whether the server is refusing ingest in degraded mode.
-    pub fn is_degraded(&self) -> bool {
-        self.degraded.load(Ordering::SeqCst) != 0
+    /// Counts a connection refused by the full accept queue.
+    pub(crate) fn count_rejected(&self) {
+        self.rejected_connections.fetch_add(1, Ordering::Relaxed);
+        crate::metrics::metrics().rejected_connections.inc();
     }
 
-    /// Records one request's wall-clock latency under its verb label
-    /// (`"error"` for requests that never resolved to a verb).
-    pub fn record_latency(&self, verb: &str, elapsed: Duration) {
+    /// Counts one structured error response.
+    pub(crate) fn count_error(&self) {
+        self.error_responses.fetch_add(1, Ordering::Relaxed);
+        crate::metrics::metrics().errors.inc();
+    }
+
+    /// Records one request: its verb (`None` when the line never resolved
+    /// to one), wall-clock latency, the request line read and response
+    /// line written (newlines included), and whether the response was a
+    /// structured error.
+    pub(crate) fn record(
+        &self,
+        verb: Option<Verb>,
+        elapsed: Duration,
+        bytes_read: u64,
+        bytes_written: u64,
+        error: bool,
+    ) {
         let ns = elapsed.as_nanos().min(u64::MAX as u128) as u64;
+        self.requests[slot(verb)].fetch_add(1, Ordering::Relaxed);
         self.latency.observe(ns);
+        self.bytes_read.fetch_add(bytes_read, Ordering::Relaxed);
+        self.bytes_written.fetch_add(bytes_written, Ordering::Relaxed);
+        if error {
+            self.count_error();
+        }
         let m = crate::metrics::metrics().verb(verb);
         m.requests.inc();
         m.request_ns.observe(ns);
-    }
-
-    /// Records one request's wire traffic under its verb label: the
-    /// request line read and the response line written, newlines
-    /// included. Feeds both the aggregate counters here and the per-verb
-    /// `dar_serve_bytes_{read,written}_total{verb=…}` series.
-    pub fn record_io(&self, verb: &str, bytes_read: u64, bytes_written: u64) {
-        self.bytes_read.fetch_add(bytes_read, Ordering::Relaxed);
-        self.bytes_written.fetch_add(bytes_written, Ordering::Relaxed);
-        let m = crate::metrics::metrics().verb(verb);
         m.bytes_read.add(bytes_read);
         m.bytes_written.add(bytes_written);
     }
@@ -123,36 +95,17 @@ impl ServerStats {
         self.latency.snapshot()
     }
 
-    /// A consistent point-in-time copy of every counter.
+    /// A point-in-time copy of every counter.
     pub fn snapshot(&self) -> StatsSnapshot {
         let latency = self.latency.snapshot();
         let get = |c: &AtomicU64| c.load(Ordering::Relaxed);
         StatsSnapshot {
             connections: get(&self.connections),
             rejected_connections: get(&self.rejected_connections),
-            ingest_requests: get(&self.ingest_requests),
-            query_requests: get(&self.query_requests),
-            clusters_requests: get(&self.clusters_requests),
-            stats_requests: get(&self.stats_requests),
-            snapshot_requests: get(&self.snapshot_requests),
-            shutdown_requests: get(&self.shutdown_requests),
-            metrics_requests: get(&self.metrics_requests),
-            advance_requests: get(&self.advance_requests),
-            subscribe_requests: get(&self.subscribe_requests),
-            shard_ingest_requests: get(&self.shard_ingest_requests),
-            shard_dup_batches: get(&self.shard_dup_batches),
-            pull_snapshot_requests: get(&self.pull_snapshot_requests),
-            shard_rescan_requests: get(&self.shard_rescan_requests),
-            shard_last_seq: get(&self.shard_last_seq),
+            requests: std::array::from_fn(|i| get(&self.requests[i])),
             bytes_read: get(&self.bytes_read),
             bytes_written: get(&self.bytes_written),
             error_responses: get(&self.error_responses),
-            snapshots_written: get(&self.snapshots_written),
-            snapshot_failures: get(&self.snapshot_failures),
-            wal_appends: get(&self.wal_appends),
-            wal_append_failures: get(&self.wal_append_failures),
-            degraded: self.is_degraded(),
-            requests_sampled: latency.count,
             p50_us: latency.quantile(0.50) / 1_000,
             p99_us: latency.quantile(0.99) / 1_000,
         }
@@ -164,55 +117,17 @@ impl ServerStats {
 pub struct StatsSnapshot {
     /// Connections accepted and handed to the worker pool.
     pub connections: u64,
-    /// Connections refused by the bounded accept queue.
+    /// Connections refused by the bounded accept queue (each received a
+    /// structured `overloaded` error before close).
     pub rejected_connections: u64,
-    /// `ingest` requests served.
-    pub ingest_requests: u64,
-    /// `query` requests served.
-    pub query_requests: u64,
-    /// `clusters` requests served.
-    pub clusters_requests: u64,
-    /// `stats` requests served.
-    pub stats_requests: u64,
-    /// `snapshot` requests served.
-    pub snapshot_requests: u64,
-    /// `shutdown` requests served.
-    pub shutdown_requests: u64,
-    /// `metrics` requests served.
-    pub metrics_requests: u64,
-    /// `advance` requests served (explicit window seals).
-    pub advance_requests: u64,
-    /// `subscribe` requests served (accepted churn subscriptions).
-    pub subscribe_requests: u64,
-    /// `shard_ingest` requests served (including duplicate acks).
-    pub shard_ingest_requests: u64,
-    /// `shard_ingest` duplicates acknowledged without re-applying.
-    pub shard_dup_batches: u64,
-    /// `pull_snapshot` requests served.
-    pub pull_snapshot_requests: u64,
-    /// `shard_rescan` requests served.
-    pub shard_rescan_requests: u64,
-    /// Highest coordinator batch sequence applied via `shard_ingest`.
-    pub shard_last_seq: u64,
-    /// Request-line bytes read across all verbs.
+    requests: [u64; Verb::ALL.len() + 1],
+    /// Request-line bytes read across all verbs (newline included).
     pub bytes_read: u64,
-    /// Response-line bytes written across all verbs.
+    /// Response-line bytes written across all verbs (newline included).
     pub bytes_written: u64,
-    /// Structured error responses sent.
+    /// Structured error responses sent (parse errors, unknown verbs,
+    /// engine rejections, oversized lines).
     pub error_responses: u64,
-    /// Snapshots written to disk.
-    pub snapshots_written: u64,
-    /// Snapshot installs that failed.
-    pub snapshot_failures: u64,
-    /// Ingest batches committed to the write-ahead log.
-    pub wal_appends: u64,
-    /// WAL appends that failed.
-    pub wal_append_failures: u64,
-    /// Whether the server is in degraded (read-only) mode.
-    pub degraded: bool,
-    /// Requests whose latency was recorded — every request since start
-    /// (the histogram has no sampling window).
-    pub requests_sampled: u64,
     /// Median request latency over all recorded requests, microseconds
     /// (histogram-derived).
     pub p50_us: u64,
@@ -222,53 +137,42 @@ pub struct StatsSnapshot {
 }
 
 impl StatsSnapshot {
-    /// Total requests served across all verbs (excluding refused
-    /// connections, which never reach a worker).
-    pub fn total_requests(&self) -> u64 {
-        self.ingest_requests
-            + self.query_requests
-            + self.clusters_requests
-            + self.stats_requests
-            + self.snapshot_requests
-            + self.shutdown_requests
-            + self.metrics_requests
-            + self.advance_requests
-            + self.subscribe_requests
-            + self.shard_ingest_requests
-            + self.pull_snapshot_requests
-            + self.shard_rescan_requests
+    /// Requests that resolved to `verb`, whether they succeeded or got a
+    /// structured error.
+    pub fn requests(&self, verb: Verb) -> u64 {
+        self.requests[verb as usize]
     }
 
-    /// The server half of the `stats` response.
+    /// Every request recorded, including lines that never resolved to a
+    /// verb: the population of the latency histogram, which has no
+    /// sampling window (refused connections never reach a worker and are
+    /// not counted).
+    pub fn total_requests(&self) -> u64 {
+        self.requests.iter().sum()
+    }
+
+    /// The front door's half of a server's `stats` response: connection
+    /// counts, one `<verb>_requests` key per verb, traffic, errors and
+    /// latency percentiles.
     pub fn to_json(&self) -> Json {
-        Json::obj(vec![
-            ("connections", Json::Num(self.connections as f64)),
-            ("rejected_connections", Json::Num(self.rejected_connections as f64)),
-            ("ingest_requests", Json::Num(self.ingest_requests as f64)),
-            ("query_requests", Json::Num(self.query_requests as f64)),
-            ("clusters_requests", Json::Num(self.clusters_requests as f64)),
-            ("stats_requests", Json::Num(self.stats_requests as f64)),
-            ("snapshot_requests", Json::Num(self.snapshot_requests as f64)),
-            ("shutdown_requests", Json::Num(self.shutdown_requests as f64)),
-            ("metrics_requests", Json::Num(self.metrics_requests as f64)),
-            ("advance_requests", Json::Num(self.advance_requests as f64)),
-            ("subscribe_requests", Json::Num(self.subscribe_requests as f64)),
-            ("shard_ingest_requests", Json::Num(self.shard_ingest_requests as f64)),
-            ("shard_dup_batches", Json::Num(self.shard_dup_batches as f64)),
-            ("pull_snapshot_requests", Json::Num(self.pull_snapshot_requests as f64)),
-            ("shard_rescan_requests", Json::Num(self.shard_rescan_requests as f64)),
-            ("shard_last_seq", Json::Num(self.shard_last_seq as f64)),
-            ("bytes_read", Json::Num(self.bytes_read as f64)),
-            ("bytes_written", Json::Num(self.bytes_written as f64)),
-            ("error_responses", Json::Num(self.error_responses as f64)),
-            ("snapshots_written", Json::Num(self.snapshots_written as f64)),
-            ("snapshot_failures", Json::Num(self.snapshot_failures as f64)),
-            ("wal_appends", Json::Num(self.wal_appends as f64)),
-            ("wal_append_failures", Json::Num(self.wal_append_failures as f64)),
-            ("degraded", Json::Bool(self.degraded)),
-            ("p50_us", Json::Num(self.p50_us as f64)),
-            ("p99_us", Json::Num(self.p99_us as f64)),
-        ])
+        let mut pairs: Vec<(Key, Json)> = vec![
+            ("connections".into(), Json::Num(self.connections as f64)),
+            ("rejected_connections".into(), Json::Num(self.rejected_connections as f64)),
+        ];
+        for verb in Verb::ALL {
+            let key = format!("{}_requests", verb.as_str());
+            pairs.push((key.into(), Json::Num(self.requests(verb) as f64)));
+        }
+        for (key, value) in [
+            ("bytes_read", self.bytes_read),
+            ("bytes_written", self.bytes_written),
+            ("error_responses", self.error_responses),
+            ("p50_us", self.p50_us),
+            ("p99_us", self.p99_us),
+        ] {
+            pairs.push((key.into(), Json::Num(value as f64)));
+        }
+        Json::Obj(pairs)
     }
 }
 
@@ -276,15 +180,19 @@ impl StatsSnapshot {
 mod tests {
     use super::*;
 
+    fn latency(stats: &ServerStats, verb: Verb, elapsed: Duration) {
+        stats.record(Some(verb), elapsed, 0, 0, false);
+    }
+
     #[test]
     fn latency_percentiles_track_samples() {
         let stats = ServerStats::default();
         assert_eq!(stats.snapshot().p99_us, 0, "empty histogram reports zeros");
         for ms in 1..=100u64 {
-            stats.record_latency("query", Duration::from_millis(ms));
+            latency(&stats, Verb::Query, Duration::from_millis(ms));
         }
         let snap = stats.snapshot();
-        assert_eq!(snap.requests_sampled, 100);
+        assert_eq!(snap.total_requests(), 100);
         assert!((49_000..=52_000).contains(&snap.p50_us), "p50 = {}", snap.p50_us);
         assert!((98_000..=100_000).contains(&snap.p99_us), "p99 = {}", snap.p99_us);
         assert!(snap.p50_us <= snap.p99_us);
@@ -296,10 +204,10 @@ mod tests {
         // counts every request and stays exact.
         let stats = ServerStats::default();
         for _ in 0..8_692u64 {
-            stats.record_latency("ingest", Duration::from_micros(7));
+            latency(&stats, Verb::Ingest, Duration::from_micros(7));
         }
         let snap = stats.snapshot();
-        assert_eq!(snap.requests_sampled, 8_692);
+        assert_eq!(snap.total_requests(), 8_692);
         assert_eq!(snap.p50_us, 7);
         assert_eq!(snap.p99_us, 7);
     }
@@ -308,34 +216,45 @@ mod tests {
     fn wire_percentiles_match_histogram_quantiles() {
         let stats = ServerStats::default();
         for ms in [3u64, 14, 159, 26, 5] {
-            stats.record_latency("query", Duration::from_millis(ms));
+            latency(&stats, Verb::Query, Duration::from_millis(ms));
         }
         let snap = stats.snapshot();
         let hist = stats.latency_snapshot();
         assert_eq!(snap.p50_us, hist.quantile(0.50) / 1_000);
         assert_eq!(snap.p99_us, hist.quantile(0.99) / 1_000);
-        assert_eq!(snap.requests_sampled, hist.count);
+        assert_eq!(snap.total_requests(), hist.count);
     }
 
     #[test]
-    fn snapshot_encodes_and_totals() {
+    fn one_record_feeds_the_table_totals_and_wire_keys() {
         let stats = ServerStats::default();
-        stats.query_requests.fetch_add(3, Ordering::Relaxed);
-        stats.ingest_requests.fetch_add(1, Ordering::Relaxed);
-        stats.shard_ingest_requests.fetch_add(2, Ordering::Relaxed);
+        for _ in 0..3 {
+            latency(&stats, Verb::Query, Duration::ZERO);
+        }
+        latency(&stats, Verb::Ingest, Duration::ZERO);
+        stats.record(Some(Verb::ShardIngest), Duration::ZERO, 0, 0, true);
+        stats.record(Some(Verb::ShardIngest), Duration::ZERO, 0, 0, false);
+        stats.record(Some(Verb::ShardStats), Duration::ZERO, 0, 0, false);
+        stats.record(None, Duration::ZERO, 0, 0, true);
         let snap = stats.snapshot();
-        assert_eq!(snap.total_requests(), 6);
+        assert_eq!(snap.requests(Verb::Query), 3);
+        assert_eq!(snap.requests(Verb::ShardIngest), 2, "an error response still counts");
+        assert_eq!(snap.total_requests(), 8, "unresolved lines count as requests");
+        assert_eq!(snap.error_responses, 2);
         let json = snap.to_json();
         assert_eq!(json.get("query_requests").unwrap().as_u64(), Some(3));
         assert_eq!(json.get("shard_ingest_requests").unwrap().as_u64(), Some(2));
+        assert_eq!(json.get("shard_stats_requests").unwrap().as_u64(), Some(1));
+        assert_eq!(json.get("stats_requests").unwrap().as_u64(), Some(0));
+        assert_eq!(json.get("error_responses").unwrap().as_u64(), Some(2));
     }
 
     #[test]
     fn io_bytes_accumulate_per_verb_and_in_aggregate() {
         let stats = ServerStats::default();
-        stats.record_io("query", 120, 4_500);
-        stats.record_io("query", 80, 1_500);
-        stats.record_io("ingest", 10_000, 60);
+        stats.record(Some(Verb::Query), Duration::ZERO, 120, 4_500, false);
+        stats.record(Some(Verb::Query), Duration::ZERO, 80, 1_500, false);
+        stats.record(Some(Verb::Ingest), Duration::ZERO, 10_000, 60, false);
         let snap = stats.snapshot();
         assert_eq!(snap.bytes_read, 10_200);
         assert_eq!(snap.bytes_written, 6_060);
@@ -344,7 +263,7 @@ mod tests {
         assert_eq!(json.get("bytes_written").unwrap().as_u64(), Some(6_060));
         // The per-verb global series saw the same traffic (cumulative
         // across tests sharing the process-global registry, so ≥).
-        let m = crate::metrics::metrics().verb("query");
+        let m = crate::metrics::metrics().verb(Some(Verb::Query));
         assert!(m.bytes_read.get() >= 200);
         assert!(m.bytes_written.get() >= 6_000);
     }

@@ -6,7 +6,7 @@
 
 use dar_core::{Metric, Partitioning, Schema};
 use dar_engine::{DarEngine, EngineConfig};
-use dar_serve::{protocol, Client, Request, ServeConfig, Server};
+use dar_serve::{protocol, Client, Request, ServeConfig, Server, Verb};
 use mining::RuleQuery;
 use std::time::Duration;
 
@@ -134,7 +134,7 @@ fn k_tcp_clients_get_byte_identical_rules_then_graceful_shutdown() {
     writer.shutdown().unwrap();
     let summary = handle.join().unwrap();
     assert!(snapshot_path.exists(), "shutdown must write the final snapshot");
-    assert_eq!(summary.stats.shutdown_requests, 1);
+    assert_eq!(summary.stats.requests(Verb::Shutdown), 1);
     assert_eq!(summary.stats.rejected_connections, 0);
 
     // The snapshot is a valid engine state for the next process: a

@@ -99,8 +99,8 @@ fn exposition_covers_all_crates_and_stats_match_histogram() {
     let hist = handle.latency_snapshot();
     assert_eq!(snap.p50_us, hist.quantile(0.50) / 1_000, "p50 must be histogram-derived");
     assert_eq!(snap.p99_us, hist.quantile(0.99) / 1_000, "p99 must be histogram-derived");
-    assert_eq!(snap.requests_sampled, hist.count, "every request is recorded");
-    assert_eq!(snap.requests_sampled, 4, "ingest + query + stats + metrics recorded");
+    assert_eq!(snap.total_requests(), hist.count, "every request is recorded");
+    assert_eq!(snap.total_requests(), 4, "ingest + query + stats + metrics recorded");
     let registry = metrics_wire.get("registry").expect("registry embedded");
     let families: Vec<String> = registry
         .get("metrics")

@@ -379,3 +379,57 @@ fn subscribers_reconstruct_live_rules_from_churn_events_and_resume() {
     handle.shutdown();
     handle.join().unwrap();
 }
+
+/// At most 64 subscribers are registered at once: the 65th `subscribe`
+/// gets a structured `overloaded` error on a connection that keeps
+/// serving, and a subscriber that hung up frees its place once an event
+/// has been pushed at it.
+#[test]
+fn subscribers_are_capped_and_a_hung_up_one_frees_its_place() {
+    let spec = WindowSpec { batches: 1, slots: 2 };
+    let handle =
+        Server::start(windowed(spec, RetirePolicy::Subtract), "127.0.0.1:0", serve_config(2))
+            .unwrap();
+    let addr = handle.addr();
+    let timeout = Duration::from_secs(10);
+    let subscribe = |client: &mut Client| {
+        let line = client.round_trip_line(r#"{"verb":"subscribe"}"#).unwrap();
+        dar_serve::json::parse(&line).unwrap()
+    };
+
+    let mut subscribers: Vec<Client> = (0..64)
+        .map(|i| {
+            let mut client = Client::connect(addr, timeout).unwrap();
+            let handshake = subscribe(&mut client);
+            assert_eq!(handshake.get("ok").and_then(Json::as_bool), Some(true), "subscriber {i}");
+            client
+        })
+        .collect();
+
+    let mut extra = Client::connect(addr, timeout).unwrap();
+    let refused = subscribe(&mut extra);
+    assert_eq!(refused.get("ok").and_then(Json::as_bool), Some(false));
+    assert_eq!(refused.get("error").and_then(Json::as_str), Some("overloaded"));
+    let stats = extra.stats().expect("the refused connection keeps serving");
+    let server = stats.get("server").unwrap();
+    assert_eq!(server.get("subscribe_requests").and_then(Json::as_u64), Some(65));
+
+    // One subscriber hangs up; the next window seal pushes an event at it.
+    drop(subscribers.pop());
+    let mut writer = Client::connect(addr, timeout).unwrap();
+    writer.ingest(dyadic_rows(40, 0)).unwrap();
+    let deadline = std::time::Instant::now() + timeout;
+    loop {
+        let reply = subscribe(&mut extra);
+        if reply.get("ok").and_then(Json::as_bool) == Some(true) {
+            break;
+        }
+        assert_eq!(reply.get("error").and_then(Json::as_str), Some("overloaded"));
+        assert!(std::time::Instant::now() < deadline, "the hung-up subscriber kept its place");
+        std::thread::sleep(Duration::from_millis(20));
+    }
+
+    drop((subscribers, extra, writer));
+    handle.shutdown();
+    handle.join().unwrap();
+}
