@@ -62,8 +62,7 @@ pub fn run(args: &Args) -> Result<String, CliError> {
         let bytes = mining::persist::encode_clusters(&summaries, &dar_par::ThreadPool::resolve(0))?;
         // Sealed + atomic: the file carries a checksum footer verified on
         // load, and a crash never leaves a torn file. The body is the
-        // persist-v2 binary format; `dar rules` sniffs it (and still
-        // reads pre-v2 text files).
+        // persist-v2 binary format `dar rules` reads.
         dar_durable::snapshot::install(
             &dar_durable::DiskStorage,
             std::path::Path::new(path),

@@ -16,8 +16,8 @@ use std::fmt::Write as _;
 pub fn run(args: &Args) -> Result<String, CliError> {
     let path = args.required("clusters")?;
     let bytes = std::fs::read(path).map_err(|e| CliError::new(format!("{path}: {e}")))?;
-    // Lenient unseal (legacy unsealed files pass through), then sniff:
-    // persist-v2 binary or pre-v2 text.
+    // Lenient unseal (legacy unsealed files pass through), then decode
+    // the persist-v2 body; pre-v2 text is refused naming `dar migrate`.
     let (body, _) =
         dar_durable::unseal_bytes(&bytes).map_err(|e| CliError::new(format!("{path}: {e}")))?;
     let clusters = mining::persist::decode_clusters(body, &dar_par::ThreadPool::resolve(0))?;

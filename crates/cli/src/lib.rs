@@ -10,6 +10,7 @@
 //! dar mine     --input data.csv --support 0.08 --threshold-frac 0.05 --top 10
 //! dar session  --script session.txt --support 0.08
 //! dar serve    --addr 127.0.0.1:7878 --attrs 3 --snapshot-path epoch.snap
+//! dar migrate  --input old.snap --out epoch.snap
 //! ```
 //!
 //! All command logic lives in this library (returning the output as a
@@ -22,6 +23,7 @@
 pub mod args;
 pub mod commands;
 pub mod data;
+pub mod migrate;
 
 use std::fmt;
 
@@ -74,6 +76,7 @@ pub fn run(argv: &[String]) -> Result<String, CliError> {
         "session" => commands::session::run(&args::parse(rest)?),
         "serve" => commands::serve::run(&args::parse(rest)?),
         "cluster-coordinator" => commands::coordinator::run(&args::parse(rest)?),
+        "migrate" => migrate::run(&args::parse(rest)?),
         "help" | "--help" | "-h" => Ok(usage()),
         other => Err(CliError::new(format!("unknown command {other:?}; run `dar help` for usage"))),
     }
@@ -129,7 +132,7 @@ pub fn usage() -> String {
                  fraction); --deadline-ms bounds one shard request incl.\n\
                  retries; --down-after N consecutive failures fast-fail a\n\
                  shard until the prober verifies it back in\n\
-       help      this text\n"
+       migrate   --input OLD --out NEW\n                 converts one pre-v2 text file (engine snapshot, ring\n                 snapshot or `cluster --save` file, sealed or not) to the\n                 binary v2 format every other command reads; the output\n                 keeps the input's sealed WAL seq\n       help      this text\n"
         .to_string()
 }
 

@@ -456,24 +456,16 @@ impl Coordinator {
                     continue;
                 }
             };
-            // Binary engine snapshots ride the JSON wire base64-encoded;
-            // pre-binary shards send the raw text under `snapshot`.
-            let sealed: Vec<u8> = match response.get("snapshot_b64").and_then(Json::as_str) {
-                Some(b64) => dar_serve::b64::decode(b64).map_err(|e| {
-                    io::Error::new(io::ErrorKind::InvalidData, format!("shard {i}: {e}"))
-                })?,
-                None => response
-                    .get("snapshot")
-                    .and_then(Json::as_str)
-                    .ok_or_else(|| {
-                        io::Error::new(
-                            io::ErrorKind::InvalidData,
-                            format!("shard {i} pull_snapshot response lacks a snapshot"),
-                        )
-                    })?
-                    .as_bytes()
-                    .to_vec(),
-            };
+            // Binary engine snapshots ride the JSON wire base64-encoded.
+            let b64 = response.get("snapshot_b64").and_then(Json::as_str).ok_or_else(|| {
+                io::Error::new(
+                    io::ErrorKind::InvalidData,
+                    format!("shard {i} pull_snapshot response lacks snapshot_b64"),
+                )
+            })?;
+            let sealed = dar_serve::b64::decode(b64).map_err(|e| {
+                io::Error::new(io::ErrorKind::InvalidData, format!("shard {i}: {e}"))
+            })?;
             // Wire-corruption check on unseal; the footer seq is
             // informational — it is the shard's *in-memory* watermark,
             // which a restart resets even when WAL recovery rebuilt
@@ -624,8 +616,7 @@ impl Coordinator {
     /// Shard failures, or a shard whose count vector does not match the
     /// rule count (a protocol violation).
     pub fn rescan(&mut self, outcome: &QueryOutcome) -> io::Result<(u64, Vec<u64>)> {
-        // Shipped as base64 persist-v2 binary; shards sniff (raw v1 text
-        // can never decode as base64, so old and new servers coexist).
+        // Shipped as base64 persist-v2 binary, the one form shards accept.
         let pool = dar_par::ThreadPool::resolve(self.config.engine.threads);
         let clusters_text =
             mining::persist::encode_clusters(outcome.artifacts.graph.clusters(), &pool)

@@ -186,8 +186,7 @@ pub enum SnapshotSource {
 /// A verified snapshot, ready to restore from.
 #[derive(Debug, Clone)]
 pub struct LoadedSnapshot {
-    /// The verified body bytes (footer stripped) — text for the v1
-    /// formats, binary for persist v2.
+    /// The verified body bytes (footer stripped).
     pub body: Vec<u8>,
     /// The last WAL sequence the snapshot includes (0 for legacy
     /// unsealed snapshots, which predate the WAL).

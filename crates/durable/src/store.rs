@@ -31,8 +31,7 @@ pub type WalFrame = (u64, Option<u64>, Vec<Vec<f64>>);
 /// What [`DurableStore::open`] reconstructed from disk.
 #[derive(Debug, Clone)]
 pub struct Recovered {
-    /// The verified snapshot body to restore from, if any slot verified
-    /// (text for the v1 formats, binary for persist v2 — restorers sniff).
+    /// The verified snapshot body to restore from, if any slot verified.
     pub snapshot: Option<Vec<u8>>,
     /// The WAL sequence the snapshot includes (0 when none).
     pub snapshot_seq: u64,

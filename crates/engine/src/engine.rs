@@ -536,12 +536,13 @@ impl DarEngine {
     ///
     /// Snapshots sealed by `dar-durable` (a trailing checksum footer) are
     /// verified and unsealed first; unsealed pre-durability snapshots
-    /// restore as before. Both snapshot formats are accepted — the v2
-    /// binary layout this engine writes and the pre-v2 text layout.
+    /// restore as before. The body must be the v2 binary layout this
+    /// engine writes.
     ///
     /// # Errors
-    /// Rejects malformed snapshots, checksum-footer mismatches, and
-    /// thresholds/partitioning arity mismatches.
+    /// Rejects malformed snapshots, pre-v2 text snapshots (naming `dar
+    /// migrate`), checksum-footer mismatches, and thresholds/partitioning
+    /// arity mismatches.
     pub fn restore(bytes: &[u8], config: EngineConfig) -> Result<Self, CoreError> {
         let body = dar_durable::unseal_bytes(bytes)
             .map_err(|detail| CoreError::LayoutMismatch(format!("snapshot footer: {detail}")))?

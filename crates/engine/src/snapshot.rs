@@ -1,20 +1,7 @@
 //! Epoch snapshot serialization: an engine header wrapped around the
 //! `mining::persist` cluster body.
 //!
-//! Two formats. Writers emit the v2 binary layout; readers sniff the
-//! leading bytes and accept both, so pre-v2 snapshot files stay
-//! restorable.
-//!
-//! v1 text (read-only now):
-//!
-//! ```text
-//! dar-engine v1 epoch=<u64> tuples=<u64> sets=<k>
-//! set <metric> <attr,attr,…>     (one line per attribute set, in order)
-//! thresholds <t,…>               (per-set tree thresholds at extraction)
-//! acf-clusters v1 …              (the persist v1 body, verbatim)
-//! ```
-//!
-//! v2 binary (all integers and floats little-endian):
+//! One format, binary, all integers and floats little-endian:
 //!
 //! ```text
 //! magic "DARS" | version u32=2 | epoch u64 | tuples u64 | num_sets u32
@@ -24,13 +11,13 @@
 //!                                                format terminator)
 //! ```
 //!
-//! Both formats round-trip floats bit-exactly (v1 via shortest-roundtrip
-//! text, v2 via raw IEEE-754 bytes), and both end with a newline byte so
-//! the `dar-durable` seal footer never has to alter the body.
+//! Floats round-trip bit-exactly as raw IEEE-754 bytes, and the body ends
+//! with a newline byte so the `dar-durable` seal footer never has to alter
+//! it. Snapshots written before this format (`dar-engine v1` text) are
+//! refused with [`MIGRATE_HINT`]; `dar migrate` converts them once.
 
 use dar_core::{AttrSet, ClusterSummary, CoreError, Metric, Partitioning, Schema};
-use mining::persist::{decode_clusters, encode_clusters, read_clusters_at, write_clusters};
-use std::fmt::Write as _;
+use mining::persist::{decode_clusters, encode_clusters, MIGRATE_HINT};
 
 /// The v2 binary engine-snapshot magic.
 pub const V2_MAGIC: [u8; 4] = *b"DARS";
@@ -56,25 +43,6 @@ pub struct Snapshot {
     pub clusters: Vec<ClusterSummary>,
 }
 
-fn metric_name(metric: Metric) -> &'static str {
-    match metric {
-        Metric::Euclidean => "euclidean",
-        Metric::Manhattan => "manhattan",
-        Metric::Chebyshev => "chebyshev",
-        Metric::Discrete => "discrete",
-    }
-}
-
-fn parse_metric(name: &str) -> Result<Metric, CoreError> {
-    match name {
-        "euclidean" => Ok(Metric::Euclidean),
-        "manhattan" => Ok(Metric::Manhattan),
-        "chebyshev" => Ok(Metric::Chebyshev),
-        "discrete" => Ok(Metric::Discrete),
-        other => Err(CoreError::LayoutMismatch(format!("unknown metric {other:?}"))),
-    }
-}
-
 fn metric_code(metric: Metric) -> u8 {
     match metric {
         Metric::Euclidean => 0,
@@ -94,107 +62,31 @@ fn parse_metric_code(code: u8) -> Result<Metric, CoreError> {
     }
 }
 
-/// Serializes one epoch to the v1 text format. Kept for migration
-/// fixtures and tests; live writers use [`write_snapshot_bytes`].
+/// Validates the attribute sets a snapshot lists and builds their
+/// partitioning. The schema is synthesized from the listed ids (snapshots
+/// store no attribute names; the engine only needs the id space). Every
+/// partitioning a writer emits covers attributes `0..n` where `n` is the
+/// number of ids it lists, so an id at or past `n` marks a damaged or
+/// foreign file — and refusing it keeps the synthesized schema no larger
+/// than the input, whatever id the bytes claim.
 ///
 /// # Errors
-/// Propagates serialization failures from the cluster body writer.
-pub fn write_snapshot(
-    epoch: u64,
-    tuples: u64,
-    partitioning: &Partitioning,
-    thresholds: &[f64],
-    clusters: &[ClusterSummary],
-) -> Result<String, CoreError> {
-    let mut out =
-        format!("dar-engine v1 epoch={epoch} tuples={tuples} sets={}\n", partitioning.num_sets());
-    for set in partitioning.sets() {
-        let attrs: Vec<String> = set.attrs.iter().map(|a| a.to_string()).collect();
-        let _ = writeln!(out, "set {} {}", metric_name(set.metric), attrs.join(","));
-    }
-    let t: Vec<String> = thresholds.iter().map(|v| format!("{v:?}")).collect();
-    let _ = writeln!(out, "thresholds {}", t.join(","));
-    out.push_str(&write_clusters(clusters)?);
-    Ok(out)
-}
-
-/// Parses a snapshot back. The schema is synthesized from the highest
-/// attribute id the partitioning mentions (the snapshot stores no attribute
-/// names; the engine only needs the id space). Parse errors name the
-/// offending line, counted from the start of the snapshot text.
-pub fn parse_snapshot(text: &str) -> Result<Snapshot, CoreError> {
-    let located = |line_no: usize, e: CoreError| match e {
-        CoreError::LayoutMismatch(msg) => {
-            CoreError::LayoutMismatch(format!("line {line_no}: {msg}"))
-        }
-        other => other,
-    };
-    let mut lines = text.lines().enumerate().map(|(i, l)| (i + 1, l));
-    let (_, header) =
-        lines.next().ok_or_else(|| CoreError::LayoutMismatch("line 1: empty snapshot".into()))?;
-    if !header.starts_with("dar-engine v1 ") {
+/// An id outside `0..n`, an id a set repeats, or sets that are empty or
+/// overlap.
+pub fn partitioning_of(sets: Vec<AttrSet>) -> Result<Partitioning, CoreError> {
+    let listed: usize = sets.iter().map(|s| s.attrs.len()).sum();
+    if let Some(&id) = sets.iter().flat_map(|s| &s.attrs).find(|&&id| id >= listed) {
         return Err(CoreError::LayoutMismatch(format!(
-            "line 1: not a dar-engine v1 snapshot: {header:?}"
+            "attribute id {id} is outside the {listed} attributes the snapshot lists"
         )));
     }
-    let epoch: u64 = header_field(header, "epoch=").map_err(|e| located(1, e))?;
-    let tuples: u64 = header_field(header, "tuples=").map_err(|e| located(1, e))?;
-    let num_sets: usize = header_field(header, "sets=").map_err(|e| located(1, e))?;
-
-    let mut sets = Vec::with_capacity(num_sets);
-    for expect in 0..num_sets {
-        let (n, line) = lines.next().ok_or_else(|| {
-            CoreError::LayoutMismatch(format!("line {}: missing set line", expect + 2))
-        })?;
-        let rest = line.strip_prefix("set ").ok_or_else(|| {
-            CoreError::LayoutMismatch(format!("line {n}: expected set line, got {line:?}"))
-        })?;
-        let mut parts = rest.split_whitespace();
-        let metric = parse_metric(parts.next().unwrap_or("")).map_err(|e| located(n, e))?;
-        let attrs_csv = parts.next().ok_or_else(|| {
-            CoreError::LayoutMismatch(format!("line {n}: set line missing attrs: {line:?}"))
-        })?;
-        let attrs: Vec<usize> = attrs_csv
-            .split(',')
-            .map(|t| {
-                t.parse().map_err(|_| {
-                    CoreError::LayoutMismatch(format!("line {n}: bad attribute id {t:?}"))
-                })
-            })
-            .collect::<Result<_, _>>()?;
-        sets.push(AttrSet { attrs, metric });
+    let partitioning = Partitioning::new(&Schema::interval_attrs(listed), sets)?;
+    // `Partitioning::new` drops an id a set repeats; a writer never
+    // repeats one, and accepting it would not re-encode to the same bytes.
+    if partitioning.total_dims() != listed {
+        return Err(CoreError::LayoutMismatch("a set lists an attribute id twice".into()));
     }
-    let max_attr = sets.iter().flat_map(|s| s.attrs.iter()).copied().max().map_or(0, |m| m + 1);
-    let schema = Schema::interval_attrs(max_attr);
-    let partitioning = Partitioning::new(&schema, sets)?;
-
-    let (tn, t_line) = lines.next().ok_or_else(|| {
-        CoreError::LayoutMismatch(format!("line {}: missing thresholds line", num_sets + 2))
-    })?;
-    let t_csv = t_line.strip_prefix("thresholds ").ok_or_else(|| {
-        CoreError::LayoutMismatch(format!("line {tn}: expected thresholds line, got {t_line:?}"))
-    })?;
-    let thresholds: Vec<f64> = t_csv
-        .split(',')
-        .map(|t| {
-            t.parse()
-                .map_err(|_| CoreError::LayoutMismatch(format!("line {tn}: bad threshold {t:?}")))
-        })
-        .collect::<Result<_, _>>()?;
-    if thresholds.len() != num_sets {
-        return Err(CoreError::LayoutMismatch(format!(
-            "line {tn}: snapshot has {} thresholds for {num_sets} sets",
-            thresholds.len()
-        )));
-    }
-
-    let body_start = text
-        .find("acf-clusters v1")
-        .ok_or_else(|| CoreError::LayoutMismatch("snapshot missing cluster body".into()))?;
-    // Body errors get absolute line numbers within the snapshot text.
-    let body_first_line = text[..body_start].matches('\n').count() + 1;
-    let clusters = read_clusters_at(&text[body_start..], body_first_line)?;
-    Ok(Snapshot { epoch, tuples, partitioning, thresholds, clusters })
+    Ok(partitioning)
 }
 
 /// Serializes one epoch to the v2 binary format, fanning the cluster
@@ -231,21 +123,19 @@ pub fn write_snapshot_bytes(
     Ok(out)
 }
 
-/// Parses a snapshot body of either format: bytes opening with
-/// [`V2_MAGIC`] take the binary path (cluster records fanned across
-/// `pool`); anything else must be UTF-8 and parses as v1 text. The input
-/// is the *body* — callers holding a sealed blob unseal first.
+/// Parses a v2 snapshot body, fanning cluster-record decode across
+/// `pool`. Bytes that do not open with [`V2_MAGIC`] are refused with
+/// [`MIGRATE_HINT`]. The input is the *body* — callers holding a sealed
+/// blob unseal first.
 pub fn parse_snapshot_bytes(
     bytes: &[u8],
     pool: &dar_par::ThreadPool,
 ) -> Result<Snapshot, CoreError> {
     if !bytes.starts_with(&V2_MAGIC) {
-        let text = std::str::from_utf8(bytes).map_err(|_| {
-            CoreError::LayoutMismatch(
-                "snapshot bytes are neither dar-engine v2 binary nor UTF-8 text".to_string(),
-            )
-        })?;
-        return parse_snapshot(text);
+        return Err(CoreError::LayoutMismatch(format!(
+            "not a dar-engine v2 snapshot (it opens with {:?}); {MIGRATE_HINT}",
+            String::from_utf8_lossy(&bytes[..bytes.len().min(16)])
+        )));
     }
     let mut cur = ByteCursor { bytes, pos: V2_MAGIC.len() };
     let version = cur.u32("version")?;
@@ -281,9 +171,7 @@ pub fn parse_snapshot_bytes(
         }
         sets.push(AttrSet { attrs, metric });
     }
-    let max_attr = sets.iter().flat_map(|s| s.attrs.iter()).copied().max().map_or(0, |m| m + 1);
-    let schema = Schema::interval_attrs(max_attr);
-    let partitioning = Partitioning::new(&schema, sets)?;
+    let partitioning = partitioning_of(sets)?;
     let mut thresholds = Vec::with_capacity(num_sets);
     for s in 0..num_sets {
         thresholds.push(cur.f64(&format!("threshold[{s}]"))?);
@@ -334,19 +222,6 @@ impl ByteCursor<'_> {
     }
 }
 
-fn header_field<T: std::str::FromStr>(line: &str, key: &str) -> Result<T, CoreError> {
-    let start = line
-        .find(key)
-        .ok_or_else(|| CoreError::LayoutMismatch(format!("missing {key} in {line:?}")))?
-        + key.len();
-    line[start..]
-        .split_whitespace()
-        .next()
-        .unwrap_or("")
-        .parse()
-        .map_err(|_| CoreError::LayoutMismatch(format!("bad {key} field in {line:?}")))
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -376,25 +251,11 @@ mod tests {
     }
 
     #[test]
-    fn roundtrip_preserves_everything() {
-        let (partitioning, clusters) = sample();
-        let text = write_snapshot(7, 1234, &partitioning, &[0.125, 3.5], &clusters).unwrap();
-        let snap = parse_snapshot(&text).unwrap();
-        assert_eq!(snap.epoch, 7);
-        assert_eq!(snap.tuples, 1234);
-        assert_eq!(snap.thresholds, vec![0.125, 3.5]);
-        assert_eq!(snap.partitioning.num_sets(), 2);
-        assert_eq!(snap.partitioning.set(0).attrs, vec![0, 1]);
-        assert_eq!(snap.partitioning.set(0).metric, Metric::Euclidean);
-        assert_eq!(snap.partitioning.set(1).metric, Metric::Discrete);
-        assert_eq!(snap.clusters, clusters);
-    }
-
-    #[test]
     fn empty_epoch_roundtrips() {
         let (partitioning, _) = sample();
-        let text = write_snapshot(1, 0, &partitioning, &[1.0, 1.0], &[]).unwrap();
-        let snap = parse_snapshot(&text).unwrap();
+        let pool = dar_par::ThreadPool::serial();
+        let bytes = write_snapshot_bytes(1, 0, &partitioning, &[1.0, 1.0], &[], &pool).unwrap();
+        let snap = parse_snapshot_bytes(&bytes, &pool).unwrap();
         assert!(snap.clusters.is_empty());
         assert_eq!(snap.tuples, 0);
     }
@@ -424,17 +285,6 @@ mod tests {
     }
 
     #[test]
-    fn v2_parser_sniffs_v1_text() {
-        let (partitioning, clusters) = sample();
-        let pool = dar_par::ThreadPool::serial();
-        let text = write_snapshot(3, 99, &partitioning, &[1.0, 2.0], &clusters).unwrap();
-        let snap = parse_snapshot_bytes(text.as_bytes(), &pool).unwrap();
-        assert_eq!(snap.epoch, 3);
-        assert_eq!(snap.tuples, 99);
-        assert_eq!(snap.clusters, clusters);
-    }
-
-    #[test]
     fn v2_truncation_and_damage_are_rejected() {
         let (partitioning, clusters) = sample();
         let pool = dar_par::ThreadPool::serial();
@@ -453,40 +303,43 @@ mod tests {
         let mut bad_metric = bytes.clone();
         bad_metric[28] = 200; // first set's metric code
         assert!(parse_snapshot_bytes(&bad_metric, &pool).is_err());
-        // Non-UTF-8 bytes with the wrong magic are neither format.
-        let err = parse_snapshot_bytes(&[0xFF, 0xFE, 0x00, 0x01], &pool).unwrap_err().to_string();
-        assert!(err.contains("neither"), "{err}");
+        // Anything without the magic — pre-v2 text or noise — is refused
+        // with the way to convert it.
+        for old in [&b"dar-engine v1 epoch=1 tuples=0 sets=0\n"[..], &[0xFF, 0xFE, 0x00, 0x01]] {
+            let err = parse_snapshot_bytes(old, &pool).unwrap_err().to_string();
+            assert!(err.contains("dar migrate"), "{err}");
+        }
     }
 
+    /// A 70-byte snapshot whose one attribute id is `0xFFFF_FFF0`, over an
+    /// empty one-set cluster body: sizing the schema by that id would ask
+    /// for a 128 GiB allocation and abort the process.
     #[test]
-    fn malformed_snapshots_error_cleanly() {
-        assert!(parse_snapshot("").is_err());
-        assert!(parse_snapshot("acf-clusters v1 sets=0 dims=\n").is_err());
-        let (partitioning, clusters) = sample();
-        let good = write_snapshot(1, 10, &partitioning, &[1.0, 1.0], &clusters).unwrap();
-        assert!(parse_snapshot(&good.replace("thresholds", "thersholds")).is_err());
-        assert!(parse_snapshot(&good.replace("euclidean", "euclidian")).is_err());
-        // Drop the cluster body.
-        let headless = good[..good.find("acf-clusters").unwrap()].to_string();
-        assert!(parse_snapshot(&headless).is_err());
-    }
-
-    #[test]
-    fn parse_errors_name_the_offending_line() {
-        let (partitioning, clusters) = sample();
-        let good = write_snapshot(1, 10, &partitioning, &[1.0, 1.0], &clusters).unwrap();
-        // Layout: header, 2 set lines, thresholds — thresholds is line 4.
-        let err =
-            parse_snapshot(&good.replace("thresholds ", "thresholds x,")).unwrap_err().to_string();
-        assert!(err.contains("line 4"), "{err}");
-        // Damage inside the cluster body reports the absolute line number
-        // within the snapshot, not within the embedded body.
-        let body_header_line = good.lines().position(|l| l.starts_with("acf-clusters")).unwrap();
-        let err = parse_snapshot(&good.replacen("cluster id=", "cluster xd=", 1))
-            .unwrap_err()
-            .to_string();
-        assert!(err.contains(&format!("line {}", body_header_line + 2)), "{err}");
-        let err = parse_snapshot(&good.replace("euclidean", "euclidian")).unwrap_err().to_string();
-        assert!(err.contains("line 2"), "{err}");
+    fn an_attribute_id_past_the_listed_count_is_refused() {
+        let mut bytes = Vec::new();
+        bytes.extend_from_slice(b"DARS");
+        bytes.extend_from_slice(&2u32.to_le_bytes()); // version
+        bytes.extend_from_slice(&0u64.to_le_bytes()); // epoch
+        bytes.extend_from_slice(&0u64.to_le_bytes()); // tuples
+        bytes.extend_from_slice(&1u32.to_le_bytes()); // sets
+        bytes.push(0); // euclidean
+        bytes.extend_from_slice(&1u32.to_le_bytes()); // attr count
+        bytes.extend_from_slice(&0xFFFF_FFF0u32.to_le_bytes());
+        bytes.extend_from_slice(&1.0f64.to_le_bytes()); // threshold
+        bytes.extend_from_slice(b"DACF");
+        bytes.extend_from_slice(&2u32.to_le_bytes()); // version
+        bytes.extend_from_slice(&1u32.to_le_bytes()); // sets
+        bytes.extend_from_slice(&1u32.to_le_bytes()); // dims[0]
+        bytes.extend_from_slice(&0u64.to_le_bytes()); // count
+        bytes.push(b'\n');
+        assert_eq!(bytes.len(), 70);
+        let err = parse_snapshot_bytes(&bytes, &dar_par::ThreadPool::serial()).err();
+        assert!(
+            matches!(&err, Some(CoreError::LayoutMismatch(m)) if m.contains("4294967280")),
+            "{err:?}"
+        );
+        // The same bytes with the id in range parse.
+        bytes[33..37].copy_from_slice(&0u32.to_le_bytes());
+        assert!(parse_snapshot_bytes(&bytes, &dar_par::ThreadPool::serial()).is_ok());
     }
 }

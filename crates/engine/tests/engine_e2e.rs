@@ -5,7 +5,7 @@
 
 use dar_core::{Metric, Partitioning, Schema};
 use dar_engine::{DarEngine, EngineConfig};
-use mining::{DarMiner, DensitySpec, RuleQuery};
+use mining::{DarMiner, DensitySpec, Measure, RuleQuery};
 
 /// Three attributes, two co-occurring value blocks plus a sprinkle of
 /// drifting values so batches are not identical.
@@ -185,4 +185,24 @@ fn query_cached_answers_readers_only_after_a_mut_query_built_the_graph() {
 
     // The read path never bumps engine counters.
     assert_eq!(engine.stats().queries, 1);
+}
+
+/// Clique-cache reuse across the knobs that leave the graph alone: an
+/// unseen density setting builds its graph once and then hits, and
+/// re-ranking the cached cliques by another measure, with redundancy
+/// pruning and a top-k cut, hits as well.
+#[test]
+fn new_density_misses_once_and_reranking_reuses_cached_cliques() {
+    let (partitioning, config) = setup();
+    let mut engine = DarEngine::new(partitioning, config).unwrap();
+    engine.ingest(&rows(80, 0)).unwrap();
+    let base = RuleQuery { max_antecedent: 2, max_consequent: 1, ..RuleQuery::default() };
+    assert!(!engine.query(&base).unwrap().cached);
+    let density = RuleQuery { density: DensitySpec::Auto { factor: 2.5 }, ..base.clone() };
+    assert!(!engine.query(&density).unwrap().cached, "an unseen density builds its graph");
+    assert!(engine.query(&density).unwrap().cached, "and reuses it on the next ask");
+    let ranked = RuleQuery { measure: Measure::Lift, prune_redundant: true, top_k: 25, ..base };
+    let ranked = engine.query(&ranked).unwrap();
+    assert!(ranked.cached, "ranking reuses the cached cliques");
+    assert!(!ranked.rules.is_empty() && ranked.rules.len() <= 25);
 }

@@ -5,12 +5,9 @@
 //! from the cheap, re-tunable rule search — mine once, then sweep density
 //! and degree thresholds offline without touching the data again.
 //!
-//! Two formats share one reader ([`decode_clusters`] sniffs the first
-//! bytes):
-//!
-//! **v2 (binary, the writer)** — a length-prefixed little-endian record
-//! stream. All writers emit v2; floats travel as raw `f64` bits, so a
-//! save/load cycle is exact and costs no formatting:
+//! One format: a length-prefixed little-endian record stream. Floats
+//! travel as raw `f64` bits, so a save/load cycle is exact and costs no
+//! formatting:
 //!
 //! ```text
 //! magic "DACF" | version u32=2 | sets u32 | dims u32×sets | count u64
@@ -24,23 +21,13 @@
 //! decoding, so encode *and* decode fan records across the `dar-par` pool
 //! in input order — output is byte-identical at any worker count. The
 //! trailing newline keeps the `dar-durable` checksum footer on its own
-//! line, unchanged from v1 sealing.
+//! line.
 //!
-//! **v1 (text, read compat)** — the original line-oriented format with
-//! shortest-roundtrip float formatting. [`write_clusters`] is retained
-//! for fixtures and migration tests; snapshots written before v2 shipped
-//! keep restoring:
-//!
-//! ```text
-//! acf-clusters v1 sets=<k> dims=<d0,d1,…>
-//! cluster id=<u32> set=<usize> n=<u64>
-//! bbox <lo> <hi> [<lo> <hi> …]
-//! image <set> ls=<v,…> ss=<v,…>
-//! (one image line per set, then the next cluster)
-//! ```
+//! Files written before this format (the line-oriented `acf-clusters v1`
+//! text) are not read here: `dar migrate` converts them once, and
+//! [`decode_clusters`] refuses them with [`MIGRATE_HINT`].
 
 use dar_core::{Acf, AcfLayout, BoundingBox, ClusterId, ClusterSummary, CoreError, Interval};
-use std::fmt::Write as _;
 
 /// The first four bytes of every v2 binary cluster body.
 pub const V2_MAGIC: [u8; 4] = *b"DACF";
@@ -48,161 +35,10 @@ pub const V2_MAGIC: [u8; 4] = *b"DACF";
 pub const V2_VERSION: u32 = 2;
 /// Records per pool task when encoding/decoding v2 bodies.
 const RECORD_CHUNK: usize = 64;
-
-/// Serializes cluster summaries (all sharing one layout) to the text
-/// format. Returns an error if the clusters disagree on the number of
-/// sets.
-pub fn write_clusters(clusters: &[ClusterSummary]) -> Result<String, CoreError> {
-    let Some(first) = clusters.first() else {
-        return Ok("acf-clusters v1 sets=0 dims=\n".to_string());
-    };
-    let num_sets = first.acf.num_sets();
-    let dims: Vec<String> = (0..num_sets).map(|s| first.acf.image(s).dims().to_string()).collect();
-    let mut out = format!("acf-clusters v1 sets={num_sets} dims={}\n", dims.join(","));
-    for c in clusters {
-        if c.acf.num_sets() != num_sets {
-            return Err(CoreError::LayoutMismatch(format!(
-                "cluster {} has {} sets, expected {num_sets}",
-                c.id,
-                c.acf.num_sets()
-            )));
-        }
-        let _ = writeln!(out, "cluster id={} set={} n={}", c.id.0, c.set, c.support());
-        let _ = write!(out, "bbox");
-        for iv in c.bbox().intervals() {
-            let _ = write!(out, " {:?} {:?}", iv.lo, iv.hi);
-        }
-        out.push('\n');
-        for s in 0..num_sets {
-            let cf = c.acf.image(s);
-            let ls: Vec<String> = cf.linear_sum().iter().map(|v| format!("{v:?}")).collect();
-            let ss: Vec<String> = cf.square_sum().iter().map(|v| format!("{v:?}")).collect();
-            let _ = writeln!(out, "image {s} ls={} ss={}", ls.join(","), ss.join(","));
-        }
-    }
-    Ok(out)
-}
-
-/// Parses the text format back into cluster summaries. Sealed files (a
-/// trailing `dar-durable` checksum footer) are verified and unsealed
-/// first; unsealed files parse as before. Parse errors name the offending
-/// line (1-based within `text`).
-pub fn read_clusters(text: &str) -> Result<Vec<ClusterSummary>, CoreError> {
-    read_clusters_at(text, 1)
-}
-
-/// Like [`read_clusters`], but error line numbers start at `first_line` —
-/// for callers embedding the cluster body inside a larger file (the
-/// engine snapshot format), so errors point into the enclosing file.
-pub fn read_clusters_at(text: &str, first_line: usize) -> Result<Vec<ClusterSummary>, CoreError> {
-    let body = dar_durable::unseal_bytes(text.as_bytes())
-        .map_err(|detail| CoreError::LayoutMismatch(format!("cluster file footer: {detail}")))?
-        .0;
-    let body = std::str::from_utf8(body).expect("prefix of a str ending at a newline");
-    // `at` converts a 0-based index into `body` to the caller's line
-    // numbering; errors from the keyed-field helpers get it prepended.
-    let at = |idx: usize| idx + first_line;
-    let located = |idx: usize, e: CoreError| match e {
-        CoreError::LayoutMismatch(msg) => {
-            CoreError::LayoutMismatch(format!("line {}: {msg}", at(idx)))
-        }
-        other => other,
-    };
-    let mut lines = body.lines().enumerate();
-    let (_, header) = lines
-        .next()
-        .ok_or_else(|| CoreError::LayoutMismatch(format!("line {}: empty cluster file", at(0))))?;
-    let num_sets: usize = field(header, "sets=")
-        .and_then(|v| {
-            v.parse().map_err(|_| CoreError::LayoutMismatch(format!("bad sets= field {v:?}")))
-        })
-        .map_err(|e| located(0, e))?;
-
-    let mut out = Vec::new();
-    // Clusters of one file share a layout; it is rebuilt only if the image
-    // widths change.
-    let mut layout: Option<AcfLayout> = None;
-    while let Some((i, line)) = lines.next() {
-        if line.trim().is_empty() {
-            continue;
-        }
-        if !line.starts_with("cluster ") {
-            return Err(CoreError::LayoutMismatch(format!(
-                "line {}: expected cluster line, got {line:?}",
-                at(i)
-            )));
-        }
-        let id: u32 = parse_field(line, "id=").map_err(|e| located(i, e))?;
-        let set: usize = parse_field(line, "set=").map_err(|e| located(i, e))?;
-        let n: u64 = parse_field(line, "n=").map_err(|e| located(i, e))?;
-
-        let (bi, bbox_line) = lines.next().ok_or_else(|| {
-            CoreError::LayoutMismatch(format!("line {}: missing bbox line", at(i + 1)))
-        })?;
-        let nums: Vec<f64> = bbox_line
-            .strip_prefix("bbox")
-            .ok_or_else(|| {
-                CoreError::LayoutMismatch(format!(
-                    "line {}: expected bbox, got {bbox_line:?}",
-                    at(bi)
-                ))
-            })?
-            .split_whitespace()
-            .map(|t| {
-                t.parse::<f64>().map_err(|_| {
-                    CoreError::LayoutMismatch(format!("line {}: bad bbox number {t:?}", at(bi)))
-                })
-            })
-            .collect::<Result<_, _>>()?;
-        let intervals: Vec<Interval> =
-            nums.chunks(2).map(|c| Interval { lo: c[0], hi: c[1] }).collect();
-        let bbox = BoundingBox::from_intervals(intervals);
-
-        let mut dims = Vec::with_capacity(num_sets);
-        let mut moments = Vec::new();
-        for expect in 0..num_sets {
-            let (ii, img) = lines.next().ok_or_else(|| {
-                CoreError::LayoutMismatch(format!("line {}: missing image line", at(bi + 1)))
-            })?;
-            let rest = img.strip_prefix("image ").ok_or_else(|| {
-                CoreError::LayoutMismatch(format!(
-                    "line {}: expected image line, got {img:?}",
-                    at(ii)
-                ))
-            })?;
-            let s: usize =
-                rest.split_whitespace().next().and_then(|t| t.parse().ok()).ok_or_else(|| {
-                    CoreError::LayoutMismatch(format!("line {}: bad image set index", at(ii)))
-                })?;
-            if s != expect {
-                return Err(CoreError::LayoutMismatch(format!(
-                    "line {}: image set {s} out of order (expected {expect})",
-                    at(ii)
-                )));
-            }
-            let ls = field(rest, "ls=").and_then(parse_floats).map_err(|e| located(ii, e))?;
-            let ss = field(rest, "ss=").and_then(parse_floats).map_err(|e| located(ii, e))?;
-            if ls.len() != ss.len() {
-                return Err(CoreError::LayoutMismatch(format!(
-                    "line {}: LS has {} dims but SS has {}",
-                    at(ii),
-                    ls.len(),
-                    ss.len()
-                )));
-            }
-            dims.push(ls.len());
-            moments.extend(ls);
-            moments.extend(ss);
-        }
-        if !layout.as_ref().is_some_and(|l| l.dims().eq(dims.iter().copied())) {
-            layout = Some(AcfLayout::new(dims));
-        }
-        let layout = layout.as_ref().expect("layout just set");
-        let acf = Acf::from_moments(layout, set, n, moments, bbox)?;
-        out.push(ClusterSummary { id: ClusterId(id), set, acf });
-    }
-    Ok(out)
-}
+/// How every binary reader's refusal of a pre-v2 file ends: the one-shot
+/// conversion that upgrades it.
+pub const MIGRATE_HINT: &str =
+    "pre-v2 text files convert once with `dar migrate --input <old> --out <new>`";
 
 /// Serializes cluster summaries to the v2 binary format, fanning record
 /// encoding across `pool` (records concatenate in input order, so the
@@ -283,22 +119,19 @@ fn encode_record(c: &ClusterSummary) -> Vec<u8> {
     rec
 }
 
-/// Parses a cluster body of either format: bytes opening with the
-/// [`V2_MAGIC`] decode as v2 binary (records fanned across `pool`);
-/// anything else must be UTF-8 and takes the v1 text path of
-/// [`read_clusters`] (which also accepts sealed text files). The input is
-/// the *body* — callers holding a `dar-durable`-sealed blob unseal first.
+/// Parses a v2 cluster body, fanning record decode across `pool`. Bytes
+/// that do not open with [`V2_MAGIC`] are refused with [`MIGRATE_HINT`].
+/// The input is the *body* — callers holding a `dar-durable`-sealed blob
+/// unseal first.
 pub fn decode_clusters(
     bytes: &[u8],
     pool: &dar_par::ThreadPool,
 ) -> Result<Vec<ClusterSummary>, CoreError> {
     if !bytes.starts_with(&V2_MAGIC) {
-        let text = std::str::from_utf8(bytes).map_err(|_| {
-            CoreError::LayoutMismatch(
-                "cluster bytes are neither v2 binary nor UTF-8 text".to_string(),
-            )
-        })?;
-        return read_clusters(text);
+        return Err(CoreError::LayoutMismatch(format!(
+            "not an acf-clusters v2 body (it opens with {:?}); {MIGRATE_HINT}",
+            String::from_utf8_lossy(&bytes[..bytes.len().min(16)])
+        )));
     }
     let mut cur = Cursor { bytes, pos: V2_MAGIC.len() };
     let version = cur.u32("version")?;
@@ -449,33 +282,6 @@ impl<'a> Cursor<'a> {
     }
 }
 
-/// Extracts the whitespace-terminated value of `key` inside `line`.
-fn field<'a>(line: &'a str, key: &str) -> Result<&'a str, CoreError> {
-    let start = line
-        .find(key)
-        .ok_or_else(|| CoreError::LayoutMismatch(format!("missing {key} in {line:?}")))?
-        + key.len();
-    let rest = &line[start..];
-    Ok(rest.split_whitespace().next().unwrap_or(rest))
-}
-
-fn parse_field<T: std::str::FromStr>(line: &str, key: &str) -> Result<T, CoreError> {
-    field(line, key)?
-        .parse()
-        .map_err(|_| CoreError::LayoutMismatch(format!("bad {key} field in {line:?}")))
-}
-
-fn parse_floats(csv: &str) -> Result<Vec<f64>, CoreError> {
-    if csv.is_empty() {
-        return Ok(Vec::new());
-    }
-    csv.split(',')
-        .map(|t| {
-            t.parse::<f64>().map_err(|_| CoreError::LayoutMismatch(format!("bad float {t:?}")))
-        })
-        .collect()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -492,114 +298,6 @@ mod tests {
             ClusterSummary { id: ClusterId(3), set: 0, acf: a },
             ClusterSummary { id: ClusterId(9), set: 1, acf: b },
         ]
-    }
-
-    #[test]
-    fn roundtrip_is_lossless() {
-        let clusters = sample_clusters();
-        let text = write_clusters(&clusters).unwrap();
-        let back = read_clusters(&text).unwrap();
-        assert_eq!(clusters, back);
-    }
-
-    #[test]
-    fn roundtrip_survives_awkward_floats() {
-        let layout = AcfLayout::new(vec![1]);
-        let mut a = Acf::empty(&layout, 0);
-        a.add_row(&[0.1 + 0.2]); // classic non-representable sum
-        a.add_row(&[1e-300]);
-        a.add_row(&[-123456.789012345]);
-        let clusters = vec![ClusterSummary { id: ClusterId(0), set: 0, acf: a }];
-        let text = write_clusters(&clusters).unwrap();
-        assert_eq!(read_clusters(&text).unwrap(), clusters);
-    }
-
-    #[test]
-    fn empty_set_roundtrips() {
-        let text = write_clusters(&[]).unwrap();
-        assert!(read_clusters(&text).unwrap().is_empty());
-    }
-
-    #[test]
-    fn malformed_inputs_error_cleanly() {
-        assert!(read_clusters("").is_err());
-        assert!(read_clusters("acf-clusters v1 sets=x dims=").is_err());
-        let good = write_clusters(&sample_clusters()).unwrap();
-        // Truncate mid-cluster.
-        let truncated: String = good.lines().take(2).collect::<Vec<_>>().join("\n");
-        assert!(read_clusters(&truncated).is_err());
-        // Corrupt a float.
-        let corrupt = good.replace("ls=", "ls=oops,");
-        assert!(read_clusters(&corrupt).is_err());
-    }
-
-    #[test]
-    fn errors_name_the_offending_line() {
-        let good = write_clusters(&sample_clusters()).unwrap();
-        // Header, cluster, bbox, then the first image line: line 4.
-        let bad = good.replace("ls=", "ls=oops,");
-        let err = read_clusters(&bad).unwrap_err().to_string();
-        assert!(err.contains("line 4"), "{err}");
-        // Embedded numbering shifts the report by the caller's offset.
-        let err = read_clusters_at(&bad, 10).unwrap_err().to_string();
-        assert!(err.contains("line 13"), "{err}");
-        let err = read_clusters("acf-clusters v1 sets=x dims=").unwrap_err().to_string();
-        assert!(err.contains("line 1"), "{err}");
-    }
-
-    #[test]
-    fn sealed_cluster_files_verify_and_unseal() {
-        let clusters = sample_clusters();
-        let sealed = String::from_utf8(dar_durable::seal_bytes(
-            write_clusters(&clusters).unwrap().as_bytes(),
-            0,
-        ))
-        .unwrap();
-        assert_eq!(read_clusters(&sealed).unwrap(), clusters);
-        // Damage under the seal is caught by the checksum, with a footer
-        // diagnosis rather than a confusing parse error.
-        let tampered = sealed.replacen("cluster id", "cluster xd", 1);
-        let err = read_clusters(&tampered).unwrap_err().to_string();
-        assert!(err.contains("footer"), "{err}");
-    }
-
-    #[test]
-    fn roundtrip_is_lossless_for_arbitrary_clusters() {
-        use proptest::prelude::*;
-        // Arbitrary multi-set layouts (1–3 sets, fixed dims per slot) and
-        // arbitrary cluster multisets — including the empty file and the
-        // single-cluster file — must survive write → read exactly.
-        let dims_pool = [2usize, 1, 3];
-        proptest!(|(
-            sets in 1usize..4,
-            cluster_rows in prop::collection::vec(
-                prop::collection::vec((-1.0e6f64..1.0e6, 1.0e-3f64..1.0e3, -50.0f64..50.0), 1..5),
-                0..5,
-            ),
-        )| {
-            let dims: Vec<usize> = dims_pool[..sets].to_vec();
-            let layout = AcfLayout::new(dims.clone());
-            let clusters: Vec<ClusterSummary> = cluster_rows
-                .iter()
-                .enumerate()
-                .map(|(i, rows)| {
-                    let set = i % sets;
-                    let mut acf = Acf::empty(&layout, set);
-                    for &(a, b, c) in rows {
-                        let vals = [a, b, c];
-                        let row: Vec<f64> = dims
-                            .iter()
-                            .enumerate()
-                            .flat_map(|(s, &d)| (0..d).map(move |j| vals[(s + j) % 3]))
-                            .collect();
-                        acf.add_row(&row);
-                    }
-                    ClusterSummary { id: ClusterId(i as u32 * 7 + 1), set, acf }
-                })
-                .collect();
-            let text = write_clusters(&clusters).unwrap();
-            prop_assert_eq!(read_clusters(&text).unwrap(), clusters);
-        });
     }
 
     #[test]
@@ -645,16 +343,13 @@ mod tests {
     }
 
     #[test]
-    fn decode_sniffs_v1_text_and_sealed_v1_text() {
+    fn decode_refuses_pre_v2_text_naming_migrate() {
         let pool = dar_par::ThreadPool::serial();
         let clusters = sample_clusters();
-        let text = write_clusters(&clusters).unwrap();
-        assert_eq!(decode_clusters(text.as_bytes(), &pool).unwrap(), clusters);
-        let sealed = dar_durable::seal_bytes(text.as_bytes(), 9);
-        assert_eq!(decode_clusters(&sealed, &pool).unwrap(), clusters);
-        // Non-UTF-8 bytes that are not v2 diagnose cleanly.
-        let err = decode_clusters(&[0xff, 0xfe, 0x00], &pool).unwrap_err().to_string();
-        assert!(err.contains("neither"), "{err}");
+        for old in [&b"acf-clusters v1 sets=0 dims=\n"[..], &[0xff, 0xfe, 0x00]] {
+            let err = decode_clusters(old, &pool).unwrap_err().to_string();
+            assert!(err.contains("dar migrate"), "{err}");
+        }
         // A bad version is rejected, not misparsed.
         let mut bad = encode_clusters(&clusters, &pool).unwrap();
         bad[4] = 9;
@@ -724,8 +419,9 @@ mod tests {
         use crate::clique::maximal_cliques;
         use crate::graph::{ClusterDistance, ClusteringGraph, GraphConfig};
         let clusters = sample_clusters();
-        let text = write_clusters(&clusters).unwrap();
-        let reloaded = read_clusters(&text).unwrap();
+        let pool = dar_par::ThreadPool::serial();
+        let bytes = encode_clusters(&clusters, &pool).unwrap();
+        let reloaded = decode_clusters(&bytes, &pool).unwrap();
         let cfg = GraphConfig {
             metric: ClusterDistance::D2,
             density_thresholds: vec![100.0, 100.0],

@@ -6,10 +6,10 @@
 //! partitionings are random with 1–4 dimensions per set and the points
 //! are real-valued (not dyadic), so any mis-sliced offset or reordered
 //! float operation shows. The property must survive `merge`, `unmerge`,
-//! and a persist round trip in both formats.
+//! and a persist round trip.
 
 use dar_core::{Acf, AcfLayout, Cf, CfRef, ClusterId, ClusterSummary};
-use mining::persist::{decode_clusters, encode_clusters, read_clusters, write_clusters};
+use mining::persist::{decode_clusters, encode_clusters};
 use proptest::prelude::*;
 use proptest::TestRng;
 
@@ -125,12 +125,9 @@ fn acf_images_match_standalone_cfs_bit_for_bit() {
             ClusterSummary { id: ClusterId(1), set: home, acf: merged.clone() },
         ];
         let binary = decode_clusters(&encode_clusters(&clusters, &pool).unwrap(), &pool).unwrap();
-        let text = read_clusters(&write_clusters(&clusters).unwrap()).unwrap();
-        for (format, decoded) in [("v2", &binary), ("v1", &text)] {
-            prop_assert_eq!(&decoded[0].acf, &a, "{}: a changed in the round trip", format);
-            prop_assert_eq!(&decoded[1].acf, &merged, "{}: merged changed", format);
-            same_images(&decoded[0].acf, &cfs_a, &format!("{format} a"))?;
-            same_images(&decoded[1].acf, &cfs_m, &format!("{format} unmerged"))?;
-        }
+        prop_assert_eq!(&binary[0].acf, &a, "v2: a changed in the round trip");
+        prop_assert_eq!(&binary[1].acf, &merged, "v2: merged changed");
+        same_images(&binary[0].acf, &cfs_a, "v2 a")?;
+        same_images(&binary[1].acf, &cfs_m, "v2 unmerged")?;
     });
 }

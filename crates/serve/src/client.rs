@@ -368,9 +368,7 @@ impl Client {
     /// `pull_snapshot`: the shard's sealed engine snapshot. Returns
     /// `(epoch, tuples, sealed_bytes)`; the sealed body's footer carries
     /// the shard's last committed coordinator batch seq, verified on
-    /// unseal. Current servers send the body base64-encoded under
-    /// `snapshot_b64`; the pre-binary `snapshot` text key is still
-    /// accepted.
+    /// unseal. The body travels base64-encoded under `snapshot_b64`.
     ///
     /// # Errors
     /// I/O failures or a structured server error.
@@ -378,22 +376,12 @@ impl Client {
         let response = self.expect_ok(&Request::PullSnapshot)?;
         let epoch = response.get("epoch").and_then(Json::as_u64).unwrap_or(0);
         let tuples = response.get("tuples").and_then(Json::as_u64).unwrap_or(0);
-        let sealed = match response.get("snapshot_b64").and_then(Json::as_str) {
-            Some(b64) => crate::b64::decode(b64).map_err(|e| {
-                io::Error::new(io::ErrorKind::InvalidData, format!("pull_snapshot body: {e}"))
-            })?,
-            None => response
-                .get("snapshot")
-                .and_then(Json::as_str)
-                .ok_or_else(|| {
-                    io::Error::new(
-                        io::ErrorKind::InvalidData,
-                        "pull_snapshot response lacks snapshot_b64",
-                    )
-                })?
-                .as_bytes()
-                .to_vec(),
-        };
+        let b64 = response.get("snapshot_b64").and_then(Json::as_str).ok_or_else(|| {
+            io::Error::new(io::ErrorKind::InvalidData, "pull_snapshot response lacks snapshot_b64")
+        })?;
+        let sealed = crate::b64::decode(b64).map_err(|e| {
+            io::Error::new(io::ErrorKind::InvalidData, format!("pull_snapshot body: {e}"))
+        })?;
         Ok((epoch, tuples, sealed))
     }
 

@@ -150,8 +150,7 @@ pub enum Request {
     /// clusters (nearest-centroid, as `mining::pipeline::rescan_frequencies`).
     ShardRescan {
         /// The merged cluster summaries: base64-encoded `mining::persist`
-        /// v2 binary, or (legacy coordinators) raw v1 text — the server
-        /// sniffs, since v1 text can never parse as base64.
+        /// v2 binary.
         clusters: String,
         /// Each rule as its cluster positions (antecedent ∪ consequent)
         /// into the shipped cluster slice.

@@ -573,14 +573,13 @@ impl ServeHandler {
             return Err(("no-wal", "shard_rescan needs a write-ahead log to re-read".into()));
         };
         let pool = dar_par::ThreadPool::resolve(self.shared.engine_threads());
-        // Base64 persist-v2 is the wire format; raw v1 text (which contains
-        // spaces, so it can never decode as base64) is the legacy fallback.
-        let clusters = match crate::b64::decode(clusters) {
-            Ok(bytes) => mining::persist::decode_clusters(&bytes, &pool)
-                .map_err(|e| ("bad-request", format!("clusters: {e}")))?,
-            Err(_) => mining::persist::read_clusters(clusters)
-                .map_err(|e| ("bad-request", format!("clusters: {e}")))?,
-        };
+        // The clusters travel as base64 persist-v2.
+        let clusters = crate::b64::decode(clusters)
+            .map_err(|e| e.to_string())
+            .and_then(|bytes| {
+                mining::persist::decode_clusters(&bytes, &pool).map_err(|e| e.to_string())
+            })
+            .map_err(|e| ("bad-request", format!("clusters: {e}")))?;
         for (i, rule) in rules.iter().enumerate() {
             if let Some(&pos) = rule.iter().find(|&&pos| pos >= clusters.len()) {
                 return Err((

@@ -376,6 +376,9 @@ fn subscribers_reconstruct_live_rules_from_churn_events_and_resume() {
     }
     assert_eq!(resumed, final_rules, "resumed replay diverges from the live rule set");
 
+    // Hang up first: an open client would hold a worker in its read
+    // timeout and keep `join` waiting for it.
+    drop((writer, subscription, resumed_sub));
     handle.shutdown();
     handle.join().unwrap();
 }

@@ -3,8 +3,9 @@
 
 use crate::window::{AdvanceOutcome, RetirePolicy, WindowSpec, WindowedForest};
 use dar_core::{ClusterSummary, CoreError, Partitioning};
-use dar_engine::snapshot::{parse_snapshot, parse_snapshot_bytes, write_snapshot_bytes, Snapshot};
+use dar_engine::snapshot::{parse_snapshot_bytes, write_snapshot_bytes, Snapshot};
 use dar_engine::{DarEngine, EngineConfig, QueryOutcome};
+use mining::persist::MIGRATE_HINT;
 use mining::RuleQuery;
 
 /// What one [`EngineBackend::ingest`] did to the window ring.
@@ -244,17 +245,14 @@ impl EngineBackend {
         let Some(ring) = &self.ring else {
             return self.engine.snapshot();
         };
-        let mut out = format!(
-            "dar-stream v2 epoch={} open_batches={} policy={} window_batches={} slots={} windows={}\n",
-            self.engine.epoch(),
-            ring.open_batches(),
-            ring.policy().name(),
-            ring.spec().batches,
-            ring.spec().slots,
-            ring.live_windows().count(),
-        )
-        .into_bytes();
+        let header = RingHeader {
+            epoch: self.engine.epoch(),
+            open_batches: ring.open_batches(),
+            policy: ring.policy(),
+            spec: ring.spec(),
+        };
         let partitioning = self.engine.partitioning();
+        let mut windows = Vec::new();
         for (seq, forest, tuples) in ring.live_windows() {
             let mut clusters = Vec::new();
             let mut next_id = 0u32;
@@ -272,29 +270,33 @@ impl EngineBackend {
                 &clusters,
                 self.engine.pool(),
             )?;
-            out.extend_from_slice(format!("window seq={seq} bytes={}\n", body.len()).as_bytes());
-            out.extend_from_slice(&body);
+            windows.push((seq, body));
         }
-        Ok(out)
+        Ok(write_ring_bytes(&header, &windows))
     }
 
     /// Resumes a backend from an [`EngineBackend::snapshot`], routing on
-    /// the header: a `dar-stream` header (v1 text or v2 framed-binary)
-    /// restores the engine and its window ring, anything else falls
-    /// through to [`DarEngine::restore`] (which also unseals checksummed
-    /// snapshots and accepts both engine formats). The window geometry and
+    /// the header: a `dar-stream` header restores the engine and its
+    /// window ring, anything else falls through to [`DarEngine::restore`]
+    /// (which also unseals checksummed snapshots). The window geometry and
     /// policy come from the header; `config` supplies everything else.
     /// `windowed` is whether the caller is configured for a window ring; a
     /// snapshot of the other kind is refused before anything is parsed.
     ///
     /// # Errors
     /// Rejects a snapshot whose kind (windowed or all-history) differs from
-    /// `windowed`, and malformed snapshots of either kind.
+    /// `windowed`, pre-v2 text snapshots (naming `dar migrate`), and
+    /// malformed snapshots of either kind.
     pub fn restore(bytes: &[u8], config: EngineConfig, windowed: bool) -> Result<Self, CoreError> {
         let body = dar_durable::unseal_bytes(bytes)
             .map_err(|detail| CoreError::LayoutMismatch(format!("snapshot footer: {detail}")))?
             .0;
         let ring_snapshot = body.starts_with(b"dar-stream v");
+        if ring_snapshot && !body.starts_with(RING_V2_TAG.as_bytes()) {
+            return Err(CoreError::LayoutMismatch(format!(
+                "not a dar-stream v2 ring snapshot; {MIGRATE_HINT}"
+            )));
+        }
         if ring_snapshot != windowed {
             let kind = |w: bool| if w { "windowed" } else { "static" };
             return Err(CoreError::LayoutMismatch(format!(
@@ -308,18 +310,10 @@ impl EngineBackend {
             // `DarEngine::restore` unseals (and re-verifies) on its own.
             return Ok(DarEngine::restore(bytes, config)?.into());
         }
-        if body.starts_with(b"dar-stream v2 ") {
-            return Self::restore_v2(body, config);
-        }
-        let text = std::str::from_utf8(body).map_err(|_| {
-            CoreError::LayoutMismatch(
-                "snapshot bytes are neither dar-stream v2 nor UTF-8 text".into(),
-            )
-        })?;
-        Self::restore_v1(text, config)
+        Self::restore_ring(body, config)
     }
 
-    fn restore_v2(bytes: &[u8], config: EngineConfig) -> Result<Self, CoreError> {
+    fn restore_ring(bytes: &[u8], config: EngineConfig) -> Result<Self, CoreError> {
         let bad = |msg: String| CoreError::LayoutMismatch(msg);
         let pool = dar_par::ThreadPool::resolve(config.threads);
         let line_end = |from: usize| -> Result<usize, CoreError> {
@@ -332,8 +326,8 @@ impl EngineBackend {
         let header_end = line_end(0)?;
         let header = std::str::from_utf8(&bytes[..header_end])
             .map_err(|_| bad("dar-stream header is not UTF-8".into()))?;
-        let (epoch, open_batches, window_batches, slots, num_windows, policy) =
-            parse_ring_header(header, bytes.len() - header_end - 1)?;
+        let fields = header.strip_prefix(RING_V2_TAG).expect("restore routed on the v2 tag");
+        let (header, num_windows) = RingHeader::parse(fields, bytes.len() - header_end - 1)?;
         let mut pos = header_end + 1;
         let mut snaps = Vec::with_capacity(num_windows);
         for i in 0..num_windows {
@@ -343,22 +337,8 @@ impl EngineBackend {
             let section_end = line_end(pos)?;
             let section = std::str::from_utf8(&bytes[pos..section_end])
                 .map_err(|_| bad(format!("window section {i} is not UTF-8")))?;
-            let rest = section
-                .strip_prefix("window ")
-                .ok_or_else(|| bad(format!("expected window line, got {section:?}")))?;
-            let sfield = |key: &str| -> Result<u64, CoreError> {
-                let start =
-                    rest.find(key).ok_or_else(|| bad(format!("missing {key} in {section:?}")))?
-                        + key.len();
-                rest[start..]
-                    .split_whitespace()
-                    .next()
-                    .unwrap_or("")
-                    .parse()
-                    .map_err(|_| bad(format!("bad {key} field in {section:?}")))
-            };
-            let seq = sfield("seq=")?;
-            let body_bytes = sfield("bytes=")? as usize;
+            let seq = section_field(section, "seq=")?;
+            let body_bytes = section_field(section, "bytes=")? as usize;
             pos = section_end + 1;
             if bytes.len() - pos < body_bytes {
                 return Err(bad(format!("window {seq}: truncated embedded snapshot")));
@@ -372,56 +352,14 @@ impl EngineBackend {
                 bytes.len() - pos
             )));
         }
-        Self::from_window_snaps(snaps, epoch, open_batches, window_batches, slots, policy, config)
-    }
-
-    fn restore_v1(text: &str, config: EngineConfig) -> Result<Self, CoreError> {
-        let bad = |msg: String| CoreError::LayoutMismatch(msg);
-        let mut lines = text.lines();
-        let header = lines.next().ok_or_else(|| bad("empty dar-stream snapshot".into()))?;
-        let (epoch, open_batches, window_batches, slots, num_windows, policy) =
-            parse_ring_header(header, text.len().saturating_sub(header.len() + 1))?;
-        let mut snaps = Vec::with_capacity(num_windows);
-        for i in 0..num_windows {
-            let section = lines.next().ok_or_else(|| bad(format!("missing window section {i}")))?;
-            let rest = section
-                .strip_prefix("window ")
-                .ok_or_else(|| bad(format!("expected window line, got {section:?}")))?;
-            let sfield = |key: &str| -> Result<u64, CoreError> {
-                let start =
-                    rest.find(key).ok_or_else(|| bad(format!("missing {key} in {section:?}")))?
-                        + key.len();
-                rest[start..]
-                    .split_whitespace()
-                    .next()
-                    .unwrap_or("")
-                    .parse()
-                    .map_err(|_| bad(format!("bad {key} field in {section:?}")))
-            };
-            let seq = sfield("seq=")?;
-            let body_lines = sfield("lines=")? as usize;
-            let mut body = String::new();
-            for _ in 0..body_lines {
-                let l = lines
-                    .next()
-                    .ok_or_else(|| bad(format!("window {seq}: truncated embedded snapshot")))?;
-                body.push_str(l);
-                body.push('\n');
-            }
-            snaps.push(parse_snapshot(&body)?);
-        }
-        Self::from_window_snaps(snaps, epoch, open_batches, window_batches, slots, policy, config)
+        Self::from_window_snaps(snaps, header, config)
     }
 
     /// Stands the ring and engine back up from parsed per-window snapshots
-    /// (oldest first) — the common tail of both ring restore paths.
+    /// (oldest first).
     fn from_window_snaps(
         snaps: Vec<Snapshot>,
-        epoch: u64,
-        open_batches: u64,
-        window_batches: u64,
-        slots: usize,
-        policy: RetirePolicy,
+        header: RingHeader,
         config: EngineConfig,
     ) -> Result<Self, CoreError> {
         let mut windows = Vec::with_capacity(snaps.len());
@@ -454,63 +392,116 @@ impl EngineBackend {
             partitioning,
             &config.birch,
             &thresholds,
-            WindowSpec { batches: window_batches.max(1), slots: slots.max(1) },
-            policy,
+            WindowSpec { batches: header.spec.batches.max(1), slots: header.spec.slots.max(1) },
+            header.policy,
             windows,
-            open_batches,
+            header.open_batches,
         );
-        let engine = DarEngine::with_forest(ring.merged(), ring.live_tuples(), epoch, config);
+        let engine =
+            DarEngine::with_forest(ring.merged(), ring.live_tuples(), header.epoch, config);
         Ok(EngineBackend { engine, ring: Some(ring) })
     }
 }
 
+/// The version tag that opens every ring snapshot [`EngineBackend`]
+/// writes and reads.
+pub const RING_V2_TAG: &str = "dar-stream v2 ";
+
 /// The shortest window section: its `window seq=…` line alone.
 const MIN_SECTION_BYTES: usize = "window seq=0\n".len();
 
-/// Parses the `dar-stream v1`/`v2` header line shared by both snapshot
-/// layouts, followed by `rest` bytes of window sections. Returns `(epoch,
-/// open_batches, window_batches, slots, num_windows, policy)`.
-///
-/// # Errors
-/// A malformed header, or a window count the `rest` bytes cannot hold.
-fn parse_ring_header(
-    header: &str,
-    rest: usize,
-) -> Result<(u64, u64, u64, usize, usize, RetirePolicy), CoreError> {
-    let bad = |msg: String| CoreError::LayoutMismatch(msg);
-    if !header.starts_with("dar-stream v1 ") && !header.starts_with("dar-stream v2 ") {
-        return Err(bad(format!("not a dar-stream snapshot: {header:?}")));
+/// The header line of a `dar-stream` ring snapshot: the ring's state
+/// apart from its windows.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct RingHeader {
+    /// The engine epoch at snapshot time.
+    pub epoch: u64,
+    /// Non-empty batches already in the open window.
+    pub open_batches: u64,
+    /// How expired windows leave the engine.
+    pub policy: RetirePolicy,
+    /// The window geometry as written (restore reads a zero as one).
+    pub spec: WindowSpec,
+}
+
+impl RingHeader {
+    /// Parses the `key=value` fields that follow a ring header's version
+    /// tag, before `rest` bytes of window sections. Returns the header and
+    /// its window count.
+    ///
+    /// # Errors
+    /// A missing or malformed field, zero windows, or a window count the
+    /// `rest` bytes cannot hold (each section needs at least its
+    /// `window seq=…` line), refused before anything is sized by it.
+    pub fn parse(fields: &str, rest: usize) -> Result<(RingHeader, usize), CoreError> {
+        let bad = |msg: String| CoreError::LayoutMismatch(msg);
+        let policy_name = field(fields, "policy=")?;
+        let header = RingHeader {
+            epoch: number(fields, "epoch=")?,
+            open_batches: number(fields, "open_batches=")?,
+            policy: RetirePolicy::parse(policy_name)
+                .ok_or_else(|| bad(format!("unknown retire policy {policy_name:?}")))?,
+            spec: WindowSpec {
+                batches: number(fields, "window_batches=")?,
+                slots: number(fields, "slots=")? as usize,
+            },
+        };
+        let num_windows = number(fields, "windows=")? as usize;
+        if num_windows == 0 {
+            return Err(bad("dar-stream snapshot with zero windows".into()));
+        }
+        if num_windows > rest / MIN_SECTION_BYTES {
+            return Err(bad(format!(
+                "dar-stream header claims {num_windows} windows but only {rest} bytes follow"
+            )));
+        }
+        Ok((header, num_windows))
     }
-    let field = |key: &str| -> Result<u64, CoreError> {
-        let start = header.find(key).ok_or_else(|| bad(format!("missing {key} in {header:?}")))?
-            + key.len();
-        header[start..]
-            .split_whitespace()
-            .next()
-            .unwrap_or("")
-            .parse()
-            .map_err(|_| bad(format!("bad {key} field in {header:?}")))
-    };
-    let epoch = field("epoch=")?;
-    let open_batches = field("open_batches=")?;
-    let window_batches = field("window_batches=")?;
-    let slots = field("slots=")? as usize;
-    let num_windows = field("windows=")? as usize;
-    let policy_start =
-        header.find("policy=").ok_or_else(|| bad(format!("missing policy= in {header:?}")))?
-            + "policy=".len();
-    let policy_name = header[policy_start..].split_whitespace().next().unwrap_or("");
-    let policy = RetirePolicy::parse(policy_name)
-        .ok_or_else(|| bad(format!("unknown retire policy {policy_name:?}")))?;
-    if num_windows == 0 {
-        return Err(bad("dar-stream snapshot with zero windows".into()));
+}
+
+/// Frames per-window engine-v2 snapshot bodies, oldest first as `(seq,
+/// body)`, under a ring header — the one writer of the ring layout
+/// [`EngineBackend::snapshot`] documents.
+pub fn write_ring_bytes(header: &RingHeader, windows: &[(u64, Vec<u8>)]) -> Vec<u8> {
+    let mut out = format!(
+        "{RING_V2_TAG}epoch={} open_batches={} policy={} window_batches={} slots={} windows={}\n",
+        header.epoch,
+        header.open_batches,
+        header.policy.name(),
+        header.spec.batches,
+        header.spec.slots,
+        windows.len(),
+    )
+    .into_bytes();
+    for (seq, body) in windows {
+        out.extend_from_slice(format!("window seq={seq} bytes={}\n", body.len()).as_bytes());
+        out.extend_from_slice(body);
     }
-    if num_windows > rest / MIN_SECTION_BYTES {
-        return Err(bad(format!(
-            "dar-stream header claims {num_windows} windows but only {rest} bytes follow"
-        )));
-    }
-    Ok((epoch, open_batches, window_batches, slots, num_windows, policy))
+    out
+}
+
+/// The number after `key` in a `window …` section line.
+fn section_field(section: &str, key: &str) -> Result<u64, CoreError> {
+    let rest = section.strip_prefix("window ").ok_or_else(|| {
+        CoreError::LayoutMismatch(format!("expected window line, got {section:?}"))
+    })?;
+    number(rest, key)
+}
+
+/// The whitespace-terminated value after `key` in a header or section
+/// line.
+fn field<'a>(line: &'a str, key: &str) -> Result<&'a str, CoreError> {
+    let start = line
+        .find(key)
+        .ok_or_else(|| CoreError::LayoutMismatch(format!("missing {key} in {line:?}")))?
+        + key.len();
+    Ok(line[start..].split_whitespace().next().unwrap_or(""))
+}
+
+fn number(line: &str, key: &str) -> Result<u64, CoreError> {
+    field(line, key)?
+        .parse()
+        .map_err(|_| CoreError::LayoutMismatch(format!("bad {key} field in {line:?}")))
 }
 
 #[cfg(test)]
@@ -520,29 +511,30 @@ mod tests {
     /// A ring header claiming a trillion windows, followed by one section
     /// line: too few bytes for the claim, so restore must refuse before
     /// sizing anything by it.
-    fn oversized(version: u32) -> Vec<u8> {
-        format!(
-            "dar-stream v{version} epoch=1 open_batches=0 policy=subtract window_batches=1 \
-             slots=1 windows=1000000000000\nwindow seq=0 bytes=0\n"
-        )
-        .into_bytes()
-    }
-
     #[test]
     fn v2_ring_header_with_an_impossible_window_count_is_refused() {
-        let err = EngineBackend::restore(&oversized(2), EngineConfig::default(), true).err();
+        let oversized = b"dar-stream v2 epoch=1 open_batches=0 policy=subtract window_batches=1 \
+             slots=1 windows=1000000000000\nwindow seq=0 bytes=0\n";
+        let err = EngineBackend::restore(oversized, EngineConfig::default(), true).err();
         assert!(
             matches!(&err, Some(CoreError::LayoutMismatch(m)) if m.contains("1000000000000 windows")),
             "{err:?}"
         );
     }
 
+    /// Any ring version but v2 — the v1 text rings `dar migrate` converts,
+    /// or an unknown one — is refused naming the migration, whichever kind
+    /// of engine the caller configured.
     #[test]
-    fn v1_ring_header_with_an_impossible_window_count_is_refused() {
-        let err = EngineBackend::restore(&oversized(1), EngineConfig::default(), true).err();
-        assert!(
-            matches!(&err, Some(CoreError::LayoutMismatch(m)) if m.contains("1000000000000 windows")),
-            "{err:?}"
-        );
+    fn non_v2_ring_snapshots_are_refused_naming_migrate() {
+        let old = b"dar-stream v0 epoch=1 open_batches=0 policy=subtract window_batches=1 \
+             slots=1 windows=1\nwindow seq=0 lines=0\n";
+        for windowed in [true, false] {
+            let err = EngineBackend::restore(old, EngineConfig::default(), windowed).err();
+            assert!(
+                matches!(&err, Some(CoreError::LayoutMismatch(m)) if m.contains("dar migrate")),
+                "{err:?}"
+            );
+        }
     }
 }

@@ -36,6 +36,6 @@ mod diff;
 pub mod metrics;
 mod window;
 
-pub use backend::{EngineBackend, WindowedIngest};
+pub use backend::{write_ring_bytes, EngineBackend, RingHeader, WindowedIngest, RING_V2_TAG};
 pub use diff::{diff, RuleDiff};
 pub use window::{AdvanceOutcome, RetirePolicy, WindowSpec, WindowedForest};

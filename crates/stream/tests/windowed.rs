@@ -140,57 +140,6 @@ fn snapshot_restore_round_trips_ring_and_rules() {
     }
 }
 
-/// Pre-v2 ring snapshots (text header + line-counted embedded v1 engine
-/// snapshots) must keep restoring. The fixture is reframed from a live
-/// ring so it always matches the current window geometry.
-#[test]
-fn v1_ring_snapshots_still_restore() {
-    let mut live = windowed(RetirePolicy::Remerge, 1);
-    for batch in 0..5 {
-        live.ingest(&dyadic_rows(20, batch)).unwrap();
-    }
-    let want = live.query(&RuleQuery::default()).unwrap().rules;
-    let v2 = live.snapshot().unwrap();
-
-    // Reframe the v2 snapshot in the pre-v2 text layout: same header with
-    // the old version tag, each window re-serialized with the engine's v1
-    // text writer and framed by line count.
-    let pool = dar_par::ThreadPool::serial();
-    let header_end = v2.iter().position(|&b| b == b'\n').unwrap();
-    let mut v1 = std::str::from_utf8(&v2[..header_end]).unwrap().replacen(
-        "dar-stream v2 ",
-        "dar-stream v1 ",
-        1,
-    );
-    v1.push('\n');
-    let mut pos = header_end + 1;
-    while pos < v2.len() {
-        let line_end = pos + v2[pos..].iter().position(|&b| b == b'\n').unwrap();
-        let section = std::str::from_utf8(&v2[pos..line_end]).unwrap();
-        let bytes_at = section.find("bytes=").unwrap() + "bytes=".len();
-        let body_bytes: usize = section[bytes_at..].parse().unwrap();
-        pos = line_end + 1;
-        let snap =
-            dar_engine::snapshot::parse_snapshot_bytes(&v2[pos..pos + body_bytes], &pool).unwrap();
-        pos += body_bytes;
-        let body = dar_engine::snapshot::write_snapshot(
-            snap.epoch,
-            snap.tuples,
-            &snap.partitioning,
-            &snap.thresholds,
-            &snap.clusters,
-        )
-        .unwrap();
-        v1.push_str(&format!("window seq={} lines={}\n", snap.epoch, body.lines().count()));
-        v1.push_str(&body);
-    }
-
-    let mut back = EngineBackend::restore(v1.as_bytes(), config(1), true).unwrap();
-    assert_eq!(back.window_span(), live.window_span());
-    assert_eq!(back.engine().tuples(), live.engine().tuples());
-    assert_eq!(back.query(&RuleQuery::default()).unwrap().rules, want);
-}
-
 #[test]
 fn replaying_tagged_frames_reconstructs_the_ring() {
     // Record the frame log a windowed server would write: batches tagged
