@@ -188,29 +188,43 @@ impl AcfForest {
         }
     }
 
-    /// Subtracts a forest previously merged into this one — the inverse of
-    /// [`AcfForest::merge`] at the moment level, the retirement path of a
-    /// sliding-window forest. `other` is finished (outliers re-inserted)
-    /// exactly as `merge` would have, and each of its clusters is unmerged
-    /// from the closest live entry with enough mass; CF additivity (Theorem
-    /// 6.1 / Eq. 7) runs both ways, so per set the surviving total `N` is
-    /// exact and every moment matches a forest that never saw `other`'s
-    /// rows, up to floating-point summation order. Cluster *boundaries* may
-    /// differ, as with any insertion-order change; the subtraction itself
-    /// is deterministic.
-    ///
-    /// # Panics
-    /// Panics if the two forests were built over different partitionings,
-    /// or if `other` holds more tuples on some set than this forest does
-    /// (i.e. `other` was never merged into this forest).
-    pub fn subtract(&mut self, other: AcfForest) {
-        assert_eq!(
-            self.partitioning, other.partitioning,
-            "subtract requires forests over the same partitioning"
-        );
-        for (set, acfs) in other.finish().into_iter().enumerate() {
-            self.trees[set].subtract_entries(&acfs);
+    /// Makes every tree windowed with window `seq` open: each later row
+    /// also lands in that window's column of its entry (see
+    /// [`AcfTree::open_window`]). A static forest never calls this and
+    /// carries no columns.
+    pub fn open_window(&mut self, seq: u64) {
+        for tree in &mut self.trees {
+            tree.open_window(seq);
         }
+    }
+
+    /// Retires every window up to `seq` from every tree — the sliding
+    /// window's retirement ([`AcfTree::retire_through`]). ACF additivity
+    /// (Theorem 6.1 / Eq. 7) makes each entry the sum of its columns, so
+    /// dropping the retired columns leaves exactly the live windows' rows.
+    pub fn retire_through(&mut self, seq: u64) {
+        for tree in &mut self.trees {
+            tree.retire_through(seq);
+        }
+    }
+
+    /// Inserts `acf` as window `seq`'s column of an entry in one set's tree
+    /// — the ring restore path ([`AcfTree::insert_column`]).
+    pub fn insert_column(&mut self, set: usize, seq: u64, acf: Acf) {
+        self.trees[set].insert_column(seq, acf);
+    }
+
+    /// Window `seq`'s column of every entry and outlier, per set in set
+    /// order — a ring snapshot's window section. Entries the window put no
+    /// rows into have no column and are skipped.
+    pub fn window_columns(&self, seq: u64) -> Vec<Vec<Acf>> {
+        let column = |columns: &[(u64, Acf)]| {
+            columns.iter().find(|(s, _)| *s == seq).map(|(_, acf)| acf.clone())
+        };
+        self.trees
+            .iter()
+            .map(|tree| tree.entries().filter_map(|(_, columns)| column(columns)).collect())
+            .collect()
     }
 
     /// Finishes every tree (re-inserting outliers) and returns the clusters
@@ -219,15 +233,15 @@ impl AcfForest {
         self.trees.into_iter().map(AcfTree::finish).collect()
     }
 
-    /// Extracts the current clusters *without consuming the forest*: each
-    /// tree is cloned and finished (outliers re-inserted into the copy), so
-    /// the live trees keep accepting insertions. This is what lets a
-    /// long-lived engine close an epoch — snapshot the clustering as of now
-    /// — and continue ingesting into the same Phase I state. By
-    /// construction the result is identical to what [`AcfForest::finish`]
-    /// would have returned at this point.
+    /// Extracts the current clusters *without consuming the forest*: a copy
+    /// of each tree, without its window columns, is finished (outliers
+    /// re-inserted into the copy), so the live trees keep accepting
+    /// insertions. This is what lets a long-lived engine close an epoch —
+    /// snapshot the clustering as of now — and continue ingesting into the
+    /// same Phase I state. By construction the result is identical to what
+    /// [`AcfForest::finish`] would have returned at this point.
     pub fn extract_clusters(&self) -> Vec<Vec<Acf>> {
-        self.trees.iter().map(|tree| tree.clone().finish()).collect()
+        self.trees.iter().map(AcfTree::extract_clusters).collect()
     }
 
     /// Inserts a pre-aggregated ACF entry into one set's tree — the restore

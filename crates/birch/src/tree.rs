@@ -27,10 +27,94 @@ struct InternalEntry {
     child: usize,
 }
 
+/// A leaf entry or a paged-out outlier: a cluster's ACF and, in a
+/// windowed tree, each live window's share of it.
+#[derive(Debug, Clone)]
+struct LeafEntry {
+    acf: Acf,
+    /// `(window seq, ACF)` pairs in seq order, one per live window that put
+    /// rows into the entry; empty in a static tree. The ACF is their
+    /// additive total (Eq. 7), so retiring a window only drops its column.
+    columns: Vec<(u64, Acf)>,
+}
+
+impl LeafEntry {
+    fn new(acf: Acf) -> Self {
+        LeafEntry { acf, columns: Vec::new() }
+    }
+
+    /// Absorbs one flat row, and in a windowed tree (`window` is the open
+    /// window) also into that window's column. Returns the columns gained.
+    fn add_row(&mut self, row: &[f64], window: Option<u64>, layout: &AcfLayout) -> usize {
+        self.acf.add_row(row);
+        let Some(seq) = window else {
+            return 0;
+        };
+        match self.columns.last_mut() {
+            Some((last, column)) if *last == seq => {
+                column.add_row(row);
+                0
+            }
+            last => {
+                debug_assert!(last.is_none_or(|(s, _)| *s < seq), "windows open in seq order");
+                self.columns.push((seq, Acf::from_row(layout, self.acf.home(), row)));
+                1
+            }
+        }
+    }
+
+    /// ACF additivity on entries. Column-free entries add their ACFs;
+    /// windowed ones merge their columns by seq and reset the total to the
+    /// columns' fold. Returns the columns gained.
+    fn merge(&mut self, other: LeafEntry) -> usize {
+        if other.columns.is_empty() {
+            self.acf.merge(&other.acf).expect("same layout and home set");
+            return 0;
+        }
+        let before = self.columns.len();
+        for (seq, column) in other.columns {
+            match self.columns.binary_search_by_key(&seq, |(s, _)| *s) {
+                Ok(i) => self.columns[i].1.merge(&column).expect("same layout and home set"),
+                Err(i) => self.columns.insert(i, (seq, column)),
+            }
+        }
+        self.acf = fold(&self.columns);
+        self.columns.len() - before
+    }
+
+    /// Drops the columns of every window up to `seq` and resets the total
+    /// to the fold of the rest. Returns whether any column is left.
+    fn retire_through(&mut self, seq: u64) -> bool {
+        let retired = self.columns.partition_point(|(s, _)| *s <= seq);
+        self.columns.drain(..retired);
+        if self.columns.is_empty() {
+            return false;
+        }
+        self.acf = fold(&self.columns);
+        true
+    }
+
+    /// The entry with its ACF only: what Phase II reads.
+    fn without_columns(&self) -> LeafEntry {
+        LeafEntry::new(self.acf.clone())
+    }
+}
+
+/// The seq-ordered fold of non-empty window columns: the first column,
+/// then each later one merged in.
+fn fold(columns: &[(u64, Acf)]) -> Acf {
+    let ((_, first), rest) = columns.split_first().expect("a windowed entry has a column");
+    let mut total = first.clone();
+    for (_, column) in rest {
+        total.merge(column).expect("same layout and home set");
+    }
+    total
+}
+
 #[derive(Debug, Clone)]
 enum Node {
     Internal { entries: Vec<InternalEntry> },
-    Leaf { entries: Vec<Acf> },
+    Leaf { entries: Vec<LeafEntry> },
 }
 
 /// Diagnostic snapshot of one tree.
@@ -66,9 +150,15 @@ pub struct AcfTree {
     nodes: Vec<Node>,
     root: usize,
     leaf_entry_count: usize,
-    outliers: Vec<Acf>,
+    /// Window columns across the leaf entries (outliers excluded, as their
+    /// entries are); each is charged like a leaf entry.
+    column_count: usize,
+    outliers: Vec<LeafEntry>,
     rebuilds: usize,
     points_inserted: u64,
+    /// The open window of a windowed tree, whose column every insert also
+    /// feeds; `None` in a static tree.
+    window: Option<u64>,
     /// Memory charge per leaf entry ([`AcfLayout::acf_heap_bytes`]).
     leaf_entry_charge: usize,
     /// Memory charge per internal entry (a home-set CF plus its child link).
@@ -94,9 +184,11 @@ impl AcfTree {
             nodes: vec![Node::Leaf { entries: Vec::new() }],
             root: 0,
             leaf_entry_count: 0,
+            column_count: 0,
             outliers: Vec::new(),
             rebuilds: 0,
             points_inserted: 0,
+            window: None,
             config,
         }
     }
@@ -143,28 +235,64 @@ impl AcfTree {
     /// Inserts a pre-aggregated ACF entry (the rebuild / outlier
     /// re-insertion path; Section 4.3.1).
     pub fn insert_entry(&mut self, acf: Acf) {
-        debug_assert_eq!(acf.home(), self.set);
-        if acf.is_empty() {
+        self.insert_leaf_entry(LeafEntry::new(acf));
+    }
+
+    /// Inserts a pre-aggregated ACF as window `seq`'s column of an entry —
+    /// the ring restore path. Merging into an existing entry joins its
+    /// columns by seq.
+    pub fn insert_column(&mut self, seq: u64, acf: Acf) {
+        self.insert_leaf_entry(LeafEntry { acf: acf.clone(), columns: vec![(seq, acf)] });
+    }
+
+    fn insert_leaf_entry(&mut self, entry: LeafEntry) {
+        debug_assert_eq!(entry.acf.home(), self.set);
+        if entry.acf.is_empty() {
             return;
         }
-        let centroid = acf.home_cf().centroid().expect("non-empty entry");
-        if let Some(sibling) = self.insert_entry_rec(self.root, acf, &centroid) {
+        let centroid = entry.acf.home_cf().centroid().expect("non-empty entry");
+        if let Some(sibling) = self.insert_entry_rec(self.root, entry, &centroid) {
             self.grow_root(sibling);
         }
     }
 
-    /// Estimated heap footprint of the tree in bytes.
+    /// Makes the tree windowed with window `seq` open: from now on every
+    /// inserted row also lands in that window's column of its entry.
+    /// Windows open in increasing seq order.
+    pub fn open_window(&mut self, seq: u64) {
+        debug_assert!(self.window.is_none_or(|open| open <= seq), "windows open in seq order");
+        self.window = Some(seq);
+    }
+
+    /// Retires every window up to `seq`: drops their columns from every
+    /// entry and outlier, resets each entry's total to the seq-ordered
+    /// fold of its remaining columns, removes the entries left without
+    /// columns, and re-inserts the survivors at the current threshold
+    /// through the rebuild path. Nothing is subtracted, so the surviving
+    /// summaries are exactly those of the live windows' rows. The
+    /// threshold stays, and the pass does not count as a rebuild.
+    pub fn retire_through(&mut self, seq: u64) {
+        self.outliers.retain_mut(|e| e.retire_through(seq));
+        self.reinsert(self.threshold, |e| e.retire_through(seq));
+    }
+
+    /// Estimated heap footprint of the tree in bytes. A window column is
+    /// charged as one more leaf ACF, so the budget bounds what is stored.
     pub fn memory_estimate(&self) -> usize {
         let live_nodes = self.nodes.len();
         // Every non-root node is referenced by exactly one internal entry.
         let internal_entries = live_nodes.saturating_sub(1);
         live_nodes * NODE_OVERHEAD_BYTES
-            + self.leaf_entry_count * self.leaf_entry_charge
+            + (self.leaf_entry_count + self.column_count) * self.leaf_entry_charge
             + internal_entries * self.internal_entry_charge
     }
 
     /// Iterates over the current leaf entries (clusters).
     pub fn leaf_entries(&self) -> impl Iterator<Item = &Acf> {
+        self.leaves().map(|e| &e.acf)
+    }
+
+    fn leaves(&self) -> impl Iterator<Item = &LeafEntry> {
         self.nodes
             .iter()
             .filter_map(|n| match n {
@@ -174,128 +302,63 @@ impl AcfTree {
             .flatten()
     }
 
+    /// Every leaf entry, then every paged-out outlier, each with its
+    /// window columns as `(seq, ACF)` pairs in seq order (none in a static
+    /// tree).
+    pub fn entries(&self) -> impl Iterator<Item = (&Acf, &[(u64, Acf)])> {
+        self.leaves().chain(&self.outliers).map(|e| (&e.acf, e.columns.as_slice()))
+    }
+
     /// Re-inserts paged-out outliers ("to ensure that they are indeed
     /// outliers") and returns the final cluster summaries.
     pub fn finish(mut self) -> Vec<Acf> {
         let outliers = std::mem::take(&mut self.outliers);
         crate::metrics::metrics().outliers_reinserted.add(outliers.len() as u64);
-        for acf in outliers {
-            self.insert_entry(acf);
+        for entry in outliers {
+            self.insert_leaf_entry(entry);
         }
         let mut out = Vec::with_capacity(self.leaf_entry_count);
         for node in self.nodes {
             if let Node::Leaf { entries } = node {
-                out.extend(entries);
+                out.extend(entries.into_iter().map(|e| e.acf));
             }
         }
         out
     }
 
-    /// Removes previously-merged sub-clusters from the tree — the inverse
-    /// of [`insert_entry`](Self::insert_entry) at the moment level.
-    ///
-    /// Every live entry (leaves and paged-out outliers alike) is drained,
-    /// each subtrahend's moments are cancelled against the drained entries,
-    /// and the survivors are re-inserted at the current threshold, mirroring
-    /// [`rebuild`](Self::rebuild). Per subtrahend the cancellation is
-    /// greedy by home-centroid distance: entries smaller than the remaining
-    /// subtrahend are consumed whole (their own exact moments removed from
-    /// the residue), and the final residue is unmerged from the closest
-    /// entry big enough to hold it. However the residue is attributed, the
-    /// *total* moments removed equal the subtrahend's exactly, so per set
-    /// the surviving `N` is exact and the surviving ΣY/ΣY² match a tree
-    /// that never saw the subtracted rows up to floating-point summation
-    /// order; when the subtracted clusters are well separated from the
-    /// survivors (the sliding-window case), the closest entry is the true
-    /// host and the cancellation is exact per entry too. The pass is fully
-    /// deterministic: entries drain in arena order, ties keep the lowest
-    /// index, and re-insertion runs in drain order.
-    ///
-    /// # Contract
-    /// `clusters` must summarize a sub-multiset of the tuples this tree has
-    /// absorbed — the way `b`'s clusters are inside `merge(a, b)`. Like
-    /// [`AcfForest::merge`]'s partitioning check, a violation is a
-    /// programming error and panics.
-    ///
-    /// # Panics
-    /// Panics if the subtrahends hold more tuples than the tree does
-    /// (i.e. `clusters` cannot have been merged into this tree).
-    ///
-    /// [`AcfForest::merge`]: crate::AcfForest::merge
-    pub fn subtract_entries(&mut self, clusters: &[Acf]) {
-        if clusters.iter().all(Acf::is_empty) {
-            return;
-        }
-        let mut carried: Vec<Acf> = Vec::with_capacity(self.leaf_entry_count);
-        for node in std::mem::take(&mut self.nodes) {
-            if let Node::Leaf { entries } = node {
-                carried.extend(entries);
-            }
-        }
-        carried.append(&mut self.outliers);
-        for sub in clusters {
-            let mut remaining = sub.clone();
-            while !remaining.is_empty() {
-                let centroid = remaining.home_cf().centroid().expect("non-empty residue");
-                let mut best: Option<(usize, f64)> = None;
-                for (i, e) in carried.iter().enumerate() {
-                    let d = e
-                        .home_cf()
-                        .centroid_distance_sq_to_point(&centroid)
-                        .expect("carried entries are non-empty");
-                    if best.is_none_or(|(_, bd)| d < bd) {
-                        best = Some((i, d));
-                    }
+    /// What [`finish`](Self::finish) would return now, without consuming
+    /// the tree: a copy is finished, so the tree keeps accepting inserts.
+    /// The copy leaves the window columns behind, since Phase II never
+    /// reads them.
+    pub fn extract_clusters(&self) -> Vec<Acf> {
+        let nodes = self
+            .nodes
+            .iter()
+            .map(|node| match node {
+                Node::Internal { entries } => Node::Internal { entries: entries.clone() },
+                Node::Leaf { entries } => {
+                    Node::Leaf { entries: entries.iter().map(LeafEntry::without_columns).collect() }
                 }
-                let Some((host, _)) = best else {
-                    panic!(
-                        "subtract_entries: the set-{} tree ran out of clusters with a \
-                         {}-tuple residue left to subtract — the subtracted forest was \
-                         never merged into this one",
-                        self.set,
-                        remaining.n()
-                    );
-                };
-                if carried[host].n() >= remaining.n() {
-                    carried[host].unmerge(&remaining).expect("same layout and home set, n checked");
-                    if carried[host].is_empty() {
-                        // The host cancelled to zero tuples but — unless its
-                        // tuples were literally the subtracted ones — it still
-                        // carries a moment residue (±δ per image). Dropping it
-                        // would leak δ from the aggregate, so fold the residue
-                        // into the nearest survivor; with no survivors the
-                        // tree is empty and the residue is pure regrouping
-                        // noise around zero.
-                        let emptied = carried.remove(host);
-                        let mut nearest: Option<(usize, f64)> = None;
-                        for (i, e) in carried.iter().enumerate() {
-                            let d = e
-                                .home_cf()
-                                .centroid_distance_sq_to_point(&centroid)
-                                .expect("carried entries are non-empty");
-                            if nearest.is_none_or(|(_, bd)| d < bd) {
-                                nearest = Some((i, d));
-                            }
-                        }
-                        if let Some((absorber, _)) = nearest {
-                            carried[absorber].merge(&emptied).expect("same layout and home set");
-                        }
-                    }
-                    break;
-                }
-                // The closest entry is smaller than the residue: consume it
-                // whole — removing its exact moments keeps the aggregate
-                // subtraction exact — and keep cancelling.
-                let consumed = carried.remove(host);
-                remaining.unmerge(&consumed).expect("same layout and home set, n checked");
-            }
+            })
+            .collect();
+        AcfTree {
+            layout: self.layout.clone(),
+            set: self.set,
+            config: self.config.clone(),
+            threshold: self.threshold,
+            threshold_sq: self.threshold_sq,
+            nodes,
+            root: self.root,
+            leaf_entry_count: self.leaf_entry_count,
+            column_count: 0,
+            outliers: self.outliers.iter().map(LeafEntry::without_columns).collect(),
+            rebuilds: self.rebuilds,
+            points_inserted: self.points_inserted,
+            window: None,
+            leaf_entry_charge: self.leaf_entry_charge,
+            internal_entry_charge: self.internal_entry_charge,
         }
-        self.nodes.push(Node::Leaf { entries: Vec::new() });
-        self.root = 0;
-        self.leaf_entry_count = 0;
-        for acf in carried {
-            self.insert_entry(acf);
-        }
+        .finish()
     }
 
     /// Diagnostic snapshot.
@@ -322,7 +385,11 @@ impl AcfTree {
     /// 3. node fan-outs respect the configured capacities (the root may
     ///    temporarily hold as few as one entry after a trivial build);
     /// 4. the leaf-entry counter matches the actual leaf population;
-    /// 5. all leaves sit at the same depth (height balance).
+    /// 5. all leaves sit at the same depth (height balance);
+    /// 6. window columns are non-empty, in strictly increasing seq order,
+    ///    none newer than the open window, and their tuple counts sum to
+    ///    their entry's; in a windowed tree every entry and outlier has
+    ///    one, and the column counter matches the leaves' columns.
     pub fn check_invariants(&self) -> Result<(), String> {
         let mut referenced = vec![0usize; self.nodes.len()];
         let mut leaf_entries = 0usize;
@@ -388,6 +455,26 @@ impl AcfTree {
         if leaf_entries != self.leaf_entry_count {
             return Err(format!("leaf counter {} vs actual {leaf_entries}", self.leaf_entry_count));
         }
+        let columns: usize = self.leaves().map(|e| e.columns.len()).sum();
+        if columns != self.column_count {
+            return Err(format!("column counter {} vs actual {columns}", self.column_count));
+        }
+        for (acf, columns) in self.entries() {
+            if self.window.is_some() && columns.is_empty() {
+                return Err("a windowed entry without columns".into());
+            }
+            if columns.windows(2).any(|pair| pair[0].0 >= pair[1].0) {
+                return Err("window columns out of seq order".into());
+            }
+            if columns.iter().any(|(seq, c)| c.is_empty() || self.window.is_some_and(|w| *seq > w))
+            {
+                return Err("an empty column, or one newer than the open window".into());
+            }
+            let n: u64 = columns.iter().map(|(_, c)| c.n()).sum();
+            if !columns.is_empty() && n != acf.n() {
+                return Err(format!("columns hold {n} tuples but their entry {}", acf.n()));
+            }
+        }
         if let (Some(min), Some(max)) = (leaf_depths.iter().min(), leaf_depths.iter().max()) {
             if min != max {
                 return Err(format!("unbalanced leaves: depths {min}..{max}"));
@@ -433,35 +520,37 @@ impl AcfTree {
             Node::Leaf { entries } => {
                 if let Some(ei) = Self::closest_leaf(entries, point) {
                     let entry = &mut entries[ei];
-                    if entry.home_cf().merged_diameter_sq_with_point(point) <= self.threshold_sq {
-                        entry.add_row(row);
+                    if entry.acf.home_cf().merged_diameter_sq_with_point(point) <= self.threshold_sq
+                    {
+                        self.column_count += entry.add_row(row, self.window, &self.layout);
                         return None;
                     }
                 }
-                let acf = Acf::from_row(&self.layout, self.set, row);
-                self.push_leaf_entry(node_id, acf)
+                let mut entry = LeafEntry::new(Acf::empty(&self.layout, self.set));
+                entry.add_row(row, self.window, &self.layout);
+                self.push_leaf_entry(node_id, entry)
             }
         }
     }
 
-    fn insert_entry_rec(&mut self, node_id: usize, acf: Acf, centroid: &[f64]) -> SplitUp {
+    fn insert_entry_rec(&mut self, node_id: usize, entry: LeafEntry, centroid: &[f64]) -> SplitUp {
         match &mut self.nodes[node_id] {
             Node::Internal { entries } => {
                 let ci = Self::closest_internal(entries, centroid);
-                entries[ci].cf.merge(acf.home_cf());
+                entries[ci].cf.merge(entry.acf.home_cf());
                 let child = entries[ci].child;
-                let split = self.insert_entry_rec(child, acf, centroid);
+                let split = self.insert_entry_rec(child, entry, centroid);
                 self.absorb_child_split(node_id, ci, split)
             }
             Node::Leaf { entries } => {
                 if let Some(ei) = Self::closest_leaf(entries, centroid) {
-                    let entry = &mut entries[ei];
-                    if entry.merged_home_diameter_sq(&acf) <= self.threshold_sq {
-                        entry.merge(&acf).expect("same layout and home set");
+                    let host = &mut entries[ei];
+                    if host.acf.merged_home_diameter_sq(&entry.acf) <= self.threshold_sq {
+                        self.column_count += host.merge(entry);
                         return None;
                     }
                 }
-                self.push_leaf_entry(node_id, acf)
+                self.push_leaf_entry(node_id, entry)
             }
         }
     }
@@ -494,11 +583,12 @@ impl AcfTree {
         }
     }
 
-    fn push_leaf_entry(&mut self, node_id: usize, acf: Acf) -> SplitUp {
+    fn push_leaf_entry(&mut self, node_id: usize, entry: LeafEntry) -> SplitUp {
         self.leaf_entry_count += 1;
+        self.column_count += entry.columns.len();
         let overflow = match &mut self.nodes[node_id] {
             Node::Leaf { entries } => {
-                entries.push(acf);
+                entries.push(entry);
                 entries.len() > self.config.leaf_capacity
             }
             Node::Internal { .. } => unreachable!("push_leaf_entry on internal node"),
@@ -540,11 +630,12 @@ impl AcfTree {
         best
     }
 
-    fn closest_leaf(entries: &[Acf], point: &[f64]) -> Option<usize> {
+    fn closest_leaf(entries: &[LeafEntry], point: &[f64]) -> Option<usize> {
         let mut best = None;
         let mut best_d = f64::INFINITY;
         for (i, e) in entries.iter().enumerate() {
             let d = e
+                .acf
                 .home_cf()
                 .centroid_distance_sq_to_point(point)
                 .expect("leaf entries are non-empty");
@@ -566,7 +657,7 @@ impl AcfTree {
             }
             Node::Leaf { entries } => {
                 for e in entries {
-                    cf.merge(e.home_cf());
+                    cf.merge(e.acf.home_cf());
                 }
             }
         }
@@ -585,7 +676,7 @@ impl AcfTree {
         };
         let centroids: Vec<Vec<f64>> = entries
             .iter()
-            .map(|e| e.home_cf().centroid().expect("leaf entries are non-empty"))
+            .map(|e| e.acf.home_cf().centroid().expect("leaf entries are non-empty"))
             .collect();
         let (keep, give) = partition_by_farthest_pair(entries, &centroids);
         self.nodes[node_id] = Node::Leaf { entries: keep };
@@ -643,7 +734,7 @@ impl AcfTree {
                 let mut best = f64::INFINITY;
                 for i in 0..entries.len() {
                     for j in (i + 1)..entries.len() {
-                        let d = entries[i].merged_home_diameter_sq(&entries[j]).sqrt();
+                        let d = entries[i].acf.merged_home_diameter_sq(&entries[j].acf).sqrt();
                         if d < best {
                             best = d;
                         }
@@ -671,27 +762,7 @@ impl AcfTree {
     fn rebuild(&mut self, new_threshold: f64) {
         debug_assert!(new_threshold >= self.threshold);
         let old_threshold = self.threshold;
-        let mut carried: Vec<Acf> = Vec::with_capacity(self.leaf_entry_count);
-        for node in std::mem::take(&mut self.nodes) {
-            if let Node::Leaf { entries } = node {
-                carried.extend(entries);
-            }
-        }
-        self.nodes.push(Node::Leaf { entries: Vec::new() });
-        self.root = 0;
-        self.leaf_entry_count = 0;
-        self.threshold = new_threshold;
-        self.threshold_sq = new_threshold * new_threshold;
-        let limit = self.config.outlier_entry_limit;
-        let mut paged = 0u64;
-        for acf in carried {
-            if limit > 0 && acf.n() < limit {
-                self.outliers.push(acf);
-                paged += 1;
-            } else {
-                self.insert_entry(acf);
-            }
-        }
+        let paged = self.reinsert(new_threshold, |_| true);
         self.rebuilds += 1;
         let m = crate::metrics::metrics();
         m.rebuilds.inc();
@@ -707,6 +778,38 @@ impl AcfTree {
                 ("outliers_paged", &paged.to_string()),
             ],
         );
+    }
+
+    /// The body of a rebuild: drains the leaves and re-inserts the entries
+    /// `keep` retains at `threshold`, paging out candidate outliers.
+    /// Returns how many entries were paged.
+    fn reinsert(&mut self, threshold: f64, mut keep: impl FnMut(&mut LeafEntry) -> bool) -> u64 {
+        let mut carried: Vec<LeafEntry> = Vec::with_capacity(self.leaf_entry_count);
+        for node in std::mem::take(&mut self.nodes) {
+            if let Node::Leaf { entries } = node {
+                carried.extend(entries);
+            }
+        }
+        self.nodes.push(Node::Leaf { entries: Vec::new() });
+        self.root = 0;
+        self.leaf_entry_count = 0;
+        self.column_count = 0;
+        self.threshold = threshold;
+        self.threshold_sq = threshold * threshold;
+        let limit = self.config.outlier_entry_limit;
+        let mut paged = 0u64;
+        for mut entry in carried {
+            if !keep(&mut entry) {
+                continue;
+            }
+            if limit > 0 && entry.acf.n() < limit {
+                self.outliers.push(entry);
+                paged += 1;
+            } else {
+                self.insert_leaf_entry(entry);
+            }
+        }
+        paged
     }
 }
 

@@ -160,51 +160,6 @@ fn merging_with_the_empty_forest_is_the_identity() {
     });
 }
 
-/// Subtraction inverts merge: for disjoint row-shards `a` and `b`,
-/// `merge(a, b).subtract(b)` must hold the same aggregate moments as `a`
-/// alone — per home set, the total `N` exactly and every image's ΣY and
-/// ΣY² within summation tolerance. This is the retirement path of the
-/// sliding-window forest: dropping an expired window by CF subtraction
-/// must leave exactly the surviving windows' summary behind.
-#[test]
-fn subtract_inverts_merge() {
-    proptest!(|(rows in prop::collection::vec((-50.0f64..50.0, -50.0f64..50.0), 0..120),
-                split_frac in 0.0f64..1.0)| {
-        let rows: Vec<Vec<f64>> = rows.into_iter().map(|(a, b)| vec![a, b]).collect();
-        let split = ((rows.len() as f64) * split_frac) as usize;
-        let (a_rows, b_rows) = rows.split_at(split.min(rows.len()));
-
-        let mut merged = build(a_rows);
-        merged.merge(build(b_rows));
-        merged.subtract(build(b_rows));
-
-        let want = aggregate(&build(a_rows).finish());
-        let got = aggregate(&merged.finish());
-        check_close(&got, &want, "merge(a,b).subtract(b) vs a")?;
-    });
-}
-
-/// Subtracting everything a forest holds leaves the empty summary: zero
-/// tuples and zero moments on every set (exactly — unmerging a cluster
-/// from itself cancels bit-for-bit, so no tolerance is needed for `N`,
-/// and the moment residue of cross-cluster regroupings stays within
-/// summation tolerance of zero).
-#[test]
-fn subtract_to_empty_is_the_identity_inverse() {
-    proptest!(|(rows in prop::collection::vec((-50.0f64..50.0, -50.0f64..50.0), 0..120))| {
-        let rows: Vec<Vec<f64>> = rows.into_iter().map(|(a, b)| vec![a, b]).collect();
-        let mut base = forest();
-        base.merge(build(&rows));
-        base.subtract(build(&rows));
-        let per_set = base.finish();
-        for (set, clusters) in per_set.iter().enumerate() {
-            let n: u64 = clusters.iter().map(Acf::n).sum();
-            prop_assert_eq!(n, 0, "set {}: tuples survived a total subtraction", set);
-            prop_assert!(clusters.is_empty(), "set {}: empty clusters must be dropped", set);
-        }
-    });
-}
-
 #[test]
 fn merge_of_disjoint_shards_equals_the_concatenated_build() {
     proptest!(|(rows in prop::collection::vec((-50.0f64..50.0, -50.0f64..50.0), 0..120),

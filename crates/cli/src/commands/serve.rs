@@ -20,7 +20,10 @@
 //! With `--window-batches N`, the server mines a **sliding window**
 //! instead of all history: every `N` ingested batches seal a window, at
 //! most `--window-slots` windows stay live (the open one plus the sealed
-//! ring), and the oldest retires under `--window-policy remerge|subtract`.
+//! ring), and the oldest retires: its per-window columns leave the one
+//! Phase I forest. `--window-policy remerge|subtract` is accepted only for
+//! compatibility (both name that one retirement) and goes when the
+//! benchmark that passes it next changes.
 //! Windowed servers additionally speak `advance` (explicit seal) and
 //! `subscribe` (live rule-churn events); WAL frames carry the window
 //! sequence so recovery rebuilds the exact ring.
@@ -31,8 +34,7 @@ use crate::CliError;
 use dar_core::{Metric, Partitioning, Schema};
 use dar_engine::EngineConfig;
 use dar_serve::{
-    recover_backend, EngineBackend, RetirePolicy, ServeConfig, ServeSummary, Server, Verb,
-    WindowSpec,
+    recover_backend, EngineBackend, ServeConfig, ServeSummary, Server, Verb, WindowSpec,
 };
 use std::fmt::Write as _;
 use std::sync::Arc;
@@ -82,7 +84,10 @@ pub fn run(args: &Args) -> Result<String, CliError> {
 
 /// Parses the sliding-window flags: `None` (the default) is a classic
 /// all-history server; `--window-batches` opts into windowed mining.
-pub fn window_options(args: &Args) -> Result<Option<(WindowSpec, RetirePolicy)>, CliError> {
+/// `--window-policy` takes `remerge` or `subtract` for compatibility only:
+/// there is one retirement, and the flag goes when the benchmark that
+/// passes it next changes.
+pub fn window_options(args: &Args) -> Result<Option<WindowSpec>, CliError> {
     let batches = args.number::<u64>("window-batches", 0)?;
     let slots = args.number::<usize>("window-slots", 0)?;
     let policy = args.optional("window-policy");
@@ -92,11 +97,12 @@ pub fn window_options(args: &Args) -> Result<Option<(WindowSpec, RetirePolicy)>,
         }
         return Ok(None);
     }
-    let name = policy.unwrap_or("remerge");
-    let policy = RetirePolicy::parse(name).ok_or_else(|| {
-        CliError::new(format!("--window-policy: expected remerge or subtract, got {name:?}"))
-    })?;
-    Ok(Some((WindowSpec { batches, slots: if slots == 0 { 2 } else { slots } }, policy)))
+    if let Some(name) = policy.filter(|name| !matches!(*name, "remerge" | "subtract")) {
+        return Err(CliError::new(format!(
+            "--window-policy: expected remerge or subtract, got {name:?}"
+        )));
+    }
+    Ok(Some(WindowSpec { batches, slots: if slots == 0 { 2 } else { slots } }))
 }
 
 /// Builds the engine backend and server configuration from the flags. The
@@ -264,20 +270,22 @@ mod tests {
         assert!(backend.is_windowed());
         assert_eq!(backend.window_span(), Some((0, 0)), "fresh ring: only window 0, open");
 
-        // Defaults: slots 2, policy remerge.
+        // Default slots 2; both compatibility policy names select the
+        // one retirement.
         let args = parse(&argv(&["--window-batches", "4"])).unwrap();
-        let (spec, policy) = window_options(&args).unwrap().unwrap();
+        let spec = window_options(&args).unwrap().unwrap();
         assert_eq!((spec.batches, spec.slots), (4, 2));
-        assert!(matches!(policy, RetirePolicy::Remerge));
-        let args = parse(&argv(&["--window-batches", "4", "--window-policy", "subtract"])).unwrap();
-        let (_, policy) = window_options(&args).unwrap().unwrap();
-        assert!(matches!(policy, RetirePolicy::Subtract));
+        for name in ["remerge", "subtract"] {
+            let args = parse(&argv(&["--window-batches", "4", "--window-policy", name])).unwrap();
+            assert_eq!(window_options(&args).unwrap(), Some(spec), "{name}");
+        }
 
         // Window knobs without --window-batches, or a bad policy, fail.
         let err = window_options(&parse(&argv(&["--window-slots", "3"])).unwrap()).unwrap_err();
         assert!(err.to_string().contains("--window-batches"), "{err}");
         let args = parse(&argv(&["--window-batches", "4", "--window-policy", "lru"])).unwrap();
-        assert!(window_options(&args).is_err());
+        let err = window_options(&args).unwrap_err();
+        assert!(err.to_string().contains("expected remerge or subtract, got \"lru\""), "{err}");
     }
 
     #[test]

@@ -32,9 +32,10 @@
 //! engine first replays every committed batch, and `restore` replays
 //! only the records newer than the snapshot's sealed sequence.
 //!
-//! With `--window-batches N` (plus optional `--window-slots` /
-//! `--window-policy`, as on `dar serve`), the session mines a sliding
-//! window: every `N` ingested batches seal a window, the `advance` verb
+//! With `--window-batches N` (plus optional `--window-slots`, and the
+//! compatibility-only `--window-policy`, as on `dar serve`), the session
+//! mines a sliding window: every `N` ingested batches seal a window, the
+//! `advance` verb
 //! seals one explicitly, and WAL frames carry the window sequence so a
 //! later session rebuilds the exact ring.
 
@@ -45,7 +46,7 @@ use crate::CliError;
 use dar_core::{suggest_initial_thresholds, Schema};
 use dar_durable::{DiskStorage, DurableStore, WalFrame};
 use dar_engine::EngineConfig;
-use dar_serve::{EngineBackend, RetirePolicy, WindowSpec};
+use dar_serve::{EngineBackend, WindowSpec};
 use mining::describe::describe_rule;
 use mining::{DensitySpec, RuleQuery};
 use std::fmt::Write as _;
@@ -78,7 +79,7 @@ struct Session {
     threshold_frac: f64,
     config: EngineConfig,
     /// Sliding-window mining (`--window-batches`), if configured.
-    window: Option<(WindowSpec, RetirePolicy)>,
+    window: Option<WindowSpec>,
     /// The write-ahead log (`--wal-path`), if configured.
     store: Option<DurableStore>,
     /// Every committed WAL frame with its sequence and window tag —

@@ -109,7 +109,8 @@ pub fn usage() -> String {
                  [--snapshot-path FILE.snap] [--snapshot-secs S]\n\
                  [--wal-path FILE.wal] [--metrics-addr HOST:PORT]\n\
                  [--window-batches N] [--window-slots W]\n\
-                 [--window-policy remerge|subtract]\n\
+                 [--window-policy remerge|subtract] (compatibility only:\n\
+                 both name the one retirement; the flag will go)\n\
                  TCP server speaking newline-delimited JSON; blocks until\n\
                  a wire `shutdown` request, then prints final counters;\n\
                  --metrics-addr serves Prometheus text to any scraper;\n\

@@ -10,7 +10,7 @@ use dar_durable::storage::scratch_dir;
 use dar_durable::{DiskStorage, FaultPlan, FaultyStorage};
 use dar_engine::{DarEngine, EngineConfig};
 use dar_serve::{recover_backend, Client, ServeConfig, Server, ServerError};
-use dar_stream::{EngineBackend, RetirePolicy, WindowSpec};
+use dar_stream::{EngineBackend, WindowSpec};
 use mining::RuleQuery;
 use std::path::{Path, PathBuf};
 use std::time::Duration;
@@ -60,8 +60,7 @@ fn two_batch_engine() -> DarEngine {
 /// remerge ring after five 20-row batches.
 fn five_batch_ring() -> EngineBackend {
     let spec = WindowSpec { batches: 2, slots: 2 };
-    let mut ring =
-        EngineBackend::new(partitioning(), config(), Some((spec, RetirePolicy::Remerge))).unwrap();
+    let mut ring = EngineBackend::new(partitioning(), config(), Some(spec)).unwrap();
     for b in 0..5 {
         ring.ingest(&rows(20, b)).unwrap();
     }
@@ -204,11 +203,7 @@ fn unmigrated_v1_snapshots_fail_recovery_naming_migrate_and_stay_on_disk() {
     let spec = WindowSpec { batches: 2, slots: 2 };
     let cases = [
         ("v1_engine.snap", EngineBackend::from(engine())),
-        (
-            "v1_ring.snap",
-            EngineBackend::new(partitioning(), config(), Some((spec, RetirePolicy::Remerge)))
-                .unwrap(),
-        ),
+        ("v1_ring.snap", EngineBackend::new(partitioning(), config(), Some(spec)).unwrap()),
     ];
     for (name, fresh) in cases {
         let path = dir.join(name);

@@ -260,6 +260,16 @@ impl Coordinator {
         (self.routed_batches, self.routed_tuples)
     }
 
+    /// Hangs up every shard connection; the next request to a shard
+    /// redials it, as after a transport failure. A shard shutting down
+    /// gracefully serves each open connection until it closes or times
+    /// out, so hanging up first lets the shard exit at once.
+    pub fn hang_up(&mut self) {
+        for shard in &mut self.shards {
+            shard.client = None;
+        }
+    }
+
     /// One request against shard `idx`, with the full fault-tolerance
     /// policy applied: fast-fail if the shard is Down (a structured
     /// `shard-down` error, no socket touched), lazy redial, the

@@ -105,6 +105,9 @@ fn single_engine_rounds(rounds: &[Vec<Vec<Vec<f64>>>]) -> Vec<String> {
         }
         lines.push(client.round_trip_line(&query_line()).unwrap());
     }
+    // Hang up first, so the server's worker sees EOF instead of waiting
+    // out its read timeout on this idle connection.
+    drop(client);
     handle.shutdown();
     handle.join().unwrap();
     lines
@@ -228,7 +231,7 @@ fn steady_state_merge_reuses_unmoved_shard_snapshots() {
 
 #[test]
 fn window_advance_invalidates_the_snapshot_cache() {
-    use dar_serve::{EngineBackend, RetirePolicy, WindowSpec};
+    use dar_serve::{EngineBackend, WindowSpec};
 
     // One windowed shard (4-batch windows: a single batch never seals on
     // its own). An explicit advance changes the shard's snapshot without
@@ -239,7 +242,7 @@ fn window_advance_invalidates_the_snapshot_cache() {
     let engine = EngineBackend::new(
         partitioning,
         engine_config(),
-        Some((WindowSpec { batches: 4, slots: 2 }, RetirePolicy::Remerge)),
+        Some(WindowSpec { batches: 4, slots: 2 }),
     )
     .unwrap();
     let handle = Server::start(engine, "127.0.0.1:0", shard_config()).unwrap();
@@ -265,7 +268,7 @@ fn window_advance_invalidates_the_snapshot_cache() {
 
 #[test]
 fn advance_passes_through_to_windowed_shards_and_subscribe_is_refused() {
-    use dar_serve::{EngineBackend, Json, RetirePolicy, WindowSpec};
+    use dar_serve::{EngineBackend, Json, WindowSpec};
 
     // Two windowed shards behind a coordinator: the `advance` verb fans
     // out to every shard in order and reports each shard's seal.
@@ -274,12 +277,7 @@ fn advance_passes_through_to_windowed_shards_and_subscribe_is_refused() {
         .map(|_| {
             let schema = Schema::interval_attrs(2);
             let partitioning = Partitioning::per_attribute(&schema, Metric::Euclidean);
-            let engine = EngineBackend::new(
-                partitioning,
-                engine_config(),
-                Some((spec, RetirePolicy::Remerge)),
-            )
-            .unwrap();
+            let engine = EngineBackend::new(partitioning, engine_config(), Some(spec)).unwrap();
             Server::start(engine, "127.0.0.1:0", shard_config()).unwrap()
         })
         .collect();
@@ -374,6 +372,9 @@ fn shard_crash_recovery_loses_no_acked_batch_and_rules_still_match() {
     // does the same dance with a real `kill -9`).
     let crashed = handles[1].take().unwrap();
     let crashed_addr = addrs[1].clone();
+    // Hang up first, so the shard's workers see EOF instead of waiting out
+    // their read timeout on the coordinator's idle connections.
+    coordinator.hang_up();
     crashed.shutdown();
     crashed.join().unwrap();
     let config = durable_shard_config(wal_paths[1].clone());
@@ -389,7 +390,7 @@ fn shard_crash_recovery_loses_no_acked_batch_and_rules_still_match() {
     handles[1] = Some(Server::start(recovered, &crashed_addr, config).unwrap());
 
     // Next round lands on both shards (the coordinator's clients
-    // reconnect through the retry path) and the re-merged rules match a
+    // redial) and the re-merged rules match a
     // control engine that never crashed.
     let round2 = [rows(40, 80), rows(40, 120)];
     for batch in &round2 {

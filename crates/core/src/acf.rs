@@ -254,31 +254,6 @@ impl Acf {
         Ok(())
     }
 
-    /// The inverse of [`merge`](Self::merge): removes a disjoint sub-cluster
-    /// that was previously folded into this ACF, image by image (CF
-    /// additivity runs both ways). The bounding box is left untouched — a
-    /// bounding box cannot shrink from summaries alone, so subtraction is
-    /// exact at the *moment* level (N, ΣY, ΣY², which is everything Phase II
-    /// distances read) while the box stays a conservative cover.
-    ///
-    /// # Errors
-    /// Rejects mismatched home sets or partitionings, and an `other` whose
-    /// tuple count exceeds this cluster's (it cannot be a sub-cluster).
-    pub fn unmerge(&mut self, other: &Acf) -> Result<(), CoreError> {
-        self.check_compatible(other, "unmerge")?;
-        if self.n < other.n {
-            return Err(CoreError::LayoutMismatch(format!(
-                "cannot unmerge {} tuples from a cluster of {}",
-                other.n, self.n
-            )));
-        }
-        self.n -= other.n;
-        for (a, b) in self.moments.iter_mut().zip(other.moments.iter()) {
-            *a -= b;
-        }
-        Ok(())
-    }
-
     /// Diameter (RMS average pairwise distance) of the home-set cluster —
     /// the density criterion `d(C_X[X]) ≤ d0^X` of Definition 4.2.
     pub fn diameter(&self) -> f64 {
@@ -426,35 +401,6 @@ mod tests {
         // Home bbox covers both points on set 1.
         assert_eq!(a.bbox().interval(0).hi, 2.0);
         assert_eq!(a.bbox().interval(1).hi, 2.0);
-    }
-
-    #[test]
-    fn unmerge_inverts_merge_at_the_moment_level() {
-        let l = layout2();
-        let mut a = Acf::from_row(&l, 0, &proj(1.0, 10.0, 100.0));
-        a.add_row(&proj(3.0, 20.0, 200.0));
-        let before = a.clone();
-        let b = Acf::from_row(&l, 0, &proj(7.0, 30.0, 300.0));
-        a.merge(&b).unwrap();
-        a.unmerge(&b).unwrap();
-        assert_eq!(a.n(), before.n());
-        for set in 0..2 {
-            assert_eq!(a.image(set).linear_sum(), before.image(set).linear_sum());
-            assert_eq!(a.image(set).square_sum(), before.image(set).square_sum());
-        }
-    }
-
-    #[test]
-    fn unmerge_rejects_mismatches_and_oversized_subtrahends() {
-        let l = layout2();
-        let mut a = Acf::from_row(&l, 0, &proj(1.0, 2.0, 3.0));
-        let other_home = Acf::from_row(&l, 1, &proj(1.0, 2.0, 3.0));
-        assert!(a.unmerge(&other_home).is_err());
-        let other_layout = AcfLayout::new(vec![1]);
-        assert!(a.unmerge(&Acf::empty(&other_layout, 0)).is_err());
-        let mut big = Acf::from_row(&l, 0, &proj(1.0, 2.0, 3.0));
-        big.add_row(&proj(2.0, 3.0, 4.0));
-        assert!(a.unmerge(&big).is_err(), "subtrahend larger than the cluster");
     }
 
     #[test]

@@ -354,21 +354,6 @@ impl Cf {
             *a += b;
         }
     }
-
-    /// Subtracts `other` from `self` (the inverse of [`merge`](Self::merge)),
-    /// used when relocating a subtree's summary during rebuilds.
-    pub fn unmerge(&mut self, other: CfRef<'_>) {
-        debug_assert_eq!(self.dims(), other.dims());
-        debug_assert!(self.n >= other.n);
-        self.n -= other.n;
-        let (ls, ss) = self.moments.split_at_mut(other.dims());
-        for (a, b) in ls.iter_mut().zip(other.ls) {
-            *a -= b;
-        }
-        for (a, b) in ss.iter_mut().zip(other.ss) {
-            *a -= b;
-        }
-    }
 }
 
 #[cfg(test)]
@@ -439,15 +424,6 @@ mod tests {
             .square_sum()
             .iter()
             .zip(all.view().square_sum())
-            .all(|(x, y)| close(*x, *y)));
-        // unmerge restores the original.
-        merged.unmerge(b.view());
-        assert_eq!(merged.n(), a.n());
-        assert!(merged
-            .view()
-            .linear_sum()
-            .iter()
-            .zip(a.view().linear_sum())
             .all(|(x, y)| close(*x, *y)));
     }
 

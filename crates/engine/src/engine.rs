@@ -678,10 +678,8 @@ impl DarEngine {
 
     /// Builds an engine around an already-populated live forest — the
     /// in-process analogue of [`DarEngine::merge_parsed_snapshots`], used
-    /// by the sliding-window layer (`dar-stream`) to stand up a fresh engine
-    /// over the re-merged survivors on restore and whenever a window
-    /// retires under remerge (subtract retirement uses
-    /// [`DarEngine::subtract_retired`] instead). `tuples` is the number of
+    /// by the sliding-window layer (`dar-stream`) to stand up the engine
+    /// over a restored windowed forest. `tuples` is the number of
     /// tuples the forest summarizes (it drives `s0`); like
     /// `merge_parsed_snapshots`, the epoch starts at `epoch_base` and
     /// *open*, so the first query closes `epoch_base + 1`.
@@ -706,26 +704,34 @@ impl DarEngine {
         }
     }
 
-    /// Cancels retired summaries out of the live forest in place by CF
-    /// subtraction ([`AcfForest::subtract`]; additivity, Theorem 6.1 /
-    /// Eq. 7, runs both ways). This is the sliding-window layer's subtract
-    /// retirement: there this engine's forest *is* the running total of the
-    /// live horizon, and each forest in `retired` is an expired window whose
-    /// rows were ingested here. `live_tuples` is the count the forest
-    /// summarizes afterwards.
+    /// Makes the forest windowed with window `seq` open: every later row
+    /// also lands in that window's column of its entry
+    /// ([`AcfForest::open_window`]). No tuple moves, so the epoch stays.
+    pub fn open_window(&mut self, seq: u64) {
+        self.forest.open_window(seq);
+    }
+
+    /// Retires every window up to `seq` from the windowed forest
+    /// ([`AcfForest::retire_through`]): the sliding-window layer's
+    /// retirement. `live_tuples` is the count the forest summarizes
+    /// afterwards.
     ///
     /// The engine is left exactly as [`DarEngine::with_forest`] would build
-    /// it around the subtracted forest with `epoch_base = self.epoch()`: the
+    /// it around the retired forest with `epoch_base = self.epoch()`: the
     /// epoch carries over and stays open, so the next query closes a fresh
     /// one over the slid horizon, and the counters restart from
     /// `tuples_ingested = live_tuples`.
-    pub fn subtract_retired(&mut self, retired: Vec<AcfForest>, live_tuples: u64) {
-        for forest in retired {
-            self.forest.subtract(forest);
-        }
+    pub fn retire_through(&mut self, seq: u64, live_tuples: u64) {
+        self.forest.retire_through(seq);
         self.tuples = live_tuples;
         self.epoch_state = None;
         self.stats = EngineStats { tuples_ingested: live_tuples, ..EngineStats::default() };
+    }
+
+    /// The live Phase I forest (read-only): a windowed ring snapshot reads
+    /// its window columns and thresholds.
+    pub fn forest(&self) -> &AcfForest {
+        &self.forest
     }
 
     /// Replays one write-ahead-log batch recovered by `dar-durable` on top
@@ -1063,37 +1069,48 @@ mod tests {
     }
 
     #[test]
-    fn subtract_retired_leaves_the_state_with_forest_builds() {
-        // Jittered by 0.01, so the subtraction leaves rounding residue: both
-        // engines must carry the very same residue.
+    fn retire_through_leaves_the_state_with_forest_builds() {
+        // Jittered by 0.01, so totals are real-valued sums: both engines
+        // must hold the very same folds of the live column.
         let (retired_rows, live_rows) = (block_rows(30, 0), block_rows(50, 3));
-        let window_forest = |e: &DarEngine| {
-            let mut f = AcfForest::new(e.partitioning.clone(), &e.config.birch);
-            f.insert_batch(&retired_rows, &e.pool);
-            f
-        };
         let q = RuleQuery::default();
+        let windowed = |e: &mut DarEngine| {
+            e.open_window(0);
+            e.ingest(&retired_rows).unwrap();
+            e.open_window(1);
+            e.ingest(&live_rows).unwrap();
+        };
 
         // In place: the engine ingested both windows and answered a query
         // (so its epoch and counters are not the defaults), then retires the
         // first window.
         let mut in_place = engine();
-        in_place.ingest(&retired_rows).unwrap();
-        in_place.ingest(&live_rows).unwrap();
+        windowed(&mut in_place);
         in_place.query(&q).unwrap();
         let epoch_base = in_place.epoch();
-        let retired = window_forest(&in_place);
-        in_place.subtract_retired(vec![retired], 50);
+        in_place.retire_through(0, 50);
 
-        // Rebuilt: the same subtracted forest, stood up by `with_forest`.
+        // Rebuilt: the same retired forest, stood up by `with_forest`.
         let mut source = engine();
-        source.ingest(&retired_rows).unwrap();
-        source.ingest(&live_rows).unwrap();
-        let retired = window_forest(&source);
+        windowed(&mut source);
         let mut forest = source.forest;
-        forest.subtract(retired);
+        forest.retire_through(0);
         let mut rebuilt = DarEngine::with_forest(forest, 50, epoch_base, source.config);
 
+        // Only the live window's rows are left: the very clusters a
+        // static engine fed just those rows extracts, up to their order.
+        let mut live_only = engine();
+        live_only.ingest(&live_rows).unwrap();
+        let sorted = |e: &DarEngine| {
+            let mut per_set = e.forest.extract_clusters();
+            for clusters in &mut per_set {
+                clusters.sort_by(|a, b| {
+                    a.home_cf().linear_sum()[0].total_cmp(&b.home_cf().linear_sum()[0])
+                });
+            }
+            per_set
+        };
+        assert_eq!(sorted(&in_place), sorted(&live_only));
         assert_eq!(in_place.forest.extract_clusters(), rebuilt.forest.extract_clusters());
         assert_eq!(in_place.forest.thresholds(), rebuilt.forest.thresholds());
         for round in ["first query", "repeat"] {

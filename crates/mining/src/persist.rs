@@ -228,10 +228,22 @@ fn decode_record_inner(record: &[u8], layout: &AcfLayout) -> Result<ClusterSumma
             record.len(),
         )));
     }
+    // What no writer emits is refused: a cluster summarizes at least one
+    // finite row, so its box is finite and ordered and its moments are
+    // not NaN. Moments may be infinite: finite values above ≈1.3e154
+    // square to inf.
+    if n == 0 {
+        return Err(CoreError::LayoutMismatch("a cluster of zero tuples".into()));
+    }
     let mut intervals = Vec::with_capacity(bbox_n);
-    for _ in 0..bbox_n {
+    for d in 0..bbox_n {
         let lo = cur.f64("bbox lo")?;
         let hi = cur.f64("bbox hi")?;
+        if !(lo.is_finite() && hi.is_finite() && lo <= hi) {
+            return Err(CoreError::LayoutMismatch(format!(
+                "bbox dimension {d} is [{lo}, {hi}], not a finite ordered interval"
+            )));
+        }
         intervals.push(Interval { lo, hi });
     }
     let bbox = BoundingBox::from_intervals(intervals);
@@ -241,6 +253,9 @@ fn decode_record_inner(record: &[u8], layout: &AcfLayout) -> Result<ClusterSumma
         .take(8 * moments, "moments")?
         .chunks_exact(8)
         .map(|b| f64::from_le_bytes(b.try_into().expect("8 bytes")));
+    if let Some(i) = moments.clone().position(f64::is_nan) {
+        return Err(CoreError::LayoutMismatch(format!("moment {i} is NaN")));
+    }
     let acf = Acf::from_moments(layout, set, n, moments, bbox)?;
     Ok(ClusterSummary { id: ClusterId(id), set, acf })
 }
@@ -372,6 +387,43 @@ mod tests {
         let mut padded = bytes.clone();
         padded.push(0);
         assert!(decode_clusters(&padded, &pool).is_err());
+    }
+
+    /// A sample cluster with one field replaced through the public
+    /// constructors, as a damaged file would carry it.
+    fn damaged(n: u64, moment: f64, bbox: (f64, f64)) -> Vec<ClusterSummary> {
+        let layout = AcfLayout::new(vec![1, 2]);
+        let moments = [moment, 2.25, 10.0, 0.25, 100.0, 0.0625];
+        let bbox = BoundingBox::from_intervals(vec![Interval { lo: bbox.0, hi: bbox.1 }]);
+        let acf = Acf::from_moments(&layout, 0, n, moments, bbox).unwrap();
+        vec![ClusterSummary { id: ClusterId(0), set: 0, acf }]
+    }
+
+    #[test]
+    fn records_no_writer_emits_are_refused() {
+        let pool = dar_par::ThreadPool::serial();
+        let decode = |clusters: Vec<ClusterSummary>| {
+            decode_clusters(&encode_clusters(&clusters, &pool).unwrap(), &pool)
+        };
+        assert!(decode(damaged(1, 1.5, (1.5, 1.5))).is_ok(), "the undamaged record");
+        for (what, clusters) in [
+            ("n = 0", damaged(0, 1.5, (1.5, 1.5))),
+            ("a NaN moment", damaged(1, f64::NAN, (1.5, 1.5))),
+            ("lo > hi", damaged(1, 1.5, (2.0, 1.0))),
+            ("an infinite bound", damaged(1, 1.5, (1.5, f64::INFINITY))),
+            ("a NaN bound", damaged(1, 1.5, (f64::NAN, 1.5))),
+        ] {
+            let err = decode(clusters).err();
+            assert!(matches!(err, Some(CoreError::LayoutMismatch(_))), "{what}: {err:?}");
+        }
+        // Finite rows above ≈1.3e154 square to inf, so a writer can emit
+        // infinite moments; they decode.
+        let row = [1.0e155, 1.0, 1.0];
+        let mut acf = Acf::empty(&AcfLayout::new(vec![1, 2]), 0);
+        acf.add_row(&row);
+        assert!(acf.image(0).square_sum()[0].is_infinite());
+        let huge = vec![ClusterSummary { id: ClusterId(0), set: 0, acf }];
+        assert_eq!(decode(huge.clone()).unwrap(), huge);
     }
 
     #[test]

@@ -32,7 +32,9 @@ fn sextet(c: u8) -> Option<u32> {
 }
 
 /// Decodes padded standard base64. Rejects non-alphabet bytes, lengths
-/// that are not a multiple of four, and misplaced padding.
+/// that are not a multiple of four, misplaced padding, and non-zero
+/// padding bits (`"Zh=="`), which [`encode`] never writes: every text it
+/// accepts is the one encoding of its bytes.
 pub fn decode(text: &str) -> Result<Vec<u8>, String> {
     let bytes = text.as_bytes();
     if !bytes.len().is_multiple_of(4) {
@@ -51,6 +53,9 @@ pub fn decode(text: &str) -> Result<Vec<u8>, String> {
                 | sextet(c).ok_or_else(|| format!("invalid base64 byte {:?}", c as char))?;
         }
         word <<= 6 * pad as u32;
+        if word & ((1 << (8 * pad)) - 1) != 0 {
+            return Err("non-zero base64 padding bits".into());
+        }
         out.push((word >> 16) as u8);
         if pad < 2 {
             out.push((word >> 8) as u8);
@@ -101,5 +106,7 @@ mod tests {
         assert!(decode("Zg==Zg==").is_err(), "padding mid-stream");
         assert!(decode("Zm 9").is_err(), "whitespace is not alphabet");
         assert!(decode("Zm\u{e9}A").is_err(), "non-ascii rejected");
+        assert!(decode("Zh==").is_err(), "non-zero padding bits after one byte");
+        assert!(decode("Zm9=").is_err(), "non-zero padding bits after two bytes");
     }
 }

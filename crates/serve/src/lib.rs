@@ -79,4 +79,4 @@ pub use stats::{ServerStats, StatsSnapshot};
 
 // Re-exported so server embedders don't need a direct dar-stream dep to
 // name the types in [`Server::start`] / [`recover_backend`] signatures.
-pub use dar_stream::{AdvanceOutcome, EngineBackend, RetirePolicy, WindowSpec, WindowedIngest};
+pub use dar_stream::{AdvanceOutcome, EngineBackend, WindowSpec, WindowedIngest};

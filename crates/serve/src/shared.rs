@@ -172,7 +172,7 @@ mod tests {
     use super::*;
     use dar_core::{Metric, Partitioning, Schema};
     use dar_engine::{DarEngine, EngineConfig};
-    use dar_stream::{EngineBackend, RetirePolicy, WindowSpec};
+    use dar_stream::{EngineBackend, WindowSpec};
 
     fn config() -> EngineConfig {
         let mut config = EngineConfig::default();
@@ -229,12 +229,9 @@ mod tests {
 
     #[test]
     fn windowed_backend_reports_window_movement() {
-        let engine = EngineBackend::new(
-            partitioning(),
-            config(),
-            Some((WindowSpec { batches: 1, slots: 2 }, RetirePolicy::Remerge)),
-        )
-        .unwrap();
+        let engine =
+            EngineBackend::new(partitioning(), config(), Some(WindowSpec { batches: 1, slots: 2 }))
+                .unwrap();
         let windowed = SharedEngine::new(engine);
         assert!(windowed.is_windowed());
         assert_eq!(windowed.window_span(), Some((0, 0)));

@@ -6,9 +6,7 @@
 
 use dar_core::{Metric, Partitioning, Schema};
 use dar_engine::{DarEngine, EngineConfig};
-use dar_serve::{
-    protocol, Backoff, Client, EngineBackend, Json, RetirePolicy, ServeConfig, Server, WindowSpec,
-};
+use dar_serve::{protocol, Backoff, Client, EngineBackend, Json, ServeConfig, Server, WindowSpec};
 use mining::RuleQuery;
 use std::collections::BTreeSet;
 use std::path::Path;
@@ -42,8 +40,8 @@ fn dyadic_rows(n: usize, offset: usize) -> Vec<Vec<f64>> {
         .collect()
 }
 
-fn windowed(spec: WindowSpec, policy: RetirePolicy) -> EngineBackend {
-    EngineBackend::new(partitioning(), config(), Some((spec, policy))).unwrap()
+fn windowed(spec: WindowSpec) -> EngineBackend {
+    EngineBackend::new(partitioning(), config(), Some(spec)).unwrap()
 }
 
 fn serve_config(threads: usize) -> ServeConfig {
@@ -71,12 +69,7 @@ fn windowed_wire_rules_equal_oneshot_over_live_rows_across_thread_counts() {
 
     let mut answers = Vec::new();
     for threads in [1usize, 2, 4] {
-        let handle = Server::start(
-            windowed(spec, RetirePolicy::Remerge),
-            "127.0.0.1:0",
-            serve_config(threads),
-        )
-        .unwrap();
+        let handle = Server::start(windowed(spec), "127.0.0.1:0", serve_config(threads)).unwrap();
         let mut client = Client::connect(handle.addr(), Duration::from_secs(10)).unwrap();
         let mut total = 0;
         for batch in &batches {
@@ -133,7 +126,7 @@ fn tagged_wal_rebuilds_the_ring_across_crash_restart() {
     let spec = WindowSpec { batches: 2, slots: 2 };
     let mut cfg = serve_config(2);
     cfg.wal_path = Some(wal_path.clone());
-    let handle = Server::start(windowed(spec, RetirePolicy::Remerge), "127.0.0.1:0", cfg).unwrap();
+    let handle = Server::start(windowed(spec), "127.0.0.1:0", cfg).unwrap();
     let mut client = Client::connect(handle.addr(), Duration::from_secs(10)).unwrap();
 
     // Half-fill window 0, seal it explicitly, then fill window 1 — the
@@ -158,7 +151,7 @@ fn tagged_wal_rebuilds_the_ring_across_crash_restart() {
 
     // Restart: recover the backend from the tagged WAL alone.
     let (backend, report) = dar_serve::recover_backend(
-        windowed(spec, RetirePolicy::Remerge),
+        windowed(spec),
         Arc::new(dar_durable::DiskStorage),
         None,
         Some(Path::new(&wal_path)),
@@ -194,7 +187,7 @@ fn windowed_recovery_counts_replayed_batches() {
     let spec = WindowSpec { batches: 2, slots: 3 };
     let mut cfg = serve_config(2);
     cfg.wal_path = Some(wal_path.clone());
-    let handle = Server::start(windowed(spec, RetirePolicy::Subtract), "127.0.0.1:0", cfg).unwrap();
+    let handle = Server::start(windowed(spec), "127.0.0.1:0", cfg).unwrap();
     let mut client = Client::connect(handle.addr(), Duration::from_secs(10)).unwrap();
     for offset in 0..3 {
         client.ingest(dyadic_rows(40, offset)).unwrap();
@@ -204,7 +197,7 @@ fn windowed_recovery_counts_replayed_batches() {
     handle.join().unwrap();
 
     let (backend, report) = dar_serve::recover_backend(
-        windowed(spec, RetirePolicy::Subtract),
+        windowed(spec),
         Arc::new(dar_durable::DiskStorage),
         None,
         Some(Path::new(&wal_path)),
@@ -244,7 +237,7 @@ fn dir_bytes(dir: &Path) -> Vec<(std::ffi::OsString, Vec<u8>)> {
 #[test]
 fn recovery_refuses_a_snapshot_of_the_other_kind_and_leaves_the_files() {
     let backend = |ring: bool| match ring {
-        true => windowed(WindowSpec { batches: 2, slots: 2 }, RetirePolicy::Remerge),
+        true => windowed(WindowSpec { batches: 2, slots: 2 }),
         false => EngineBackend::from(DarEngine::new(partitioning(), config()).unwrap()),
     };
     for ring in [true, false] {
@@ -310,9 +303,7 @@ fn subscribers_reconstruct_live_rules_from_churn_events_and_resume() {
     // publishes churn. Distinct batch sizes change min_cluster_support,
     // so every advance really churns the rule set.
     let spec = WindowSpec { batches: 1, slots: 2 };
-    let handle =
-        Server::start(windowed(spec, RetirePolicy::Remerge), "127.0.0.1:0", serve_config(2))
-            .unwrap();
+    let handle = Server::start(windowed(spec), "127.0.0.1:0", serve_config(2)).unwrap();
     let addr = handle.addr();
     let timeout = Duration::from_secs(10);
 
@@ -390,9 +381,7 @@ fn subscribers_reconstruct_live_rules_from_churn_events_and_resume() {
 #[test]
 fn subscribers_are_capped_and_a_hung_up_one_frees_its_place() {
     let spec = WindowSpec { batches: 1, slots: 2 };
-    let handle =
-        Server::start(windowed(spec, RetirePolicy::Subtract), "127.0.0.1:0", serve_config(2))
-            .unwrap();
+    let handle = Server::start(windowed(spec), "127.0.0.1:0", serve_config(2)).unwrap();
     let addr = handle.addr();
     let timeout = Duration::from_secs(10);
     let subscribe = |client: &mut Client| {

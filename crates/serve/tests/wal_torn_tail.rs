@@ -9,7 +9,7 @@
 use dar_core::{Metric, Partitioning, Schema};
 use dar_durable::{encode_tagged_batch, wal, DiskStorage};
 use dar_engine::EngineConfig;
-use dar_serve::{protocol, Client, EngineBackend, RetirePolicy, ServeConfig, Server, WindowSpec};
+use dar_serve::{protocol, Client, EngineBackend, ServeConfig, Server, WindowSpec};
 use mining::RuleQuery;
 use std::path::{Path, PathBuf};
 use std::sync::Arc;
@@ -43,7 +43,7 @@ fn dyadic_rows(n: usize, offset: usize) -> Vec<Vec<f64>> {
 }
 
 fn fresh_backend(spec: WindowSpec) -> EngineBackend {
-    EngineBackend::new(partitioning(), config(), Some((spec, RetirePolicy::Remerge))).unwrap()
+    EngineBackend::new(partitioning(), config(), Some(spec)).unwrap()
 }
 
 fn recover(spec: WindowSpec, wal_path: &Path) -> (EngineBackend, dar_durable::RecoveryReport) {
@@ -76,7 +76,7 @@ fn torn_tagged_frame_is_dropped_at_every_byte_and_the_ring_rebuilds() {
         ..ServeConfig::default()
     };
     let handle = Server::start(
-        EngineBackend::new(partitioning(), config(), Some((spec, RetirePolicy::Remerge))).unwrap(),
+        EngineBackend::new(partitioning(), config(), Some(spec)).unwrap(),
         "127.0.0.1:0",
         serve_config,
     )

@@ -1,7 +1,8 @@
 //! The one engine `dar-serve` drives: a [`DarEngine`] plus an optional
 //! sliding-window ring beside it.
 
-use crate::window::{AdvanceOutcome, RetirePolicy, WindowSpec, WindowedForest};
+use crate::window::{AdvanceOutcome, WindowRing, WindowSpec};
+use birch::AcfForest;
 use dar_core::{ClusterSummary, CoreError, Partitioning};
 use dar_engine::snapshot::{parse_snapshot_bytes, write_snapshot_bytes, Snapshot};
 use dar_engine::{DarEngine, EngineConfig, QueryOutcome};
@@ -28,22 +29,19 @@ pub struct WindowedIngest {
 /// Phase I is a fold of ACF additions, and Phase II reads only the folded
 /// summaries (Theorem 6.1), so a sliding window only changes which tuples
 /// are in the fold. Without a ring every ingested tuple stays in the
-/// engine's forest. With one, every batch also goes into the open
-/// window's sub-forest ([`WindowedForest`]); the engine's forest holds
-/// exactly the live rows, so queries cost what they cost on all history.
-/// When a window retires, the engine moves to the slid horizon with its
-/// epoch carried forward, so epochs stay monotonic across slides and `s0`
-/// always reflects the live tuple count:
-///
-/// * under [`RetirePolicy::Subtract`] the engine's forest *is* the running
-///   total — the expired window is subtracted from it in place
-///   ([`DarEngine::subtract_retired`]);
-/// * under [`RetirePolicy::Remerge`] the engine is rebuilt around the
-///   re-merged survivors ([`DarEngine::with_forest`]).
+/// engine's forest. With one, the engine's forest is still the only Phase
+/// I state: each leaf entry and outlier also keeps one column per live
+/// window that put rows into it, and every row lands in its entry's total
+/// and in the open window's column. When a window retires, its columns are
+/// dropped and each entry's total becomes the fold of the columns left
+/// ([`DarEngine::retire_through`]), so the forest holds exactly the live
+/// rows and queries cost what they cost on all history. The epoch carries
+/// forward, so epochs stay monotonic across slides and `s0` always
+/// reflects the live tuple count.
 pub struct EngineBackend {
     engine: DarEngine,
     /// The sliding-window ring; `None` mines all history.
-    ring: Option<WindowedForest>,
+    ring: Option<WindowRing>,
 }
 
 impl From<DarEngine> for EngineBackend {
@@ -53,33 +51,22 @@ impl From<DarEngine> for EngineBackend {
     }
 }
 
-/// The per-set diameter threshold a fresh forest starts from: the
-/// configured per-set values, else the BIRCH default for every set.
-fn initial_thresholds(config: &EngineConfig, partitioning: &Partitioning) -> Vec<f64> {
-    match &config.initial_thresholds {
-        Some(t) => t.clone(),
-        None => vec![config.birch.initial_threshold; partitioning.num_sets()],
-    }
-}
-
 impl EngineBackend {
     /// Creates an empty backend: all-history mining when `window` is
-    /// `None`, sliding-window mining under that geometry and retirement
-    /// policy otherwise.
+    /// `None`, sliding-window mining under that geometry otherwise.
     ///
     /// # Errors
     /// Rejects threshold-arity mismatches, as [`DarEngine::new`] does.
     pub fn new(
         partitioning: Partitioning,
         config: EngineConfig,
-        window: Option<(WindowSpec, RetirePolicy)>,
+        window: Option<WindowSpec>,
     ) -> Result<Self, CoreError> {
-        let engine = DarEngine::new(partitioning, config)?;
-        let ring = window.map(|(spec, policy)| {
-            let (partitioning, config) = (engine.partitioning(), engine.config());
-            let thresholds = initial_thresholds(config, partitioning);
-            WindowedForest::new(partitioning.clone(), &config.birch, &thresholds, spec, policy)
-        });
+        let mut engine = DarEngine::new(partitioning, config)?;
+        let ring = window.map(WindowRing::new);
+        if let Some(ring) = &ring {
+            engine.open_window(ring.open_seq());
+        }
         Ok(EngineBackend { engine, ring })
     }
 
@@ -95,20 +82,20 @@ impl EngineBackend {
     }
 
     /// The window ring, if the horizon is windowed.
-    pub fn ring(&self) -> Option<&WindowedForest> {
+    pub fn ring(&self) -> Option<&WindowRing> {
         self.ring.as_ref()
     }
 
     /// The live horizon `(oldest seq, open seq)`, if windowed.
     pub fn window_span(&self) -> Option<(u64, u64)> {
-        self.ring.as_ref().map(WindowedForest::window_span)
+        self.ring.as_ref().map(WindowRing::window_span)
     }
 
     /// Feeds a batch into the engine, then into the ring's open window
     /// when there is one. The ring advances (and possibly retires) at the
     /// window boundary, and a retirement slides the engine to the live
     /// horizon. Empty batches are no-ops at the window layer (see
-    /// [`WindowedForest::ingest`]). Returns what the batch did to the
+    /// [`WindowRing::ingest`]). Returns what the batch did to the
     /// ring; `None` without one.
     ///
     /// # Errors
@@ -123,13 +110,17 @@ impl EngineBackend {
     fn ring_ingest(&mut self, rows: &[Vec<f64>]) -> Option<WindowedIngest> {
         let ring = self.ring.as_mut()?;
         let window_seq = ring.open_seq();
-        let advance = ring.ingest(rows, self.engine.pool());
+        let advance = ring.ingest(rows.len());
         let window_span = ring.window_span();
-        let retired = advance.is_some_and(|a| a.retired_seq.is_some());
-        if retired {
-            self.retire();
+        if let Some(outcome) = advance {
+            self.slide(outcome);
         }
-        Some(WindowedIngest { window_seq, advanced: advance.is_some(), retired, window_span })
+        Some(WindowedIngest {
+            window_seq,
+            advanced: advance.is_some(),
+            retired: advance.is_some_and(|a| a.retired_seq.is_some()),
+            window_span,
+        })
     }
 
     /// Seals the open window explicitly (the `advance` verb), sliding the
@@ -144,29 +135,19 @@ impl EngineBackend {
             )
         })?;
         let outcome = ring.advance();
-        if outcome.retired_seq.is_some() {
-            self.retire();
-        }
+        self.slide(outcome);
         Ok(outcome)
     }
 
-    /// Moves the engine to the slid horizon: subtracts the expired windows
-    /// from its forest in place, or stands it back up over the re-merged
-    /// survivors. Either way the epoch carries over and is left open, so
+    /// Moves the engine's forest along with a ring advance: the new
+    /// window's columns open, and a retired window's columns leave the
+    /// forest. A retirement carries the epoch over and leaves it open, so
     /// the next query closes a fresh one over the slid horizon.
-    fn retire(&mut self) {
-        let ring = self.ring.as_mut().expect("only a ring retires windows");
-        let live = ring.live_tuples();
-        match ring.policy() {
-            RetirePolicy::Subtract => self.engine.subtract_retired(ring.take_retired(), live),
-            RetirePolicy::Remerge => {
-                self.engine = DarEngine::with_forest(
-                    ring.merged(),
-                    live,
-                    self.engine.epoch(),
-                    self.engine.config().clone(),
-                );
-            }
+    fn slide(&mut self, outcome: AdvanceOutcome) {
+        self.engine.open_window(outcome.opened_seq);
+        if let Some(seq) = outcome.retired_seq {
+            let live = self.ring.as_ref().expect("only a ring advances").live_tuples();
+            self.engine.retire_through(seq, live);
         }
     }
 
@@ -226,18 +207,22 @@ impl EngineBackend {
     /// last:
     ///
     /// ```text
-    /// dar-stream v2 epoch=<e> open_batches=<b> policy=<p> window_batches=<W> slots=<S> windows=<k>
+    /// dar-stream v2 epoch=<e> open_batches=<b> policy=remerge window_batches=<W> slots=<S> windows=<k>
     /// window seq=<s> bytes=<B>
     /// <B bytes of dar-engine v2 binary snapshot, epoch=<s> tuples=<window tuples>>
     /// …
     /// ```
     ///
+    /// A window's section holds that window's column of every entry and
+    /// outlier, per set in tree order, under the forest's thresholds;
+    /// entries the window put no rows into have no column there. The
+    /// `policy=` field is fixed ([`RING_POLICY`]): rings once chose between
+    /// two retirement policies, and readers still accept either name.
     /// Each embedded body ends with the engine format's `0x0A` terminator,
     /// so the whole snapshot ends on a newline byte and the `dar-durable`
-    /// seal never alters it. [`EngineBackend::restore`] sniffs the header,
-    /// rebuilds each window's forest from its summaries and the engine
-    /// from their merge (under either policy), so WAL replay on top
-    /// reconstructs the ring exactly.
+    /// seal never alters it. [`EngineBackend::restore`] sniffs the header
+    /// and inserts the sections oldest-first into their columns, so WAL
+    /// replay on top continues the same ring.
     ///
     /// # Errors
     /// Propagates serialization failures.
@@ -248,25 +233,24 @@ impl EngineBackend {
         let header = RingHeader {
             epoch: self.engine.epoch(),
             open_batches: ring.open_batches(),
-            policy: ring.policy(),
             spec: ring.spec(),
         };
-        let partitioning = self.engine.partitioning();
+        let forest = self.engine.forest();
+        let thresholds = forest.thresholds();
         let mut windows = Vec::new();
-        for (seq, forest, tuples) in ring.live_windows() {
+        for (seq, tuples) in ring.live_windows() {
             let mut clusters = Vec::new();
-            let mut next_id = 0u32;
-            for (set, acfs) in forest.extract_clusters().into_iter().enumerate() {
+            for (set, acfs) in forest.window_columns(seq).into_iter().enumerate() {
                 for acf in acfs {
-                    clusters.push(ClusterSummary { id: dar_core::ClusterId(next_id), set, acf });
-                    next_id += 1;
+                    let id = dar_core::ClusterId(clusters.len() as u32);
+                    clusters.push(ClusterSummary { id, set, acf });
                 }
             }
             let body = write_snapshot_bytes(
                 seq,
                 tuples,
-                partitioning,
-                &forest.thresholds(),
+                self.engine.partitioning(),
+                &thresholds,
                 &clusters,
                 self.engine.pool(),
             )?;
@@ -278,15 +262,15 @@ impl EngineBackend {
     /// Resumes a backend from an [`EngineBackend::snapshot`], routing on
     /// the header: a `dar-stream` header restores the engine and its
     /// window ring, anything else falls through to [`DarEngine::restore`]
-    /// (which also unseals checksummed snapshots). The window geometry and
-    /// policy come from the header; `config` supplies everything else.
+    /// (which also unseals checksummed snapshots). The window geometry
+    /// comes from the header; `config` supplies everything else.
     /// `windowed` is whether the caller is configured for a window ring; a
     /// snapshot of the other kind is refused before anything is parsed.
     ///
     /// # Errors
     /// Rejects a snapshot whose kind (windowed or all-history) differs from
-    /// `windowed`, pre-v2 text snapshots (naming `dar migrate`), and
-    /// malformed snapshots of either kind.
+    /// `windowed`, pre-v2 text snapshots (naming `dar migrate`), window
+    /// sections out of seq order, and malformed snapshots of either kind.
     pub fn restore(bytes: &[u8], config: EngineConfig, windowed: bool) -> Result<Self, CoreError> {
         let body = dar_durable::unseal_bytes(bytes)
             .map_err(|detail| CoreError::LayoutMismatch(format!("snapshot footer: {detail}")))?
@@ -329,7 +313,7 @@ impl EngineBackend {
         let fields = header.strip_prefix(RING_V2_TAG).expect("restore routed on the v2 tag");
         let (header, num_windows) = RingHeader::parse(fields, bytes.len() - header_end - 1)?;
         let mut pos = header_end + 1;
-        let mut snaps = Vec::with_capacity(num_windows);
+        let mut snaps: Vec<Snapshot> = Vec::with_capacity(num_windows);
         for i in 0..num_windows {
             if pos >= bytes.len() {
                 return Err(bad(format!("missing window section {i}")));
@@ -343,7 +327,14 @@ impl EngineBackend {
             if bytes.len() - pos < body_bytes {
                 return Err(bad(format!("window {seq}: truncated embedded snapshot")));
             }
-            snaps.push(parse_snapshot_bytes(&bytes[pos..pos + body_bytes], &pool)?);
+            let snap = parse_snapshot_bytes(&bytes[pos..pos + body_bytes], &pool)?;
+            if snap.epoch != seq || snaps.last().is_some_and(|prev| prev.epoch >= seq) {
+                return Err(bad(format!(
+                    "window section {i}: seq {seq} (embedded {}) is out of order",
+                    snap.epoch
+                )));
+            }
+            snaps.push(snap);
             pos += body_bytes;
         }
         if pos != bytes.len() {
@@ -356,49 +347,45 @@ impl EngineBackend {
     }
 
     /// Stands the ring and engine back up from parsed per-window snapshots
-    /// (oldest first).
+    /// (oldest first): one forest under the sections' thresholds (their
+    /// element-wise maximum, should they differ), with each section's
+    /// clusters inserted as that window's columns.
     fn from_window_snaps(
         snaps: Vec<Snapshot>,
         header: RingHeader,
         config: EngineConfig,
     ) -> Result<Self, CoreError> {
-        let mut windows = Vec::with_capacity(snaps.len());
-        let mut partitioning: Option<Partitioning> = None;
-        for snap in snaps {
-            match &partitioning {
-                None => partitioning = Some(snap.partitioning.clone()),
-                Some(p) if *p != snap.partitioning => {
-                    return Err(CoreError::InvalidPartitioning(format!(
-                        "window {} was built under a different partitioning",
-                        snap.epoch
-                    )));
-                }
-                Some(_) => {}
+        let first =
+            snaps.first().ok_or_else(|| CoreError::LayoutMismatch("zero windows".into()))?;
+        let mut thresholds = first.thresholds.clone();
+        for snap in &snaps {
+            if snap.partitioning != first.partitioning {
+                return Err(CoreError::InvalidPartitioning(format!(
+                    "window {} was built under a different partitioning",
+                    snap.epoch
+                )));
             }
-            let mut forest = birch::AcfForest::with_initial_thresholds(
-                snap.partitioning.clone(),
-                &config.birch,
-                &snap.thresholds,
-            );
-            for c in &snap.clusters {
-                forest.insert_entry(c.set, c.acf.clone());
+            for (t, s) in thresholds.iter_mut().zip(&snap.thresholds) {
+                *t = t.max(*s);
             }
-            windows.push((snap.epoch, forest, snap.tuples));
         }
-        let partitioning =
-            partitioning.ok_or_else(|| CoreError::LayoutMismatch("zero windows parsed".into()))?;
-        let thresholds = initial_thresholds(&config, &partitioning);
-        let ring = WindowedForest::from_windows(
-            partitioning,
+        let mut forest = AcfForest::with_initial_thresholds(
+            first.partitioning.clone(),
             &config.birch,
             &thresholds,
-            WindowSpec { batches: header.spec.batches.max(1), slots: header.spec.slots.max(1) },
-            header.policy,
-            windows,
-            header.open_batches,
         );
-        let engine =
-            DarEngine::with_forest(ring.merged(), ring.live_tuples(), header.epoch, config);
+        let mut windows = Vec::with_capacity(snaps.len());
+        for snap in snaps {
+            for c in snap.clusters {
+                forest.insert_column(c.set, snap.epoch, c.acf);
+            }
+            windows.push((snap.epoch, snap.tuples));
+        }
+        let spec =
+            WindowSpec { batches: header.spec.batches.max(1), slots: header.spec.slots.max(1) };
+        let ring = WindowRing::resume(spec, windows, header.open_batches);
+        forest.open_window(ring.open_seq());
+        let engine = DarEngine::with_forest(forest, ring.live_tuples(), header.epoch, config);
         Ok(EngineBackend { engine, ring: Some(ring) })
     }
 }
@@ -406,6 +393,11 @@ impl EngineBackend {
 /// The version tag that opens every ring snapshot [`EngineBackend`]
 /// writes and reads.
 pub const RING_V2_TAG: &str = "dar-stream v2 ";
+
+/// The `policy=` value every ring header carries. Rings once retired by
+/// re-merge or by CF subtraction and named the policy here; there is one
+/// retirement now, and readers accept either old name.
+pub const RING_POLICY: &str = "remerge";
 
 /// The shortest window section: its `window seq=…` line alone.
 const MIN_SECTION_BYTES: usize = "window seq=0\n".len();
@@ -418,8 +410,6 @@ pub struct RingHeader {
     pub epoch: u64,
     /// Non-empty batches already in the open window.
     pub open_batches: u64,
-    /// How expired windows leave the engine.
-    pub policy: RetirePolicy,
     /// The window geometry as written (restore reads a zero as one).
     pub spec: WindowSpec,
 }
@@ -430,17 +420,19 @@ impl RingHeader {
     /// its window count.
     ///
     /// # Errors
-    /// A missing or malformed field, zero windows, or a window count the
+    /// A missing or malformed field, a `policy=` other than `remerge` or
+    /// `subtract`, zero windows, or a window count the
     /// `rest` bytes cannot hold (each section needs at least its
     /// `window seq=…` line), refused before anything is sized by it.
     pub fn parse(fields: &str, rest: usize) -> Result<(RingHeader, usize), CoreError> {
         let bad = |msg: String| CoreError::LayoutMismatch(msg);
-        let policy_name = field(fields, "policy=")?;
+        let policy = field(fields, "policy=")?;
+        if !matches!(policy, "remerge" | "subtract") {
+            return Err(bad(format!("unknown retire policy {policy:?}")));
+        }
         let header = RingHeader {
             epoch: number(fields, "epoch=")?,
             open_batches: number(fields, "open_batches=")?,
-            policy: RetirePolicy::parse(policy_name)
-                .ok_or_else(|| bad(format!("unknown retire policy {policy_name:?}")))?,
             spec: WindowSpec {
                 batches: number(fields, "window_batches=")?,
                 slots: number(fields, "slots=")? as usize,
@@ -464,10 +456,10 @@ impl RingHeader {
 /// [`EngineBackend::snapshot`] documents.
 pub fn write_ring_bytes(header: &RingHeader, windows: &[(u64, Vec<u8>)]) -> Vec<u8> {
     let mut out = format!(
-        "{RING_V2_TAG}epoch={} open_batches={} policy={} window_batches={} slots={} windows={}\n",
+        "{RING_V2_TAG}epoch={} open_batches={} policy={RING_POLICY} window_batches={} slots={} \
+         windows={}\n",
         header.epoch,
         header.open_batches,
-        header.policy.name(),
         header.spec.batches,
         header.spec.slots,
         windows.len(),

@@ -14,12 +14,6 @@ pub struct StreamMetrics {
     pub windows_advanced: Counter,
     /// `dar_stream_windows_retired_total`: windows expired out of the ring.
     pub windows_retired: Counter,
-    /// `dar_stream_retired_subtract_total`: retirements taken through the
-    /// CF-subtraction path.
-    pub retired_subtract: Counter,
-    /// `dar_stream_retired_remerge_total`: retirements taken through the
-    /// drop-and-re-merge path.
-    pub retired_remerge: Counter,
     /// `dar_stream_subscribers`: live churn subscribers.
     pub subscribers: Gauge,
     /// `dar_stream_events_pushed_total`: churn frames handed to subscriber
@@ -41,8 +35,6 @@ pub fn metrics() -> &'static StreamMetrics {
         StreamMetrics {
             windows_advanced: r.counter("dar_stream_windows_advanced_total"),
             windows_retired: r.counter("dar_stream_windows_retired_total"),
-            retired_subtract: r.counter("dar_stream_retired_subtract_total"),
-            retired_remerge: r.counter("dar_stream_retired_remerge_total"),
             subscribers: r.gauge("dar_stream_subscribers"),
             events_pushed: r.counter("dar_stream_events_pushed_total"),
             events_dropped: r.counter("dar_stream_events_dropped_total"),

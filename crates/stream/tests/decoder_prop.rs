@@ -10,7 +10,7 @@
 use dar_core::{AttrSet, Metric, Partitioning, Schema};
 use dar_engine::snapshot::{parse_snapshot_bytes, write_snapshot_bytes};
 use dar_engine::{DarEngine, EngineConfig};
-use dar_stream::{EngineBackend, RetirePolicy, WindowSpec};
+use dar_stream::{EngineBackend, WindowSpec};
 use mining::persist::{decode_clusters, encode_clusters};
 use std::panic::{catch_unwind, AssertUnwindSafe};
 
@@ -54,8 +54,7 @@ fn static_engine() -> DarEngine {
 fn windowed_engine() -> EngineBackend {
     let partitioning = Partitioning::per_attribute(&Schema::interval_attrs(3), Metric::Euclidean);
     let spec = WindowSpec { batches: 1, slots: 2 };
-    let mut ring =
-        EngineBackend::new(partitioning, config(), Some((spec, RetirePolicy::Subtract))).unwrap();
+    let mut ring = EngineBackend::new(partitioning, config(), Some(spec)).unwrap();
     for b in 0..3 {
         ring.ingest(&rows(8, b)).unwrap();
     }

@@ -1,10 +1,10 @@
 //! Sliding-window correctness: windowed mining must equal one-shot mining
-//! of exactly the live rows, at any thread count, under both retirement
-//! policies, across snapshot/restore and WAL-frame replay.
+//! of exactly the live rows, at any thread count, across snapshot/restore
+//! and WAL-frame replay.
 
 use dar_core::{Metric, Partitioning, Schema};
 use dar_engine::{DarEngine, EngineConfig};
-use dar_stream::{EngineBackend, RetirePolicy, WindowSpec};
+use dar_stream::{EngineBackend, WindowSpec};
 use mining::RuleQuery;
 use std::collections::BTreeMap;
 
@@ -37,13 +37,9 @@ fn dyadic_rows(n: usize, offset: usize) -> Vec<Vec<f64>> {
         .collect()
 }
 
-fn windowed(policy: RetirePolicy, threads: usize) -> EngineBackend {
-    EngineBackend::new(
-        partitioning(),
-        config(threads),
-        Some((WindowSpec { batches: 2, slots: 2 }, policy)),
-    )
-    .unwrap()
+fn windowed(threads: usize) -> EngineBackend {
+    EngineBackend::new(partitioning(), config(threads), Some(WindowSpec { batches: 2, slots: 2 }))
+        .unwrap()
 }
 
 /// One-shot control: a fresh engine over exactly `rows`.
@@ -55,37 +51,35 @@ fn oneshot_rules(rows: &[Vec<f64>]) -> Vec<mining::rules::Dar> {
 
 #[test]
 fn windowed_rules_equal_oneshot_over_live_rows() {
-    for policy in [RetirePolicy::Remerge, RetirePolicy::Subtract] {
-        for threads in [1usize, 2, 4] {
-            let mut w = windowed(policy, threads);
-            let mut rows_by_window: BTreeMap<u64, Vec<Vec<f64>>> = BTreeMap::new();
-            for batch in 0..6 {
-                let rows = dyadic_rows(20, batch);
-                let info = w.ingest(&rows).unwrap().unwrap();
-                rows_by_window.entry(info.window_seq).or_default().extend(rows);
-                let (oldest, newest) = info.window_span;
-                let live: Vec<Vec<f64>> = (oldest..=newest)
-                    .flat_map(|s| rows_by_window.get(&s).cloned().unwrap_or_default())
-                    .collect();
-                let got = w.query(&RuleQuery::default()).unwrap();
-                assert_eq!(
-                    got.rules,
-                    oneshot_rules(&live),
-                    "policy {policy:?} threads {threads} batch {batch}: windowed \
-                     rules diverge from one-shot over the live rows"
-                );
-                assert_eq!(w.engine().tuples(), live.len() as u64, "live tuple count");
-            }
-            // The horizon really slid: early windows are gone.
-            let (oldest, _) = w.window_span().unwrap();
-            assert!(oldest >= 1, "policy {policy:?}: no window ever retired");
+    for threads in [1usize, 2, 4] {
+        let mut w = windowed(threads);
+        let mut rows_by_window: BTreeMap<u64, Vec<Vec<f64>>> = BTreeMap::new();
+        for batch in 0..6 {
+            let rows = dyadic_rows(20, batch);
+            let info = w.ingest(&rows).unwrap().unwrap();
+            rows_by_window.entry(info.window_seq).or_default().extend(rows);
+            let (oldest, newest) = info.window_span;
+            let live: Vec<Vec<f64>> = (oldest..=newest)
+                .flat_map(|s| rows_by_window.get(&s).cloned().unwrap_or_default())
+                .collect();
+            let got = w.query(&RuleQuery::default()).unwrap();
+            assert_eq!(
+                got.rules,
+                oneshot_rules(&live),
+                "threads {threads} batch {batch}: windowed \
+                 rules diverge from one-shot over the live rows"
+            );
+            assert_eq!(w.engine().tuples(), live.len() as u64, "live tuple count");
         }
+        // The horizon really slid: early windows are gone.
+        let (oldest, _) = w.window_span().unwrap();
+        assert!(oldest >= 1, "no window ever retired");
     }
 }
 
 #[test]
 fn explicit_advance_seals_early_and_empty_batches_are_noops() {
-    let mut w = windowed(RetirePolicy::Remerge, 1);
+    let mut w = windowed(1);
     let rows = dyadic_rows(20, 0);
     let info = w.ingest(&rows).unwrap().unwrap();
     assert_eq!(info.window_seq, 0);
@@ -110,34 +104,31 @@ fn explicit_advance_seals_early_and_empty_batches_are_noops() {
 
 #[test]
 fn snapshot_restore_round_trips_ring_and_rules() {
-    for policy in [RetirePolicy::Remerge, RetirePolicy::Subtract] {
-        let mut w = windowed(policy, 1);
-        for batch in 0..5 {
-            w.ingest(&dyadic_rows(20, batch)).unwrap();
-        }
-        let want = w.query(&RuleQuery::default()).unwrap().rules;
-        let span = w.window_span();
-        let text = w.snapshot().unwrap();
-
-        let mut back = EngineBackend::restore(&text, config(1), true).unwrap();
-        assert_eq!(back.window_span(), span, "policy {policy:?}: ring shape");
-        assert_eq!(back.ring().unwrap().policy(), policy);
-        assert_eq!(back.ring().unwrap().spec(), WindowSpec { batches: 2, slots: 2 });
-        assert_eq!(back.engine().tuples(), w.engine().tuples());
-        let got = back.query(&RuleQuery::default()).unwrap().rules;
-        assert_eq!(got, want, "policy {policy:?}: restored rules diverge");
-
-        // The restored engine keeps sliding identically.
-        let extra = dyadic_rows(20, 9);
-        let a = w.ingest(&extra).unwrap();
-        let b = back.ingest(&extra).unwrap();
-        assert_eq!(a, b, "policy {policy:?}: post-restore ingest diverges");
-        assert_eq!(
-            w.query(&RuleQuery::default()).unwrap().rules,
-            back.query(&RuleQuery::default()).unwrap().rules,
-            "policy {policy:?}: post-restore rules diverge"
-        );
+    let mut w = windowed(1);
+    for batch in 0..5 {
+        w.ingest(&dyadic_rows(20, batch)).unwrap();
     }
+    let want = w.query(&RuleQuery::default()).unwrap().rules;
+    let span = w.window_span();
+    let text = w.snapshot().unwrap();
+
+    let mut back = EngineBackend::restore(&text, config(1), true).unwrap();
+    assert_eq!(back.window_span(), span, "ring shape");
+    assert_eq!(back.ring().unwrap().spec(), WindowSpec { batches: 2, slots: 2 });
+    assert_eq!(back.engine().tuples(), w.engine().tuples());
+    let got = back.query(&RuleQuery::default()).unwrap().rules;
+    assert_eq!(got, want, "restored rules diverge");
+
+    // The restored engine keeps sliding identically.
+    let extra = dyadic_rows(20, 9);
+    let a = w.ingest(&extra).unwrap();
+    let b = back.ingest(&extra).unwrap();
+    assert_eq!(a, b, "post-restore ingest diverges");
+    assert_eq!(
+        w.query(&RuleQuery::default()).unwrap().rules,
+        back.query(&RuleQuery::default()).unwrap().rules,
+        "post-restore rules diverge"
+    );
 }
 
 #[test]
@@ -145,7 +136,7 @@ fn replaying_tagged_frames_reconstructs_the_ring() {
     // Record the frame log a windowed server would write: batches tagged
     // with the window they landed in, explicit advances as empty frames
     // tagged with the newly opened window.
-    let mut live = windowed(RetirePolicy::Subtract, 1);
+    let mut live = windowed(1);
     let mut frames: Vec<(Option<u64>, Vec<Vec<f64>>)> = Vec::new();
     for batch in 0..3 {
         let rows = dyadic_rows(20, batch);
@@ -156,7 +147,7 @@ fn replaying_tagged_frames_reconstructs_the_ring() {
             frames.push((Some(out.opened_seq), Vec::new()));
         }
     }
-    let mut replayed = windowed(RetirePolicy::Subtract, 1);
+    let mut replayed = windowed(1);
     for (tag, rows) in &frames {
         replayed.replay_frame(*tag, rows).unwrap();
     }
@@ -175,7 +166,7 @@ fn backend_routes_advance_and_snapshot_by_variant() {
     assert!(fixed.window_span().is_none());
     assert!(fixed.advance().is_err(), "static backend has no windows");
 
-    let mut windowed: EngineBackend = windowed(RetirePolicy::Remerge, 1);
+    let mut windowed: EngineBackend = windowed(1);
     assert!(windowed.is_windowed());
     windowed.ingest(&dyadic_rows(20, 0)).unwrap();
     windowed.advance().unwrap();
