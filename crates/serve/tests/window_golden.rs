@@ -1,16 +1,17 @@
 //! Golden sliding-window answers on real-valued data. The
-//! windowed-equals-one-shot suites stream dyadic rows, where CF
-//! subtraction cancels exactly; on WBCD-shaped rows a retired window
-//! leaves rounding residue behind, so only committed bytes pin what the
-//! subtract path answers. The fixtures under `tests/fixtures/` were written
-//! by the windowed engine that still fed a separate running-total forest
-//! beside the inner engine's; any rework of window retirement must
-//! reproduce them byte for byte, at every thread count.
+//! windowed-equals-one-shot suites stream dyadic rows, where any grouping
+//! of the sums is exact; on WBCD-shaped rows the summaries depend on the
+//! order the per-window columns are folded in, so committed bytes pin what
+//! the windowed engine answers. `tests/fixtures/golden_window.jsonl` was
+//! written by the one-forest engine whose leaf entries carry a column per
+//! live window and whose retirement drops the retired window's columns;
+//! any rework of window retirement must reproduce it byte for byte, at
+//! every thread count.
 
 use dar_core::{Metric, Partitioning};
 use dar_engine::EngineConfig;
 use dar_serve::protocol::query_response;
-use dar_stream::{EngineBackend, RetirePolicy, WindowSpec};
+use dar_stream::{EngineBackend, WindowSpec};
 use datagen::wbcd::wbcd_relation;
 use mining::{Measure, RuleQuery};
 
@@ -42,6 +43,12 @@ struct Run {
     stats: (u64, u64, u64, usize),
 }
 
+/// FNV-64 of the final ring snapshot.
+const DIGEST: u64 = 0xa5b5_d923_ceb3_e005;
+
+/// The final `(tuples_ingested, batches, epochs, forest_rebuilds)`.
+const STATS: (u64, u64, u64, usize) = (1000, 0, 1, 214);
+
 fn fnv64(bytes: &[u8]) -> u64 {
     bytes
         .iter()
@@ -50,11 +57,11 @@ fn fnv64(bytes: &[u8]) -> u64 {
 
 /// Streams 4,000 seeded WBCD-shaped tuples in 250-row batches through a
 /// windowed engine, asking the base query after every advance.
-fn run(policy: RetirePolicy, threads: usize) -> Run {
+fn run(threads: usize) -> Run {
     let relation = wbcd_relation(4_000, 0.1, 1997);
     let partitioning = Partitioning::per_attribute(relation.schema(), Metric::Euclidean);
-    let mut engine = EngineBackend::new(partitioning, config(threads), Some((SPEC, policy)))
-        .expect("valid config");
+    let mut engine =
+        EngineBackend::new(partitioning, config(threads), Some(SPEC)).expect("valid config");
     let rows: Vec<Vec<f64>> = (0..relation.len()).map(|r| relation.row(r)).collect();
     let mut answers = String::new();
     for batch in rows.chunks(250) {
@@ -78,24 +85,15 @@ fn fixture(name: &str) -> String {
     std::fs::read_to_string(&path).unwrap_or_else(|e| panic!("{path}: {e}"))
 }
 
-fn check(policy: RetirePolicy, digest: u64, stats: (u64, u64, u64, usize)) {
-    let name = format!("golden_window_{}.jsonl", policy.name());
-    let want = fixture(&name);
+#[test]
+fn windowed_answers_match_the_golden_bytes() {
+    let name = "golden_window.jsonl";
+    let want = fixture(name);
     assert_eq!(want.lines().count(), 8, "{name}: one answer per window advance");
     for threads in [1, 2] {
-        let got = run(policy, threads);
+        let got = run(threads);
         assert!(got.answers == want, "{name} threads {threads}: windowed answer bytes diverged");
-        assert_eq!(got.snapshot_digest, digest, "{name} threads {threads}: ring snapshot bytes");
-        assert_eq!(got.stats, stats, "{name} threads {threads}: engine stats");
+        assert_eq!(got.snapshot_digest, DIGEST, "{name} threads {threads}: ring snapshot bytes");
+        assert_eq!(got.stats, STATS, "{name} threads {threads}: engine stats");
     }
-}
-
-#[test]
-fn subtract_retirement_matches_the_golden_bytes() {
-    check(RetirePolicy::Subtract, 0xcac4_2205_064e_49b4, (1000, 0, 1, 186));
-}
-
-#[test]
-fn remerge_retirement_matches_the_golden_bytes() {
-    check(RetirePolicy::Remerge, 0x71d3_358c_0a9d_84f3, (1000, 0, 1, 0));
 }
