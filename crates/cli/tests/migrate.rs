@@ -56,8 +56,10 @@ fn two_batch_engine() -> DarEngine {
     e
 }
 
-/// The control the ring fixture was written from: a 2-batch x 2-slot
-/// remerge ring after five 20-row batches.
+/// The control the ring fixture migrates to: a 2-batch x 2-slot ring
+/// after the five 20-row batches the fixture's v1 ring was fed. Each of
+/// that ring's per-window forests held the same clusters as the window's
+/// columns hold now, so the bytes match.
 fn five_batch_ring() -> EngineBackend {
     let spec = WindowSpec { batches: 2, slots: 2 };
     let mut ring = EngineBackend::new(partitioning(), config(), Some(spec)).unwrap();

@@ -26,7 +26,7 @@ fn partitioning() -> Partitioning {
 }
 
 /// Dyadic jitter (0.25 steps): fp sums are exact in any grouping, so
-/// windowed re-merges match the one-shot scan bit for bit.
+/// windowed column folds match the one-shot scan bit for bit.
 fn dyadic_rows(n: usize, offset: usize) -> Vec<Vec<f64>> {
     (0..n)
         .map(|i| {

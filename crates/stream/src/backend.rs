@@ -216,8 +216,8 @@ impl EngineBackend {
     /// A window's section holds that window's column of every entry and
     /// outlier, per set in tree order, under the forest's thresholds;
     /// entries the window put no rows into have no column there. The
-    /// `policy=` field is fixed ([`RING_POLICY`]): rings once chose between
-    /// two retirement policies, and readers still accept either name.
+    /// `policy=` field is always `remerge`: rings once chose between two
+    /// retirement policies, and readers still accept either name.
     /// Each embedded body ends with the engine format's `0x0A` terminator,
     /// so the whole snapshot ends on a newline byte and the `dar-durable`
     /// seal never alters it. [`EngineBackend::restore`] sniffs the header
@@ -330,7 +330,8 @@ impl EngineBackend {
             let snap = parse_snapshot_bytes(&bytes[pos..pos + body_bytes], &pool)?;
             if snap.epoch != seq || snaps.last().is_some_and(|prev| prev.epoch >= seq) {
                 return Err(bad(format!(
-                    "window section {i}: seq {seq} (embedded {}) is out of order",
+                    "window section {i}: seq {seq} does not match its body's epoch {} \
+                     or does not follow the previous section's",
                     snap.epoch
                 )));
             }
@@ -397,7 +398,7 @@ pub const RING_V2_TAG: &str = "dar-stream v2 ";
 /// The `policy=` value every ring header carries. Rings once retired by
 /// re-merge or by CF subtraction and named the policy here; there is one
 /// retirement now, and readers accept either old name.
-pub const RING_POLICY: &str = "remerge";
+const RING_POLICY: &str = "remerge";
 
 /// The shortest window section: its `window seq=…` line alone.
 const MIN_SECTION_BYTES: usize = "window seq=0\n".len();

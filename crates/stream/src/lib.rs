@@ -32,8 +32,6 @@ mod diff;
 pub mod metrics;
 mod window;
 
-pub use backend::{
-    write_ring_bytes, EngineBackend, RingHeader, WindowedIngest, RING_POLICY, RING_V2_TAG,
-};
+pub use backend::{write_ring_bytes, EngineBackend, RingHeader, WindowedIngest, RING_V2_TAG};
 pub use diff::{diff, RuleDiff};
 pub use window::{AdvanceOutcome, WindowRing, WindowSpec};

@@ -67,7 +67,7 @@ impl WindowRing {
     ///
     /// # Panics
     /// Panics if `windows` is empty or the spec is degenerate.
-    pub fn resume(spec: WindowSpec, windows: Vec<(u64, u64)>, open_batches: u64) -> Self {
+    pub(crate) fn resume(spec: WindowSpec, windows: Vec<(u64, u64)>, open_batches: u64) -> Self {
         assert!(spec.batches >= 1, "a window must span at least one batch");
         assert!(spec.slots >= 1, "at least one live window");
         let mut sealed: VecDeque<WindowSlot> =
