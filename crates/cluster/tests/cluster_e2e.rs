@@ -105,9 +105,6 @@ fn single_engine_rounds(rounds: &[Vec<Vec<Vec<f64>>>]) -> Vec<String> {
         }
         lines.push(client.round_trip_line(&query_line()).unwrap());
     }
-    // Hang up first, so the server's worker sees EOF instead of waiting
-    // out its read timeout on this idle connection.
-    drop(client);
     handle.shutdown();
     handle.join().unwrap();
     lines
@@ -372,9 +369,6 @@ fn shard_crash_recovery_loses_no_acked_batch_and_rules_still_match() {
     // does the same dance with a real `kill -9`).
     let crashed = handles[1].take().unwrap();
     let crashed_addr = addrs[1].clone();
-    // Hang up first, so the shard's workers see EOF instead of waiting out
-    // their read timeout on the coordinator's idle connections.
-    coordinator.hang_up();
     crashed.shutdown();
     crashed.join().unwrap();
     let config = durable_shard_config(wal_paths[1].clone());

@@ -79,9 +79,6 @@ fn single_engine_lines(batches: &[Vec<Vec<f64>>], lines: &[String]) -> Vec<Strin
         client.ingest(batch.clone()).unwrap();
     }
     let responses = lines.iter().map(|l| client.round_trip_line(l).unwrap()).collect();
-    // Hang up first, so the server's worker sees EOF instead of waiting
-    // out its read timeout on this idle connection.
-    drop(client);
     handle.shutdown();
     handle.join().unwrap();
     responses

@@ -9,7 +9,7 @@ use birch::{refine_forest_output, AcfForest};
 use dar_core::{ClusterId, ClusterSummary, CoreError, Partitioning};
 use dar_rank::RankSpec;
 use mining::rules::Dar;
-use mining::{ClusterDistance, Measure, Phase2Artifacts, RuleQuery};
+use mining::{Measure, Phase2Artifacts, RuleQuery};
 use std::borrow::Borrow;
 use std::collections::HashMap;
 use std::sync::{Arc, Mutex};
@@ -171,7 +171,6 @@ fn rank_key(density_key: &[u64], query: &RuleQuery) -> Vec<u64> {
 /// answer an encode memo (rank-cache entries only).
 fn mine_ranked(
     artifacts: &Phase2Artifacts,
-    metric: ClusterDistance,
     pool: &dar_par::ThreadPool,
     tuples: u64,
     query: &RuleQuery,
@@ -179,18 +178,14 @@ fn mine_ranked(
 ) -> (RankedAnswer, Option<f64>) {
     let spec = RankSpec::from_query(query, artifacts.graph.clusters(), tuples);
     let (ranked, truncated, coverage) = if query.budget_ms > 0 {
-        let outcome = dar_rank::mine_budgeted(
-            artifacts,
-            metric,
-            query,
-            Duration::from_millis(query.budget_ms),
-        );
+        let outcome =
+            dar_rank::mine_budgeted(artifacts, query, Duration::from_millis(query.budget_ms));
         (dar_rank::rank(outcome.rules, &spec), outcome.truncated, Some(outcome.coverage))
     } else if query.top_k > 0 {
-        let (ranked, truncated) = dar_rank::mine_top_k(artifacts, metric, query, pool, tuples);
+        let (ranked, truncated) = dar_rank::mine_top_k(artifacts, query, pool, tuples);
         (ranked, truncated, None)
     } else {
-        let (rules, truncated) = artifacts.mine_pooled(metric, query, pool);
+        let (rules, truncated) = artifacts.mine_pooled(query, pool);
         (dar_rank::rank(rules, &spec), truncated, None)
     };
     (
@@ -211,19 +206,18 @@ fn ranked_for(
     artifacts: &Arc<Phase2Artifacts>,
     rkey: Vec<u64>,
     query: &RuleQuery,
-    metric: ClusterDistance,
     pool: &dar_par::ThreadPool,
     tuples: u64,
 ) -> (Arc<RankedAnswer>, Option<f64>) {
     if query.budget_ms > 0 {
-        let (answer, coverage) = mine_ranked(artifacts, metric, pool, tuples, query, false);
+        let (answer, coverage) = mine_ranked(artifacts, pool, tuples, query, false);
         return (Arc::new(answer), coverage);
     }
     let hit = state.rank_cache.lock().unwrap_or_else(|poisoned| poisoned.into_inner()).get(&rkey);
     if let Some(answer) = hit {
         return (answer, None);
     }
-    let (answer, _) = mine_ranked(artifacts, metric, pool, tuples, query, true);
+    let (answer, _) = mine_ranked(artifacts, pool, tuples, query, true);
     let answer = Arc::new(answer);
     state
         .rank_cache
@@ -432,7 +426,6 @@ impl DarEngine {
             &artifacts,
             rank_key(&density_bits, query),
             query,
-            self.config.metric,
             &self.pool,
             self.tuples,
         );
@@ -479,15 +472,8 @@ impl DarEngine {
         let Some(artifacts) = state.cache.get(&key) else {
             return Ok(None);
         };
-        let (answer, coverage) = ranked_for(
-            state,
-            artifacts,
-            rank_key(&key, query),
-            query,
-            self.config.metric,
-            &self.pool,
-            self.tuples,
-        );
+        let (answer, coverage) =
+            ranked_for(state, artifacts, rank_key(&key, query), query, &self.pool, self.tuples);
         Ok(Some(QueryOutcome {
             rules: answer.rules.clone(),
             values: answer.rules.values().to_vec(),
@@ -753,9 +739,17 @@ impl DarEngine {
         Ok(())
     }
 
-    /// Cumulative engine statistics (forest rebuild count sampled live).
+    /// Cumulative engine statistics (forest rebuild count and retained
+    /// `assoc` bytes sampled live).
     pub fn stats(&self) -> EngineStats {
-        EngineStats { forest_rebuilds: self.forest.stats().total_rebuilds(), ..self.stats.clone() }
+        let assoc_bytes = self.epoch_state.as_ref().map_or(0, |state| {
+            state.cache.values().map(|artifacts| artifacts.assoc_bytes() as u64).sum()
+        });
+        EngineStats {
+            forest_rebuilds: self.forest.stats().total_rebuilds(),
+            assoc_bytes,
+            ..self.stats.clone()
+        }
     }
 
     /// Tuples ingested over the engine's lifetime (including snapshot

@@ -26,6 +26,10 @@ pub struct EngineStats {
     pub cache_hits: u64,
     /// Queries that had to build Phase II artifacts.
     pub cache_misses: u64,
+    /// Bytes of `assoc` distances the current epoch's Phase II artifacts
+    /// keep between queries (sampled live; see
+    /// [`Phase2Artifacts::assoc_bytes`](mining::Phase2Artifacts::assoc_bytes)).
+    pub assoc_bytes: u64,
     /// Time spent ingesting tuples into the forest (incremental Phase I).
     pub ingest_time: Duration,
     /// Time spent closing epochs (cluster extraction + refinement).

@@ -13,7 +13,8 @@
 //!   are mutually close on both projections; **maximal cliques**
 //!   ([`clique`], Bron–Kerbosch) are the large itemsets; and DARs of
 //!   arbitrary arity are derived from clique pairs via the `assoc` sets of
-//!   Section 6.2 ([`rules`]).
+//!   Section 6.2 ([`rules`]), whose distances are evaluated once per
+//!   artifact set ([`assoc`]).
 //!
 //! The crate also implements:
 //!
@@ -30,6 +31,7 @@
 #![warn(missing_docs)]
 
 pub mod assign;
+pub mod assoc;
 pub mod clique;
 pub mod describe;
 pub mod gqar;
@@ -41,6 +43,7 @@ pub mod pipeline;
 pub mod query;
 pub mod rules;
 
+pub use assoc::{AssocDistances, ASSOC_RETAIN_BYTES};
 pub use clique::{maximal_cliques, maximal_cliques_pooled, non_trivial};
 pub use graph::{ClusterDistance, ClusteringGraph, GraphConfig};
 pub use pipeline::{DarConfig, DarMiner, MineResult, MineStats};

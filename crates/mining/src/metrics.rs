@@ -4,7 +4,7 @@
 //! on first use so every `dar_mining_*` series is visible in exposition
 //! (at zero) before the first query. Recording is relaxed atomics only.
 
-use dar_obs::{global, Counter, Histogram};
+use dar_obs::{global, Counter, Gauge, Histogram};
 use std::sync::OnceLock;
 
 /// The Phase II metric family.
@@ -29,6 +29,12 @@ pub(crate) struct MiningMetrics {
     /// `dar_mining_rules_truncated_total`: queries whose rule generation
     /// hit a budget.
     pub rules_truncated: Counter,
+    /// `dar_mining_assoc_distances_total`: `assoc` distances evaluated
+    /// (one per cross-set node pair of each matrix built).
+    pub assoc_distances: Counter,
+    /// `dar_mining_assoc_retained_bytes`: bytes of `assoc` distance
+    /// matrices artifact sets currently keep between queries.
+    pub assoc_retained_bytes: Gauge,
     /// `dar_mining_phase2_build_ns`: wall-clock per `Phase2Artifacts`
     /// build (graph + cliques).
     pub phase2_build_ns: Histogram,
@@ -50,6 +56,8 @@ pub(crate) fn metrics() -> &'static MiningMetrics {
             cliques_truncated: r.counter("dar_mining_cliques_truncated_total"),
             rules_emitted: r.counter("dar_mining_rules_emitted_total"),
             rules_truncated: r.counter("dar_mining_rules_truncated_total"),
+            assoc_distances: r.counter("dar_mining_assoc_distances_total"),
+            assoc_retained_bytes: r.gauge("dar_mining_assoc_retained_bytes"),
             phase2_build_ns: r.histogram("dar_mining_phase2_build_ns"),
             rule_gen_ns: r.histogram("dar_mining_rule_gen_ns"),
         }

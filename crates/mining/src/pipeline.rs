@@ -251,10 +251,11 @@ impl DarMiner {
             self.config.max_cliques,
             &pool,
         );
-        let (rules, rules_truncated) = artifacts.mine(self.config.metric, &self.config.query);
+        let (rules, rules_truncated) = artifacts.mine(&self.config.query);
         let phase2 = t1.elapsed();
 
-        let Phase2Artifacts { density_thresholds, graph, cliques, cliques_truncated } = artifacts;
+        let Phase2Artifacts { density_thresholds, graph, cliques, cliques_truncated, .. } =
+            artifacts;
         let stats = MineStats {
             phase1,
             phase2,
@@ -477,7 +478,7 @@ mod tests {
             config.prune_poor_density,
             config.max_cliques,
         );
-        let (rules, truncated) = artifacts.mine(config.metric, &config.query);
+        let (rules, truncated) = artifacts.mine(&config.query);
         assert_eq!(rules, result.rules);
         assert_eq!(truncated, result.stats.rules_truncated);
         assert_eq!(artifacts.cliques, result.cliques);

@@ -10,15 +10,18 @@
 //! * [`RuleQuery`] holds the re-tunable parameters of one rule-mining
 //!   request (what used to be loose fields on `DarConfig`);
 //! * [`Phase2Artifacts`] is the expensive intermediate — clustering graph +
-//!   maximal cliques at one density setting — that a long-lived engine can
-//!   cache and answer many [`RuleQuery`]s from (see the `dar-engine`
-//!   crate).
+//!   maximal cliques at one density setting, plus the `assoc` distances
+//!   once a query needs them — that a long-lived engine can cache and
+//!   answer many [`RuleQuery`]s from (see the `dar-engine` crate).
 
+use crate::assoc::{matrix_bytes, AssocDistances, Retained, ASSOC_RETAIN_BYTES};
 use crate::clique::non_trivial;
 use crate::graph::{ClusterDistance, ClusteringGraph, GraphConfig};
 use crate::pipeline::auto_density_thresholds;
-use crate::rules::{Dar, RuleConfig, RuleKernel};
+use crate::rules::{needs_assoc, Dar, RuleConfig, RuleKernel};
 use dar_core::{ClusterSummary, CoreError};
+use dar_par::ThreadPool;
+use std::sync::OnceLock;
 
 /// How Phase II derives its per-set density thresholds `d0^X` (Dfn 4.2).
 #[derive(Debug, Clone, PartialEq)]
@@ -203,13 +206,16 @@ impl RuleQuery {
 }
 
 /// The cacheable intermediate of Phase II: the clustering graph over the
-/// frequent clusters and its maximal cliques, at one density setting.
+/// frequent clusters and its maximal cliques, at one density setting, plus
+/// the `assoc` distances of Dfn 5.1 once a query has needed them.
 ///
-/// Building this is the expensive part of Phase II (all-pairs distances +
-/// Bron–Kerbosch); mining rules from it with different `D0`/arity settings
-/// is cheap. A long-lived engine memoizes one of these per density setting
-/// per epoch.
-#[derive(Debug, Clone)]
+/// Building the graph and cliques is the expensive part of Phase II
+/// (all-pairs distances + Bron–Kerbosch). The `assoc` distances depend on
+/// the clusters and the metric, not on `D0`, so the first query that can
+/// yield rules evaluates them and every later query compares them against
+/// its own `D0`: a retune evaluates no distance. A long-lived engine
+/// memoizes one of these per density setting per epoch.
+#[derive(Debug)]
 pub struct Phase2Artifacts {
     /// The density thresholds the graph was built at.
     pub density_thresholds: Vec<f64>,
@@ -219,6 +225,12 @@ pub struct Phase2Artifacts {
     pub cliques: Vec<Vec<usize>>,
     /// Whether clique enumeration hit its cap.
     pub cliques_truncated: bool,
+    /// The inter-cluster distance the graph was built with; every query
+    /// mines under it.
+    metric: ClusterDistance,
+    /// The `assoc` distances, filled by the first query that needs them
+    /// when the matrix fits [`ASSOC_RETAIN_BYTES`].
+    assoc: OnceLock<Retained>,
 }
 
 impl Phase2Artifacts {
@@ -237,7 +249,7 @@ impl Phase2Artifacts {
             metric,
             prune_poor_density,
             max_cliques,
-            &dar_par::ThreadPool::serial(),
+            &ThreadPool::serial(),
         )
     }
 
@@ -253,7 +265,7 @@ impl Phase2Artifacts {
         metric: ClusterDistance,
         prune_poor_density: bool,
         max_cliques: usize,
-        pool: &dar_par::ThreadPool,
+        pool: &ThreadPool,
     ) -> Self {
         let m = crate::metrics::metrics();
         let _t = dar_obs::Span::new(m.phase2_build_ns.clone());
@@ -276,7 +288,27 @@ impl Phase2Artifacts {
         if cliques_truncated {
             m.cliques_truncated.inc();
         }
-        Phase2Artifacts { density_thresholds, graph, cliques, cliques_truncated }
+        Self::new(density_thresholds, metric, graph, cliques, cliques_truncated)
+    }
+
+    /// Artifacts over a graph and cliques built elsewhere (for instance a
+    /// [`MineResult`](crate::MineResult)'s), built with `metric` at
+    /// `density_thresholds`.
+    pub fn new(
+        density_thresholds: Vec<f64>,
+        metric: ClusterDistance,
+        graph: ClusteringGraph,
+        cliques: Vec<Vec<usize>>,
+        cliques_truncated: bool,
+    ) -> Self {
+        Phase2Artifacts {
+            density_thresholds,
+            graph,
+            cliques,
+            cliques_truncated,
+            metric,
+            assoc: OnceLock::new(),
+        }
     }
 
     /// Number of cliques of size ≥ 2.
@@ -284,47 +316,87 @@ impl Phase2Artifacts {
         non_trivial(&self.cliques)
     }
 
-    /// Mines the rules a query asks for from the cached graph and cliques —
-    /// no distance recomputation beyond the `assoc`-set checks of Dfn 5.1.
+    /// Bytes of `assoc` distances these artifacts keep: 0 until a query
+    /// that can yield rules has run, and 0 when the matrix exceeds
+    /// [`ASSOC_RETAIN_BYTES`].
+    pub fn assoc_bytes(&self) -> usize {
+        self.assoc.get().map_or(0, |retained| retained.0.bytes())
+    }
+
+    /// Mines the rules a query asks for from the cached graph, cliques and
+    /// `assoc` distances, under the metric the graph was built with. Only
+    /// the first query that can yield rules evaluates distances (see
+    /// [`Phase2Artifacts::with_kernel`]).
     ///
     /// Returns the rules and whether generation hit a budget.
-    pub fn mine(&self, metric: ClusterDistance, query: &RuleQuery) -> (Vec<Dar>, bool) {
-        self.mine_pooled(metric, query, &dar_par::ThreadPool::serial())
+    pub fn mine(&self, query: &RuleQuery) -> (Vec<Dar>, bool) {
+        self.mine_pooled(query, &ThreadPool::serial())
     }
 
     /// [`Phase2Artifacts::mine`] with rule generation parallelized over
     /// consequent cliques on `pool`. Byte-identical to the serial path at
     /// every worker count (see
     /// [`generate_dars_capped_pooled`](crate::rules::generate_dars_capped_pooled)).
-    pub fn mine_pooled(
-        &self,
-        metric: ClusterDistance,
-        query: &RuleQuery,
-        pool: &dar_par::ThreadPool,
-    ) -> (Vec<Dar>, bool) {
-        self.mine_with(metric, query, pool, |kernel| kernel.generate(pool))
+    pub fn mine_pooled(&self, query: &RuleQuery, pool: &ThreadPool) -> (Vec<Dar>, bool) {
+        self.mine_with(query, pool, |kernel| kernel.generate(pool))
     }
 
-    /// Builds the query's [`RuleKernel`] and runs `generate` over it, timed
-    /// and counted as one rule-generation pass. `generate` returns the
-    /// rules it emitted and whether a budget truncated them.
+    /// Runs `generate` over the query's [`RuleKernel`]
+    /// ([`Phase2Artifacts::with_kernel`]), timed and counted as one
+    /// rule-generation pass. `generate` returns the rules it emitted and
+    /// whether a budget truncated them.
     pub fn mine_with(
         &self,
-        metric: ClusterDistance,
         query: &RuleQuery,
-        pool: &dar_par::ThreadPool,
+        pool: &ThreadPool,
         generate: impl FnOnce(&RuleKernel<'_>) -> (Vec<Dar>, bool),
     ) -> (Vec<Dar>, bool) {
         let m = crate::metrics::metrics();
         let _t = dar_obs::Span::new(m.rule_gen_ns.clone());
-        let config = query.rule_config(metric, &self.density_thresholds);
-        let (rules, truncated) =
-            generate(&RuleKernel::new(&self.graph, &self.cliques, &config, pool));
+        let (rules, truncated) = self.with_kernel(query, pool, generate);
         m.rules_emitted.add(rules.len() as u64);
         if truncated {
             m.rules_truncated.inc();
         }
         (rules, truncated)
+    }
+
+    /// Builds the query's [`RuleKernel`] and runs `f` over it.
+    ///
+    /// A query that can yield rules needs the `assoc` distances. The first
+    /// one evaluates them on `pool` and keeps them when the matrix fits
+    /// [`ASSOC_RETAIN_BYTES`]; later ones read the kept matrix. Above the
+    /// bound every such query evaluates its own and drops it afterwards.
+    pub fn with_kernel<R>(
+        &self,
+        query: &RuleQuery,
+        pool: &ThreadPool,
+        f: impl FnOnce(&RuleKernel<'_>) -> R,
+    ) -> R {
+        self.with_kernel_within(ASSOC_RETAIN_BYTES, query, pool, f)
+    }
+
+    /// [`Phase2Artifacts::with_kernel`] under a retention bound of `limit`
+    /// bytes.
+    pub(crate) fn with_kernel_within<R>(
+        &self,
+        limit: usize,
+        query: &RuleQuery,
+        pool: &ThreadPool,
+        f: impl FnOnce(&RuleKernel<'_>) -> R,
+    ) -> R {
+        let config = query.rule_config(self.metric, &self.density_thresholds);
+        if !needs_assoc(&config, &self.cliques) {
+            return f(&RuleKernel::new(&self.graph, &self.cliques, &config, None));
+        }
+        if matrix_bytes(self.graph.len()) <= limit {
+            let retained = self.assoc.get_or_init(|| {
+                Retained::new(AssocDistances::build(&self.graph, self.metric, pool))
+            });
+            return f(&RuleKernel::new(&self.graph, &self.cliques, &config, Some(&retained.0)));
+        }
+        let distances = AssocDistances::build(&self.graph, self.metric, pool);
+        f(&RuleKernel::new(&self.graph, &self.cliques, &config, Some(&distances)))
     }
 }
 
@@ -379,11 +451,69 @@ mod tests {
         assert_eq!(artifacts.graph.edges, 2, "one edge per block");
         assert_eq!(artifacts.nontrivial_cliques(), 2);
         let query = RuleQuery { degree_factor: 2.0, ..RuleQuery::default() };
-        let (rules_a, truncated) = artifacts.mine(ClusterDistance::D2, &query);
+        let (rules_a, truncated) = artifacts.mine(&query);
         assert!(!truncated);
         assert!(!rules_a.is_empty());
-        let (rules_b, _) = artifacts.mine(ClusterDistance::D2, &query);
+        let (rules_b, _) = artifacts.mine(&query);
         assert_eq!(rules_a, rules_b, "mining from cached artifacts is pure");
+    }
+
+    /// Above the retention bound every query evaluates its own distances
+    /// through the same builder and keeps none: the rules (degree bits
+    /// included) equal the kept-matrix path's and the one-shot
+    /// generator's, at every worker count.
+    #[test]
+    fn over_bound_queries_mine_the_kept_path_rules_and_keep_nothing() {
+        use crate::rules::generate_dars_capped_pooled;
+        use proptest::TestRng;
+        let bits = |(rules, truncated): (Vec<Dar>, bool)| {
+            let rules: Vec<_> = rules
+                .into_iter()
+                .map(|r| (r.antecedent, r.consequent, r.degree.to_bits(), r.min_cluster_support))
+                .collect();
+            (rules, truncated)
+        };
+        for seed in 0..24 {
+            let mut rng = TestRng::with_seed(seed);
+            let layout = AcfLayout::new(vec![1, 1, 1]);
+            let clusters: Vec<ClusterSummary> = (0..4 + rng.index(12) as usize)
+                .map(|id| {
+                    let set = rng.index(3) as usize;
+                    let mut acf = Acf::empty(&layout, set);
+                    for _ in 0..1 + rng.index(4) {
+                        let row: Vec<f64> = (0..3).map(|_| 4.0 * rng.unit()).collect();
+                        acf.add_row(&row);
+                    }
+                    ClusterSummary { id: ClusterId(id as u32), set, acf }
+                })
+                .collect();
+            let density = vec![3.0; 3];
+            for workers in [1, 2, 4, 8] {
+                let pool = ThreadPool::new(workers);
+                let build = || {
+                    Phase2Artifacts::build_pooled(
+                        clusters.clone(),
+                        density.clone(),
+                        ClusterDistance::D2,
+                        false,
+                        0,
+                        &pool,
+                    )
+                };
+                let (over, kept) = (build(), build());
+                for degree_factor in [1.0, 0.0, 0.4, 2.5] {
+                    let query = RuleQuery { degree_factor, max_rules: 0, ..RuleQuery::default() };
+                    let fresh = over.with_kernel_within(0, &query, &pool, |k| k.generate(&pool));
+                    let config = query.rule_config(ClusterDistance::D2, &density);
+                    let one_shot =
+                        generate_dars_capped_pooled(&over.graph, &over.cliques, &config, &pool);
+                    let want = bits(kept.mine_pooled(&query, &pool));
+                    assert_eq!(bits(fresh), want, "seed {seed} workers {workers} {query:?}");
+                    assert_eq!(bits(one_shot), want, "seed {seed} workers {workers} {query:?}");
+                    assert_eq!(over.assoc_bytes(), 0, "over the bound nothing is kept");
+                }
+            }
+        }
     }
 
     #[test]

@@ -9,6 +9,7 @@
 //! consequent clusters (the 2nd and 3rd conditions of Dfn 5.3), since all
 //! clique members are pairwise adjacent in the clustering graph.
 
+use crate::assoc::AssocDistances;
 use crate::graph::{ClusterDistance, ClusteringGraph};
 use dar_par::ThreadPool;
 use std::ops::ControlFlow;
@@ -92,7 +93,9 @@ pub fn generate_dars_capped(
 /// [`generate_dars_capped`] parallelized over consequent cliques on the
 /// `dar-par` pool. Output is byte-identical to the serial path at every
 /// worker count (the serial entry point *is* this function with a serial
-/// pool — there is no twin implementation to drift).
+/// pool — there is no twin implementation to drift). The `assoc`
+/// distances are evaluated afresh on `pool` ([`AssocDistances::build`]),
+/// unless the query cannot yield a rule.
 ///
 /// The serial enumeration walks `Q2` (the task), then `Q1`, then `Q2`'s
 /// consequent subsets, then the antecedents of each `(Q1, consequent)`
@@ -115,20 +118,30 @@ pub fn generate_dars_capped_pooled(
     config: &RuleConfig,
     pool: &ThreadPool,
 ) -> (Vec<Dar>, bool) {
-    RuleKernel::new(graph, cliques, config, pool).generate(pool)
+    let distances =
+        needs_assoc(config, cliques).then(|| AssocDistances::build(graph, config.metric, pool));
+    RuleKernel::new(graph, cliques, config, distances.as_ref()).generate(pool)
+}
+
+/// Whether a query can yield any rule, and so needs its `assoc` distances:
+/// both arity caps are positive and there is a clique.
+pub(crate) fn needs_assoc(config: &RuleConfig, cliques: &[Vec<usize>]) -> bool {
+    config.max_antecedent > 0 && config.max_consequent > 0 && !cliques.is_empty()
 }
 
 /// The rule-generation kernel of one query: its `assoc` sets as bitset
-/// rows with their `D / D0` ratios, plus the walk over clique pairs that
-/// turns them into rules. The exact generator
-/// ([`generate_dars_capped_pooled`]), and the top-k search and the anytime
-/// sampler in `dar-rank`, all enumerate through it.
+/// rows, plus the walk over clique pairs that turns them into rules. The
+/// exact generator ([`generate_dars_capped_pooled`]), and the top-k search
+/// and the anytime sampler in `dar-rank`, all enumerate through it.
 ///
 /// Row `y` has bit `x` set iff `set(x) ≠ set(y)` and
-/// `D(C_y[set(y)], C_x[set(y)]) ≤ D0[set(y)]`, computed once per query
-/// together with the pair's ratio `D / D0`. A triple `(Q1, S)` then has
-/// candidates `Q1 ∩ ⋂_{y∈S} assoc(y)`, and every non-empty subset of them
-/// up to `max_antecedent` members is an antecedent.
+/// `D(C_y[set(y)], C_x[set(y)]) ≤ D0[set(y)]`. The distances come from an
+/// [`AssocDistances`] matrix, evaluated once per artifact set (or once per
+/// one-shot call), so building the rows is one comparison per pair. A
+/// pair's ratio `D / D0` is computed when a rule's degree reads it. A
+/// triple `(Q1, S)` then has candidates `Q1 ∩ ⋂_{y∈S} assoc(y)`, and every
+/// non-empty subset of them up to `max_antecedent` members is an
+/// antecedent.
 ///
 /// The walk has two steps. The *scan* enumerates consequents lazily, depth
 /// first, members ascending; a consequent prefix with no candidates ends
@@ -157,10 +170,10 @@ pub struct RuleKernel<'a> {
     words: usize,
     /// One `assoc` row per node; empty when no rule is possible.
     assoc: Vec<u64>,
-    /// `D / D0` of each set bit of `assoc`, in bit order.
-    ratios: Vec<f64>,
-    /// Per `assoc` word: where its set bits' ratios start in `ratios`.
-    ratio_at: Vec<usize>,
+    /// The `assoc` distances; `None` when no rule is possible.
+    distances: Option<&'a AssocDistances>,
+    /// `D0` of each node's attribute set; empty when no rule is possible.
+    d0: Vec<f64>,
     /// One node bitset per clique.
     members: Vec<u64>,
     /// Per clique `Q`: `⋃_{y∈Q} assoc(y)`, the nodes any consequent drawn
@@ -180,13 +193,19 @@ pub struct RuleKernel<'a> {
 }
 
 impl<'a> RuleKernel<'a> {
-    /// Builds the `assoc` rows and their ratios, one row per task on
-    /// `pool`.
+    /// Builds the `assoc` rows from `distances`, serially: one comparison
+    /// against `D0` per pair.
+    ///
+    /// # Panics
+    /// When the query can yield a rule (both arity caps are positive and
+    /// there is a clique) and `distances` is `None`, covers other nodes
+    /// than the graph's, or was evaluated under another metric than
+    /// `config.metric`.
     pub fn new(
         graph: &'a ClusteringGraph,
         cliques: &[Vec<usize>],
         config: &'a RuleConfig,
-        pool: &ThreadPool,
+        distances: Option<&'a AssocDistances>,
     ) -> Self {
         let clusters = graph.clusters();
         let (nodes, words) = (graph.len(), graph.len().div_ceil(64));
@@ -198,41 +217,25 @@ impl<'a> RuleKernel<'a> {
                 q
             })
             .collect();
-        let productive =
-            config.max_antecedent > 0 && config.max_consequent > 0 && !cliques.is_empty();
-        let (assoc, ratios) = if productive {
-            let rows = pool.map_indexed("rule_assoc", nodes, 1, |y| {
-                let (cy, yset) = (&clusters[y], clusters[y].set);
-                let d0 = config.degree_thresholds[yset];
-                let (mut bits, mut ratios) = (vec![0u64; words], Vec::new());
-                for (x, cx) in clusters.iter().enumerate() {
-                    if cx.set == yset {
-                        continue;
-                    }
-                    let d = config
-                        .metric
-                        .between(&cy.acf, &cx.acf, yset)
-                        .expect("graph clusters are non-empty");
-                    if d <= d0 {
+        let distances = needs_assoc(config, &cliques).then(|| {
+            let distances = distances.expect("a query that can yield rules needs its distances");
+            assert_eq!(distances.len(), nodes, "assoc distances of another graph");
+            assert_eq!(distances.metric(), config.metric, "assoc distances of another metric");
+            distances
+        });
+        let (mut assoc, mut d0) = (Vec::new(), Vec::new());
+        if let Some(distances) = distances {
+            d0 = clusters.iter().map(|c| config.degree_thresholds[c.set]).collect();
+            assoc = vec![0u64; nodes * words];
+            for (y, bits) in assoc.chunks_mut(words.max(1)).enumerate() {
+                for (x, &d) in distances.row(y).iter().enumerate() {
+                    // Same-set entries are NaN and never pass.
+                    if d <= d0[y] {
                         bits[x / 64] |= 1 << (x % 64);
-                        ratios.push(if d0 > 0.0 { d / d0 } else { f64::INFINITY });
                     }
                 }
-                (bits, ratios)
-            });
-            let (bits, ratios): (Vec<Vec<u64>>, Vec<Vec<f64>>) = rows.into_iter().unzip();
-            (bits.concat(), ratios.concat())
-        } else {
-            (Vec::new(), Vec::new())
-        };
-        let ratio_at = assoc
-            .iter()
-            .scan(0, |next, word| {
-                let at = *next;
-                *next += word.count_ones() as usize;
-                Some(at)
-            })
-            .collect();
+            }
+        }
         let mut members = vec![0u64; cliques.len() * words];
         for (row, clique) in members.chunks_mut(words.max(1)).zip(&cliques) {
             for &x in clique {
@@ -261,8 +264,8 @@ impl<'a> RuleKernel<'a> {
             cliques,
             words,
             assoc,
-            ratios,
-            ratio_at,
+            distances,
+            d0,
             members,
             reach,
             cwords,
@@ -285,12 +288,16 @@ impl<'a> RuleKernel<'a> {
         Emitter::new(self, true)
     }
 
-    /// `D / D0` of consequent `y` and candidate `x`, as the rules' degrees
-    /// fold it. Meaningful only where `x` is in `assoc(y)`.
+    /// `D / D0` of consequent `y` and candidate `x` (infinite when
+    /// `D0 = 0`), as the rules' degrees fold it. Meaningful only where `x`
+    /// is in `assoc(y)`.
     pub fn ratio(&self, y: usize, x: usize) -> f64 {
-        let word = y * self.words + x / 64;
-        let below = self.assoc[word] & ((1u64 << (x % 64)) - 1);
-        self.ratios[self.ratio_at[word] + below.count_ones() as usize]
+        let (d, d0) = (self.distances.expect("x is in assoc(y)").get(y, x), self.d0[y]);
+        if d0 > 0.0 {
+            d / d0
+        } else {
+            f64::INFINITY
+        }
     }
 
     /// The exact, budgeted enumeration: one task per consequent clique,
@@ -981,7 +988,8 @@ mod tests {
             max_pair_work: 0,
         };
         let exact = generate_dars(&graph, &cliques, &config);
-        let kernel = RuleKernel::new(&graph, &cliques, &config, &ThreadPool::serial());
+        let distances = AssocDistances::build(&graph, config.metric, &ThreadPool::serial());
+        let kernel = RuleKernel::new(&graph, &cliques, &config, Some(&distances));
         let mut walk = kernel.walker();
         let mut sampled = Vec::new();
         for q2 in 0..cliques.len() {

@@ -50,20 +50,17 @@ fn exact_path_stops_at_max_rules() {
 fn anytime_path_stops_at_the_deadline() {
     let (result, _) = mine();
     let stats = result.stats;
-    let artifacts = Phase2Artifacts {
-        density_thresholds: stats.density_thresholds,
-        graph: result.graph,
-        cliques: result.cliques,
-        cliques_truncated: stats.cliques_truncated,
-    };
+    let artifacts = Phase2Artifacts::new(
+        stats.density_thresholds,
+        mining::ClusterDistance::D2,
+        result.graph,
+        result.cliques,
+        stats.cliques_truncated,
+    );
     let query = RuleQuery { budget_ms: 50, ..hostile_query() };
     let start = Instant::now();
-    let outcome = dar_rank::mine_budgeted(
-        &artifacts,
-        mining::ClusterDistance::D2,
-        &query,
-        Duration::from_millis(query.budget_ms),
-    );
+    let outcome =
+        dar_rank::mine_budgeted(&artifacts, &query, Duration::from_millis(query.budget_ms));
     let elapsed = start.elapsed();
     assert!(outcome.truncated);
     assert_eq!(outcome.coverage, 0.0, "the only pair was cut short");

@@ -20,7 +20,7 @@
 
 use crate::metrics::metrics;
 use dar_par::ThreadPool;
-use mining::{sort_rules, ClusterDistance, Dar, RuleKernel};
+use mining::{sort_rules, Dar};
 use mining::{Phase2Artifacts, RuleQuery};
 use std::ops::ControlFlow;
 use std::time::{Duration, Instant};
@@ -48,51 +48,49 @@ pub struct AnytimeOutcome {
 /// The sample holds at most about `2·max_rules` rules at any time.
 pub fn mine_budgeted(
     artifacts: &Phase2Artifacts,
-    metric: ClusterDistance,
     query: &RuleQuery,
     budget: Duration,
 ) -> AnytimeOutcome {
     let m = metrics();
     m.anytime_queries.inc();
     let start = Instant::now();
-    let config = query.rule_config(metric, &artifacts.density_thresholds);
     let len = artifacts.cliques.len();
     let total = len * len;
     if total == 0 {
         m.anytime_coverage_permille.observe(1000);
         return AnytimeOutcome { rules: Vec::new(), truncated: false, coverage: 1.0 };
     }
-    let kernel =
-        RuleKernel::new(&artifacts.graph, &artifacts.cliques, &config, &ThreadPool::serial());
-    let mut walk = kernel.walker();
-
     let stride = coprime_stride(total);
     let mut sample = Sample::new(query.max_rules);
-    let mut idx = 0usize;
-    let mut processed = 0usize;
-    let mut emitted = 0usize;
-    for _ in 0..total {
-        let (q2, q1) = (idx / len, idx % len);
-        let first = processed == 0;
-        let flow = walk.pair(q1, q2, &mut |dar| {
-            sample.push(dar);
-            emitted += 1;
-            let may_cut = !first || (query.max_rules != 0 && emitted >= query.max_rules);
-            if may_cut && start.elapsed() >= budget {
-                ControlFlow::Break(())
-            } else {
-                ControlFlow::Continue(())
+    let processed = artifacts.with_kernel(query, &ThreadPool::serial(), |kernel| {
+        let mut walk = kernel.walker();
+        let mut idx = 0usize;
+        let mut processed = 0usize;
+        let mut emitted = 0usize;
+        for _ in 0..total {
+            let (q2, q1) = (idx / len, idx % len);
+            let first = processed == 0;
+            let flow = walk.pair(q1, q2, &mut |dar| {
+                sample.push(dar);
+                emitted += 1;
+                let may_cut = !first || (query.max_rules != 0 && emitted >= query.max_rules);
+                if may_cut && start.elapsed() >= budget {
+                    ControlFlow::Break(())
+                } else {
+                    ControlFlow::Continue(())
+                }
+            });
+            if flow.is_break() {
+                break;
             }
-        });
-        if flow.is_break() {
-            break;
+            processed += 1;
+            idx = (idx + stride) % total;
+            if processed < total && start.elapsed() >= budget {
+                break;
+            }
         }
-        processed += 1;
-        idx = (idx + stride) % total;
-        if processed < total && start.elapsed() >= budget {
-            break;
-        }
-    }
+        processed
+    });
     m.anytime_pairs.add(processed as u64);
 
     let (rules, overflowed) = sample.finish();

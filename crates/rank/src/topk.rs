@@ -24,7 +24,7 @@ use crate::metrics::metrics;
 use crate::prune::signature;
 use crate::rank::{passes, rank, score, RankSpec, Ranked};
 use dar_par::ThreadPool;
-use mining::{ClusterDistance, Dar, Measure, Phase2Artifacts, RuleKernel, RuleQuery, Triple};
+use mining::{Dar, Measure, Phase2Artifacts, RuleKernel, RuleQuery, Triple};
 use std::cmp::{Ordering, Reverse};
 use std::collections::hash_map::Entry;
 use std::collections::{BTreeSet, BinaryHeap, HashMap};
@@ -37,14 +37,12 @@ use std::ops::ControlFlow;
 /// answer and whether a budget truncated generation.
 pub fn mine_top_k(
     artifacts: &Phase2Artifacts,
-    metric: ClusterDistance,
     query: &RuleQuery,
     pool: &ThreadPool,
     n: u64,
 ) -> (Ranked, bool) {
     let spec = RankSpec::from_query(query, artifacts.graph.clusters(), n);
-    let (rules, truncated) =
-        artifacts.mine_with(metric, query, pool, |kernel| select(kernel, &spec, pool));
+    let (rules, truncated) = artifacts.mine_with(query, pool, |kernel| select(kernel, &spec, pool));
     (rank(rules, &spec), truncated)
 }
 

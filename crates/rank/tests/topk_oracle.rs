@@ -89,8 +89,7 @@ fn check(
     pool: &ThreadPool,
 ) -> Result<bool, TestCaseError> {
     let want = post_hoc(case, rules, query);
-    let (got, got_truncated) =
-        mine_top_k(&case.artifacts, ClusterDistance::D2, query, pool, case.n);
+    let (got, got_truncated) = mine_top_k(&case.artifacts, query, pool, case.n);
     prop_assert_eq!(&got.rules, &want.rules, "{:?}", query);
     prop_assert_eq!(bits(&got.values), bits(&want.values), "{:?}", query);
     prop_assert_eq!(got_truncated, *truncated, "{:?}", query);

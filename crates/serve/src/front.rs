@@ -18,18 +18,22 @@
 //! * **graceful shutdown** via a shutdown pipe (an atomic flag plus a
 //!   self-connection to unblock `accept`): triggered by
 //!   [`FrontDoor::shutdown`] or the wire verb `shutdown` (when
-//!   `allow_remote_shutdown` permits), it stops accepting and lets the
-//!   workers drain the queue and exit.
+//!   `allow_remote_shutdown` permits), it stops accepting, shuts the read
+//!   half of every connection a worker is serving, and lets the workers
+//!   drain the queue and exit. A request already read is answered; an
+//!   idle client reads end-of-stream at once instead of holding its
+//!   worker for the rest of the read timeout.
 
 use crate::json::{self, Json};
 use crate::protocol::{self, Request, RequestLine, Verb};
 use crate::stats::ServerStats;
 use mining::RuleQuery;
+use std::collections::HashMap;
 use std::io;
-use std::net::{SocketAddr, TcpListener, TcpStream};
-use std::sync::atomic::{AtomicBool, Ordering};
+use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream};
+use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::mpsc::{Receiver, SyncSender, TrySendError};
-use std::sync::{Arc, Mutex};
+use std::sync::{Arc, Mutex, MutexGuard};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
@@ -78,13 +82,27 @@ pub trait Handler: Send + Sync + 'static {
 
 /// The shutdown pipe: an atomic flag plus the listener's own address, so
 /// `trigger` can unblock the acceptor's blocking `accept` with a
-/// self-connection (the SIGINT-equivalent in a std-only server).
+/// self-connection (the SIGINT-equivalent in a std-only server), and the
+/// connections the workers are serving, so `trigger` can end their
+/// blocking reads.
 pub(crate) struct ShutdownSignal {
     flag: AtomicBool,
     addr: SocketAddr,
+    /// A handle on each connection a worker is serving, by serial number.
+    serving: Mutex<HashMap<u64, TcpStream>>,
+    next_serial: AtomicU64,
 }
 
 impl ShutdownSignal {
+    fn new(addr: SocketAddr) -> ShutdownSignal {
+        ShutdownSignal {
+            flag: AtomicBool::new(false),
+            addr,
+            serving: Mutex::new(HashMap::new()),
+            next_serial: AtomicU64::new(0),
+        }
+    }
+
     pub(crate) fn is_set(&self) -> bool {
         self.flag.load(Ordering::SeqCst)
     }
@@ -95,6 +113,39 @@ impl ShutdownSignal {
         }
         // Wake the acceptor out of accept(2).
         let _ = TcpStream::connect_timeout(&self.addr, Duration::from_millis(250));
+        for stream in self.serving().values() {
+            let _ = stream.shutdown(Shutdown::Read);
+        }
+    }
+
+    /// Tracks `stream` until the returned guard drops. A stream tracked
+    /// after the flag is set has its read half shut at once: the flag is
+    /// read under the same lock `trigger` walks the streams under, so no
+    /// stream escapes both.
+    fn track(&self, stream: &TcpStream) -> io::Result<Serving<'_>> {
+        let serial = self.next_serial.fetch_add(1, Ordering::Relaxed);
+        let mut serving = self.serving();
+        if self.is_set() {
+            stream.shutdown(Shutdown::Read)?;
+        }
+        serving.insert(serial, stream.try_clone()?);
+        Ok(Serving { signal: self, serial })
+    }
+
+    fn serving(&self) -> MutexGuard<'_, HashMap<u64, TcpStream>> {
+        self.serving.lock().unwrap_or_else(|poisoned| poisoned.into_inner())
+    }
+}
+
+/// A connection [`ShutdownSignal::track`] follows, until this drops.
+struct Serving<'a> {
+    signal: &'a ShutdownSignal,
+    serial: u64,
+}
+
+impl Drop for Serving<'_> {
+    fn drop(&mut self) {
+        self.signal.serving().remove(&self.serial);
     }
 }
 
@@ -141,7 +192,7 @@ impl FrontDoor {
         let door = Arc::new(Door {
             handler,
             stats: ServerStats::default(),
-            shutdown: Arc::new(ShutdownSignal { flag: AtomicBool::new(false), addr: local_addr }),
+            shutdown: Arc::new(ShutdownSignal::new(local_addr)),
             config,
         });
 
@@ -186,8 +237,9 @@ impl FrontDoor {
         Arc::clone(&self.door.shutdown)
     }
 
-    /// Triggers graceful shutdown (idempotent): stop accepting, drain the
-    /// queue, let in-flight connections finish.
+    /// Triggers graceful shutdown (idempotent): stop accepting, end every
+    /// connection after the request it is serving (if any), drain the
+    /// queue.
     pub fn shutdown(&self) {
         self.door.shutdown.trigger();
     }
@@ -261,6 +313,7 @@ fn worker_loop(rx: &Mutex<Receiver<TcpStream>>, door: &Door) {
 fn serve_connection(mut stream: TcpStream, door: &Door) -> io::Result<()> {
     stream.set_read_timeout(Some(door.config.read_timeout))?;
     stream.set_write_timeout(Some(door.config.write_timeout))?;
+    let _serving = door.shutdown.track(&stream)?;
     let mut lines = protocol::RequestLines::new(stream.try_clone()?);
     loop {
         let line = match lines.next_line() {

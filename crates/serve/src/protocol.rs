@@ -826,6 +826,7 @@ pub fn engine_stats_json(stats: &EngineStats, shared_read_hits: u64) -> Json {
         ("queries", Json::Num(stats.queries as f64)),
         ("cache_hits", Json::Num(stats.cache_hits as f64)),
         ("cache_misses", Json::Num(stats.cache_misses as f64)),
+        ("assoc_bytes", Json::Num(stats.assoc_bytes as f64)),
         // Cache hits served lock-free through the read path, on top of the
         // engine's own (write-path) counters.
         ("shared_read_hits", Json::Num(shared_read_hits as f64)),

@@ -186,10 +186,36 @@ fn overload_refuses_with_structured_error_not_unbounded_queueing() {
     assert!(refused > 0, "a full bounded queue must refuse with a structured error");
     assert!(handle.stats().rejected_connections > 0);
 
-    // Close the held/queued sockets so workers see EOF instead of waiting
-    // out the read timeout, then shut down.
-    drop(held);
-    drop(_queued);
+    // The held and queued clients stay connected: shutdown ends both
+    // without waiting out the read timeout.
     handle.shutdown();
     handle.join().unwrap();
+    drop((held, _queued));
+}
+
+#[test]
+fn graceful_shutdown_does_not_wait_out_idle_connections() {
+    let (_, _, served_engine) = engine();
+    let config = ServeConfig {
+        threads: 2,
+        read_timeout: timeout(),
+        write_timeout: timeout(),
+        ..ServeConfig::default()
+    };
+    let handle = Server::start(served_engine, "127.0.0.1:0", config).unwrap();
+    // One client mid-session (a worker has served it and reads its next
+    // line) and one that never sent a byte (queued or adopted: shutdown
+    // must end either promptly).
+    let mut idle = Client::connect(handle.addr(), timeout()).unwrap();
+    idle.ingest(rows(10, 0)).unwrap();
+    let silent = Client::connect(handle.addr(), timeout()).unwrap();
+
+    let started = std::time::Instant::now();
+    handle.shutdown();
+    handle.join().unwrap();
+    let took = started.elapsed();
+    assert!(took < Duration::from_secs(2), "shutdown waited {took:?} on idle clients");
+    // The server hung up on the idle client.
+    assert!(idle.round_trip_line(r#"{"verb":"stats"}"#).is_err());
+    drop(silent);
 }

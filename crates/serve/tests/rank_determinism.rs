@@ -156,8 +156,6 @@ fn anytime_converges_to_exact_and_marks_partial_answers() {
 fn zero_budget_sampler_reports_partial_coverage_on_the_wire() {
     let relation = wbcd_relation(TUPLES, 0.1, 20260707);
     let partitioning = Partitioning::per_attribute(relation.schema(), Metric::Euclidean);
-    let config = wbcd_engine_config(2);
-    let metric = config.metric;
     let mut engine = engine_at(2, &relation, &partitioning);
     let query = ranked_query();
     let exact = engine.query(&query).expect("exact query");
@@ -169,7 +167,7 @@ fn zero_budget_sampler_reports_partial_coverage_on_the_wire() {
 
     // A zero budget still examines exactly one pair — deterministically
     // partial, so the wire response must carry the honesty keys.
-    let sampled = dar_rank::mine_budgeted(&exact.artifacts, metric, &query, Duration::ZERO);
+    let sampled = dar_rank::mine_budgeted(&exact.artifacts, &query, Duration::ZERO);
     assert!(
         sampled.coverage > 0.0 && sampled.coverage < 1.0,
         "one pair of many must be a strict fraction, got {}",
