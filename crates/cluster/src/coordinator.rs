@@ -7,7 +7,7 @@ use crate::health::{HealthBoard, ShardHealth};
 use crate::metrics::{metrics, shard_request_ns};
 use dar_core::ClusterSummary;
 use dar_engine::{DarEngine, QueryOutcome};
-use dar_serve::protocol::Request;
+use dar_serve::protocol::{self, Request};
 use dar_serve::{Client, Json, ServerError, SharedEngine};
 use mining::RuleQuery;
 use std::io;
@@ -457,13 +457,7 @@ impl Coordinator {
                 }
             };
             // Binary engine snapshots ride the JSON wire base64-encoded.
-            let b64 = response.get("snapshot_b64").and_then(Json::as_str).ok_or_else(|| {
-                io::Error::new(
-                    io::ErrorKind::InvalidData,
-                    format!("shard {i} pull_snapshot response lacks snapshot_b64"),
-                )
-            })?;
-            let sealed = dar_serve::b64::decode(b64).map_err(|e| {
+            let (_, tuples, sealed) = protocol::decode_pull_snapshot(&response).map_err(|e| {
                 io::Error::new(io::ErrorKind::InvalidData, format!("shard {i}: {e}"))
             })?;
             // Wire-corruption check on unseal; the footer seq is
@@ -478,7 +472,6 @@ impl Coordinator {
             // the count after a crash; a shard that comes back lighter
             // lost an acked batch, and serving rules that silently
             // exclude it is the one thing the cluster must never do).
-            let tuples = response.get("tuples").and_then(Json::as_u64).unwrap_or(0);
             if tuples < expected {
                 return Err(io::Error::other(format!(
                     "shard {i} ({}) holds {tuples} tuples but acknowledged {expected}: \

@@ -374,15 +374,8 @@ impl Client {
     /// I/O failures or a structured server error.
     pub fn pull_snapshot(&mut self) -> io::Result<(u64, u64, Vec<u8>)> {
         let response = self.expect_ok(&Request::PullSnapshot)?;
-        let epoch = response.get("epoch").and_then(Json::as_u64).unwrap_or(0);
-        let tuples = response.get("tuples").and_then(Json::as_u64).unwrap_or(0);
-        let b64 = response.get("snapshot_b64").and_then(Json::as_str).ok_or_else(|| {
-            io::Error::new(io::ErrorKind::InvalidData, "pull_snapshot response lacks snapshot_b64")
-        })?;
-        let sealed = crate::b64::decode(b64).map_err(|e| {
-            io::Error::new(io::ErrorKind::InvalidData, format!("pull_snapshot body: {e}"))
-        })?;
-        Ok((epoch, tuples, sealed))
+        protocol::decode_pull_snapshot(&response)
+            .map_err(|e| io::Error::new(io::ErrorKind::InvalidData, e))
     }
 
     /// `shard_stats`; returns the decoded response object (epoch, tuples,

@@ -5,7 +5,8 @@
 //! Verbs:
 //!
 //! ```text
-//! {"verb":"ingest","rows":[[…],…]}          → {"ok":true,"verb":"ingest","tuples":…,"total":…}
+//! {"verb":"ingest","rows_b64":"<base64>"}   → {"ok":true,"verb":"ingest","tuples":…,"total":…}
+//! {"verb":"ingest","rows":[[…],…]}          → (the same)
 //! {"verb":"query", …RuleQuery knobs…}       → {"ok":true,"verb":"query","epoch":…,"rules":[…]}
 //! {"verb":"clusters"}                       → {"ok":true,"verb":"clusters","clusters":[…]}
 //! {"verb":"stats"}                          → {"ok":true,"verb":"stats","server":{…},"engine":{…}}
@@ -13,6 +14,15 @@
 //! {"verb":"snapshot"}                       → {"ok":true,"verb":"snapshot","epoch":…,"path":…}
 //! {"verb":"shutdown"}                       → {"ok":true,"verb":"shutdown"}
 //! ```
+//!
+//! An ingest batch travels in one of two forms, never both. `rows_b64` is
+//! the base64 ([`crate::b64`]) of the write-ahead log's batch body
+//! ([`dar_durable::encode_batch`]: `u32` row count, then per row a `u32`
+//! length and its `f64` little-endian bits), so values arrive bit-exact;
+//! it is what [`Request::to_json`], and with it every library client,
+//! sends. `rows`, a JSON array of number arrays, stays for shells and
+//! hand-written clients. A tagged WAL frame is not a batch body and is
+//! refused: only the server picks a window tag.
 //!
 //! Streaming verbs — available when the server mines a sliding window
 //! (`--window-batches`):
@@ -37,13 +47,14 @@
 //! ingest, spoken by a `dar serve` instance acting as a shard worker:
 //!
 //! ```text
-//! {"verb":"shard_ingest","seq":…,"rows":[…]} → {"ok":true,…,"seq":…,"applied":…,"total":…}
+//! {"verb":"shard_ingest","seq":…,"rows_b64":…} → {"ok":true,…,"seq":…,"applied":…,"total":…}
 //! {"verb":"pull_snapshot"}                   → {"ok":true,…,"epoch":…,"snapshot_b64":"<base64>"}
 //! {"verb":"shard_stats"}                     → {"ok":true,…,"epoch":…,"width":…,"last_seq":…}
 //! {"verb":"shard_rescan","clusters":…,"rules":[…]} → {"ok":true,…,"counts":[…]}
 //! ```
 //!
-//! `shard_ingest` carries the coordinator's global batch sequence number;
+//! `shard_ingest` carries its batch in either form, like `ingest`, plus
+//! the coordinator's global batch sequence number;
 //! a shard remembers the highest it has applied and acknowledges
 //! duplicates (`"applied":false`) without re-applying, which makes the
 //! coordinator's at-least-once retries idempotent. `pull_snapshot`
@@ -228,22 +239,41 @@ impl Verb {
     }
 }
 
-/// Decodes an `ingest`/`shard_ingest` rows array.
+/// Decodes an `ingest`/`shard_ingest` batch from exactly one of its two
+/// encodings: `rows`, a JSON array of number arrays, or `rows_b64`, the
+/// base64 of a WAL batch body ([`dar_durable::encode_batch`]). A tagged
+/// WAL frame is refused: only the server picks a window tag.
 fn parse_rows(value: &Json, verb: &str) -> Result<Vec<Vec<f64>>, String> {
-    let rows = value
-        .get("rows")
-        .and_then(Json::as_array)
-        .ok_or_else(|| format!("{verb} needs a \"rows\" array"))?;
-    rows.iter()
-        .enumerate()
-        .map(|(i, row)| {
-            row.as_array()
-                .ok_or_else(|| format!("row {i} is not an array"))?
-                .iter()
-                .map(|v| v.as_f64().ok_or_else(|| format!("row {i} has a non-number")))
-                .collect()
-        })
-        .collect()
+    match (value.get("rows"), value.get("rows_b64")) {
+        (Some(_), Some(_)) => Err(format!("{verb} takes \"rows\" or \"rows_b64\", not both")),
+        (None, None) => Err(format!("{verb} needs a \"rows\" array or a \"rows_b64\" string")),
+        (None, Some(text)) => {
+            let text =
+                text.as_str().ok_or_else(|| format!("{verb} \"rows_b64\" is not a string"))?;
+            crate::b64::decode(text)
+                .and_then(|body| dar_durable::decode_batch(&body))
+                .map_err(|e| format!("{verb} \"rows_b64\": {e}"))
+        }
+        (Some(rows), None) => rows
+            .as_array()
+            .ok_or_else(|| format!("{verb} needs a \"rows\" array"))?
+            .iter()
+            .enumerate()
+            .map(|(i, row)| {
+                row.as_array()
+                    .ok_or_else(|| format!("row {i} is not an array"))?
+                    .iter()
+                    .map(|v| v.as_f64().ok_or_else(|| format!("row {i} has a non-number")))
+                    .collect()
+            })
+            .collect(),
+    }
+}
+
+/// The `rows_b64` text of a batch: base64 of its WAL batch body, which
+/// carries every `f64` bit-exact.
+fn rows_b64(rows: &[Vec<f64>]) -> Json {
+    Json::Str(crate::b64::encode(&dar_durable::encode_batch(rows)))
 }
 
 impl Request {
@@ -347,16 +377,12 @@ impl Request {
     }
 
     /// Encodes this request as its wire value (the client side of the
-    /// codec).
+    /// codec). Ingest batches travel as `rows_b64`, the exact WAL batch
+    /// body; the server also reads JSON `rows`.
     pub fn to_json(&self) -> Json {
-        let rows_json = |rows: &[Vec<f64>]| {
-            Json::Arr(
-                rows.iter().map(|r| Json::Arr(r.iter().map(|v| Json::Num(*v)).collect())).collect(),
-            )
-        };
         let mut pairs = vec![("verb", Json::Str(self.verb().as_str().into()))];
         match self {
-            Request::Ingest { rows } => pairs.push(("rows", rows_json(rows))),
+            Request::Ingest { rows } => pairs.push(("rows_b64", rows_b64(rows))),
             Request::Query { query } => {
                 match &query.density {
                     DensitySpec::Auto { factor } => {
@@ -389,7 +415,7 @@ impl Request {
             }
             Request::ShardIngest { seq, rows } => {
                 pairs.push(("seq", Json::Num(*seq as f64)));
-                pairs.push(("rows", rows_json(rows)));
+                pairs.push(("rows_b64", rows_b64(rows)));
             }
             Request::ShardRescan { clusters, rules } => {
                 pairs.push(("clusters", Json::Str(clusters.clone())));
@@ -483,7 +509,7 @@ pub fn write_frame(out: &mut impl Write, mut line: String) -> io::Result<u64> {
 
 /// The longest request line a server reads, its newline excluded: 64 MiB,
 /// more than 100× the largest request the benchmark workloads send (a
-/// 1,000-row, 30-attribute ingest of about 0.6 MB). A longer line is
+/// 1,000-row, 30-attribute ingest of about 0.33 MB). A longer line is
 /// answered with a `line-too-long` error ([`LINE_TOO_LONG`]) and the
 /// connection closes, so a client that streams bytes without a newline
 /// cannot grow server memory past this bound.
@@ -741,6 +767,24 @@ pub fn pull_snapshot_response(epoch: u64, tuples: u64, sealed: &[u8]) -> Json {
         ("tuples", Json::Num(tuples as f64)),
         ("snapshot_b64", Json::Str(crate::b64::encode(sealed))),
     ])
+}
+
+/// Decodes a [`pull_snapshot_response`]: `(epoch, tuples, sealed)`, the
+/// sealed body base64-decoded but not yet unsealed. The client's
+/// `pull_snapshot` and the coordinator's merge both read pulls through it.
+///
+/// # Errors
+/// A response without a `snapshot_b64` string, or text that is not
+/// canonical base64.
+pub fn decode_pull_snapshot(response: &Json) -> Result<(u64, u64, Vec<u8>), String> {
+    let epoch = response.get("epoch").and_then(Json::as_u64).unwrap_or(0);
+    let tuples = response.get("tuples").and_then(Json::as_u64).unwrap_or(0);
+    let text = response
+        .get("snapshot_b64")
+        .and_then(Json::as_str)
+        .ok_or("pull_snapshot response lacks snapshot_b64")?;
+    let sealed = crate::b64::decode(text).map_err(|e| format!("pull_snapshot body: {e}"))?;
+    Ok((epoch, tuples, sealed))
 }
 
 /// The `shard_stats` success response: the coordinator's health/identity
