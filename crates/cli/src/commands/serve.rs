@@ -32,10 +32,8 @@ use crate::args::Args;
 use crate::data::parse_cluster_metric;
 use crate::CliError;
 use dar_core::{Metric, Partitioning, Schema};
-use dar_engine::EngineConfig;
-use dar_serve::{
-    recover_backend, EngineBackend, ServeConfig, ServeSummary, Server, Verb, WindowSpec,
-};
+use dar_engine::{DarEngine, EngineConfig};
+use dar_serve::{recover_backend, ServeConfig, ServeSummary, Server, Verb, WindowSpec};
 use std::fmt::Write as _;
 use std::sync::Arc;
 use std::time::Duration;
@@ -43,22 +41,22 @@ use std::time::Duration;
 /// Runs the command: recover, serve until a wire `shutdown`, then report.
 pub fn run(args: &Args) -> Result<String, CliError> {
     let addr = args.required("addr")?.to_string();
-    let (mut backend, serve_config) = build(args)?;
+    let (mut engine, serve_config) = build(args)?;
     if serve_config.snapshot_path.is_some() || serve_config.wal_path.is_some() {
         let (recovered, report) = recover_backend(
-            backend,
+            engine,
             Arc::clone(&serve_config.storage),
             serve_config.snapshot_path.as_deref(),
             serve_config.wal_path.as_deref(),
         )
         .map_err(|e| CliError::new(format!("recovery: {e}")))?;
-        backend = recovered;
+        engine = recovered;
         eprintln!(
             "dar serve: recovered {} tuples (snapshot: {}, wal batches replayed: {}{}{})",
-            backend.engine().tuples(),
+            engine.tuples(),
             report.snapshot_source.map_or_else(|| "none".into(), |s| format!("{s:?}")),
             report.wal_batches_replayed,
-            backend.window_span().map_or_else(String::new, |(oldest, open)| format!(
+            engine.window_span().map_or_else(String::new, |(oldest, open)| format!(
                 ", window span {oldest}..={open}"
             )),
             if report.degraded_artifacts() {
@@ -71,7 +69,7 @@ pub fn run(args: &Args) -> Result<String, CliError> {
             },
         );
     }
-    let handle = Server::start(backend, &addr, serve_config)
+    let handle = Server::start(engine, &addr, serve_config)
         .map_err(|e| CliError::new(format!("bind {addr}: {e}")))?;
     // Announce on stderr immediately — stdout is the post-shutdown report.
     eprintln!("dar serve: listening on {}", handle.addr());
@@ -105,11 +103,11 @@ pub fn window_options(args: &Args) -> Result<Option<WindowSpec>, CliError> {
     Ok(Some(WindowSpec { batches, slots: if slots == 0 { 2 } else { slots } }))
 }
 
-/// Builds the engine backend and server configuration from the flags. The
+/// Builds the engine and server configuration from the flags. The
 /// engine is created empty: unlike the one-shot commands there is no
 /// input CSV — clients `ingest` over the wire — so the schema is fixed up
 /// front by `--attrs` (interval attributes, per-attribute partitioning).
-pub fn build(args: &Args) -> Result<(EngineBackend, ServeConfig), CliError> {
+pub fn build(args: &Args) -> Result<(DarEngine, ServeConfig), CliError> {
     let attrs = args.number::<usize>("attrs", 3)?;
     if attrs == 0 {
         return Err(CliError::new("--attrs must be at least 1"));
@@ -135,7 +133,7 @@ pub fn build(args: &Args) -> Result<(EngineBackend, ServeConfig), CliError> {
             .map_err(|_| CliError::new(format!("--initial-threshold: cannot parse {raw:?}")))?;
         config.birch.initial_threshold = threshold;
     }
-    let backend = EngineBackend::new(partitioning, config, window_options(args)?)?;
+    let engine = DarEngine::with_window(partitioning, config, window_options(args)?)?;
 
     // The server's base query: rank knobs a client's `query` does not
     // send fall back to these, and churn events score rules with them.
@@ -161,7 +159,7 @@ pub fn build(args: &Args) -> Result<(EngineBackend, ServeConfig), CliError> {
     if serve_config.snapshot_interval.is_some() && serve_config.snapshot_path.is_none() {
         return Err(CliError::new("--snapshot-secs requires --snapshot-path"));
     }
-    Ok((backend, serve_config))
+    Ok((engine, serve_config))
 }
 
 /// Formats the post-shutdown report.
@@ -236,7 +234,7 @@ mod tests {
         ]))
         .unwrap();
         let (engine, config) = build(&args).unwrap();
-        assert_eq!(engine.engine().required_row_width(), 4);
+        assert_eq!(engine.required_row_width(), 4);
         assert_eq!(config.threads, 2);
         assert_eq!(config.queue_depth, 8);
         assert_eq!(config.read_timeout, Duration::from_millis(500));
@@ -261,14 +259,14 @@ mod tests {
 
     #[test]
     fn window_flags_select_the_backend() {
-        let (backend, _) = build(&parse(&argv(&["--attrs", "2"])).unwrap()).unwrap();
-        assert!(!backend.is_windowed(), "no window flags: classic all-history engine");
+        let (engine, _) = build(&parse(&argv(&["--attrs", "2"])).unwrap()).unwrap();
+        assert!(!engine.is_windowed(), "no window flags: classic all-history engine");
 
         let args = parse(&argv(&["--attrs", "2", "--window-batches", "8", "--window-slots", "3"]))
             .unwrap();
-        let (backend, _) = build(&args).unwrap();
-        assert!(backend.is_windowed());
-        assert_eq!(backend.window_span(), Some((0, 0)), "fresh ring: only window 0, open");
+        let (engine, _) = build(&args).unwrap();
+        assert!(engine.is_windowed());
+        assert_eq!(engine.window_span(), Some((0, 0)), "fresh ring: only window 0, open");
 
         // Default slots 2; both compatibility policy names select the
         // one retirement.

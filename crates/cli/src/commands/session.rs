@@ -44,9 +44,9 @@ use crate::commands::serve::window_options;
 use crate::data::{default_partitioning, load, parse_cluster_metric};
 use crate::CliError;
 use dar_core::{suggest_initial_thresholds, Schema};
-use dar_durable::{DiskStorage, DurableStore, WalFrame};
-use dar_engine::EngineConfig;
-use dar_serve::{EngineBackend, WindowSpec};
+use dar_durable::{DiskStorage, DurableStore};
+use dar_engine::{DarEngine, EngineConfig};
+use dar_serve::WindowSpec;
 use mining::describe::describe_rule;
 use mining::{DensitySpec, RuleQuery};
 use std::fmt::Write as _;
@@ -72,7 +72,7 @@ pub fn run(args: &Args) -> Result<String, CliError> {
 /// Session state: the engine appears on the first `ingest` (which fixes the
 /// partitioning from the CSV's schema) or on `restore`.
 struct Session {
-    engine: Option<EngineBackend>,
+    engine: Option<DarEngine>,
     /// Attribute names for rule rendering; synthetic after a bare restore.
     schema: Option<Schema>,
     support: f64,
@@ -82,27 +82,25 @@ struct Session {
     window: Option<WindowSpec>,
     /// The write-ahead log (`--wal-path`), if configured.
     store: Option<DurableStore>,
-    /// Every committed WAL frame with its sequence and window tag —
-    /// recovered ones plus those logged this session — so `restore` can
-    /// seq-filter its replay.
-    wal_records: Vec<WalFrame>,
 }
 
 impl Session {
-    fn engine(&mut self) -> Result<&mut EngineBackend, CliError> {
+    fn engine(&mut self) -> Result<&mut DarEngine, CliError> {
         self.engine
             .as_mut()
             .ok_or_else(|| CliError::new("no engine yet: `ingest` or `restore` first"))
     }
 
-    /// Replays WAL frames with sequence strictly above `after_seq` into
-    /// `engine`, returning how many non-empty batches were applied.
-    fn replay_into(&self, engine: &mut EngineBackend, after_seq: u64) -> Result<u64, CliError> {
+    /// Replays the WAL frames with sequence strictly above `after_seq`
+    /// into `engine`, read from the log, returning how many non-empty
+    /// batches were applied.
+    fn replay_into(&self, engine: &mut DarEngine, after_seq: u64) -> Result<u64, CliError> {
+        let Some(store) = &self.store else {
+            return Ok(0);
+        };
+        let frames = store.frames_after(after_seq).map_err(|e| CliError::new(e.to_string()))?;
         let mut replayed = 0u64;
-        for (seq, tag, rows) in &self.wal_records {
-            if *seq <= after_seq {
-                continue;
-            }
+        for (_, tag, rows) in &frames {
             engine.replay_frame(*tag, rows)?;
             if !rows.is_empty() {
                 replayed += 1;
@@ -112,26 +110,21 @@ impl Session {
     }
 }
 
-/// Opens the WAL and decodes every committed frame with its sequence
-/// (no snapshot bounds the replay, so every record is a frame).
-fn open_wal(path: &str) -> Result<(DurableStore, Vec<WalFrame>), CliError> {
-    let (store, recovered) = DurableStore::open(Arc::new(DiskStorage), None, Some(path.into()))
-        .map_err(|e| CliError::new(format!("{path}: {e}")))?;
-    Ok((store, recovered.frames))
-}
-
 /// Interprets a full script, returning the accumulated output.
 pub fn run_script(script: &str, args: &Args) -> Result<String, CliError> {
     let mut config = EngineConfig::default();
     config.birch.memory_budget = args.number::<usize>("memory-kb", 1024)? << 10;
     config.metric = parse_cluster_metric(args.optional("metric").unwrap_or("d2"))?;
     config.threads = args.number("threads", 0)?;
-    let (store, wal_records) = match args.optional("wal-path") {
-        Some(path) => {
-            let (store, records) = open_wal(path)?;
-            (Some(store), records)
-        }
-        None => (None, Vec::new()),
+    // Opening the log repairs a torn tail and positions the next
+    // sequence; the frames are read again when a replay needs them.
+    let store = match args.optional("wal-path") {
+        Some(path) => Some(
+            DurableStore::open(Arc::new(DiskStorage), None, Some(path.into()))
+                .map_err(|e| CliError::new(format!("{path}: {e}")))?
+                .0,
+        ),
+        None => None,
     };
     let mut session = Session {
         engine: None,
@@ -141,7 +134,6 @@ pub fn run_script(script: &str, args: &Args) -> Result<String, CliError> {
         config,
         window: window_options(args)?,
         store,
-        wal_records,
     };
 
     let mut out = String::new();
@@ -187,7 +179,7 @@ fn step(
                     &partitioning,
                     session.threshold_frac,
                 )?);
-                let mut engine = EngineBackend::new(partitioning, config, session.window)?;
+                let mut engine = DarEngine::with_window(partitioning, config, session.window)?;
                 // Crash recovery: a fresh engine first replays every batch
                 // a previous session committed to this WAL.
                 let replayed = session.replay_into(&mut engine, 0)?;
@@ -195,7 +187,7 @@ fn step(
                     let _ = writeln!(
                         out,
                         "wal: replayed {replayed} committed batches ({} tuples)",
-                        engine.engine().tuples()
+                        engine.tuples()
                     );
                 }
                 session.engine = Some(engine);
@@ -215,16 +207,11 @@ fn step(
                         None => store.log_batch(&rows),
                     }
                     .map_err(|e| CliError::new(e.to_string()))?;
-                    session.wal_records.push((
-                        seq,
-                        info.as_ref().map(|w| w.window_seq),
-                        rows.clone(),
-                    ));
                     format!(", wal seq {seq}")
                 }
                 None => String::new(),
             };
-            let engine = session.engine.as_ref().expect("just created").engine();
+            let engine = session.engine.as_ref().expect("just created");
             let windowed = match &info {
                 Some(w) if w.advanced => format!(", sealed window {}", w.window_seq),
                 Some(w) => format!(", window {}", w.window_seq),
@@ -251,7 +238,6 @@ fn step(
                     let seq = store
                         .log_tagged_batch(outcome.opened_seq, &[])
                         .map_err(|e| CliError::new(e.to_string()))?;
-                    session.wal_records.push((seq, Some(outcome.opened_seq), Vec::new()));
                     format!(", wal seq {seq}")
                 }
                 None => String::new(),
@@ -277,7 +263,7 @@ fn step(
             let seq = session.store.as_ref().map_or(0, DurableStore::last_seq);
             dar_durable::snapshot::install(&DiskStorage, Path::new(path), &bytes, seq)
                 .map_err(|e| CliError::new(format!("{path}: {e}")))?;
-            let engine = session.engine()?.engine();
+            let engine = session.engine()?;
             let _ = writeln!(
                 out,
                 "snapshot {path}: epoch {} ({} tuples, sealed at wal seq {seq})",
@@ -298,14 +284,14 @@ fn step(
                 .unwrap_or(0);
             let mut config = session.config.clone();
             config.min_support_frac = session.support;
-            let mut engine = EngineBackend::restore(&bytes, config, session.window.is_some())
+            let mut engine = DarEngine::restore(&bytes, config, session.window.is_some())
                 .map_err(|e| CliError::new(format!("{path}: {e}")))?;
             let replayed = session.replay_into(&mut engine, snapshot_seq)?;
             let _ = writeln!(
                 out,
                 "restore {path}: epoch {} ({} tuples{})",
-                engine.engine().epoch(),
-                engine.engine().tuples(),
+                engine.epoch(),
+                engine.tuples(),
                 if replayed > 0 {
                     format!(", {replayed} wal batches replayed")
                 } else {
@@ -320,10 +306,10 @@ fn step(
             let top: usize = kv(rest, "top=").map_or(Ok(10), |v| {
                 v.parse().map_err(|_| CliError::new(format!("bad top= value {v:?}")))
             })?;
-            let (outcome, partitioning) = {
+            let (outcome, partitioning, width) = {
                 let engine = session.engine()?;
                 let outcome = engine.query(&query)?;
-                (outcome, engine.engine().partitioning().clone())
+                (outcome, engine.partitioning().clone(), engine.required_row_width())
             };
             let measure = outcome.measure;
             let _ = writeln!(
@@ -343,10 +329,7 @@ fn step(
                     .coverage
                     .map_or_else(String::new, |c| format!(" [anytime coverage {c:.3}]")),
             );
-            let schema = session
-                .schema
-                .clone()
-                .unwrap_or_else(|| Schema::interval_attrs(arity(&partitioning)));
+            let schema = session.schema.clone().unwrap_or_else(|| Schema::interval_attrs(width));
             for (rule, value) in outcome.rules.iter().zip(&outcome.values).take(top) {
                 let suffix = match measure {
                     mining::Measure::Degree => String::new(),
@@ -363,7 +346,7 @@ fn step(
             }
         }
         "stats" => {
-            let s = session.engine()?.engine().stats();
+            let s = session.engine()?.stats();
             let _ = writeln!(
                 out,
                 "stats: {} tuples in {} batches, {} epochs, {} rebuilds; \
@@ -390,10 +373,6 @@ fn step(
         }
     }
     Ok(())
-}
-
-fn arity(partitioning: &dar_core::Partitioning) -> usize {
-    partitioning.sets().iter().flat_map(|s| s.attrs.iter()).copied().max().map_or(0, |m| m + 1)
 }
 
 /// Finds `key=`-prefixed token and returns its value.

@@ -33,8 +33,9 @@ use crate::CliError;
 use dar_core::{
     Acf, AcfLayout, AttrSet, BoundingBox, ClusterId, ClusterSummary, CoreError, Interval, Metric,
 };
-use dar_engine::snapshot::{partitioning_of, write_snapshot_bytes, Snapshot};
-use dar_stream::{write_ring_bytes, RingHeader};
+use dar_engine::snapshot::{
+    partitioning_of, write_ring_bytes, write_snapshot_bytes, RingHeader, Snapshot, RING_V2_TAG,
+};
 use mining::persist::encode_clusters;
 use std::path::Path;
 
@@ -58,11 +59,8 @@ fn migrate_body(
     body: &[u8],
     pool: &dar_par::ThreadPool,
 ) -> Result<(&'static str, Vec<u8>), CoreError> {
-    let v2_tags: [&[u8]; 3] = [
-        &dar_engine::snapshot::V2_MAGIC,
-        &mining::persist::V2_MAGIC,
-        dar_stream::RING_V2_TAG.as_bytes(),
-    ];
+    let v2_tags: [&[u8]; 3] =
+        [&dar_engine::snapshot::V2_MAGIC, &mining::persist::V2_MAGIC, RING_V2_TAG.as_bytes()];
     if v2_tags.iter().any(|tag| body.starts_with(tag)) {
         return Err(CoreError::LayoutMismatch(
             "already v2; there is nothing to migrate".to_string(),

@@ -9,8 +9,7 @@ use dar_core::{Metric, Partitioning, Schema};
 use dar_durable::storage::scratch_dir;
 use dar_durable::{DiskStorage, FaultPlan, FaultyStorage};
 use dar_engine::{DarEngine, EngineConfig};
-use dar_serve::{recover_backend, Client, ServeConfig, Server, ServerError};
-use dar_stream::{EngineBackend, WindowSpec};
+use dar_serve::{recover_backend, Client, ServeConfig, Server, ServerError, WindowSpec};
 use mining::RuleQuery;
 use std::path::{Path, PathBuf};
 use std::time::Duration;
@@ -60,9 +59,9 @@ fn two_batch_engine() -> DarEngine {
 /// after the five 20-row batches the fixture's v1 ring was fed. Each of
 /// that ring's per-window forests held the same clusters as the window's
 /// columns hold now, so the bytes match.
-fn five_batch_ring() -> EngineBackend {
+fn five_batch_ring() -> DarEngine {
     let spec = WindowSpec { batches: 2, slots: 2 };
-    let mut ring = EngineBackend::new(partitioning(), config(), Some(spec)).unwrap();
+    let mut ring = DarEngine::with_window(partitioning(), config(), Some(spec)).unwrap();
     for b in 0..5 {
         ring.ingest(&rows(20, b)).unwrap();
     }
@@ -87,7 +86,7 @@ fn migrated(input: &Path, dir: &Path) -> (Vec<u8>, u64) {
     (body.to_vec(), seq)
 }
 
-fn assert_same_answer(got: &mut EngineBackend, want: &mut EngineBackend) {
+fn assert_same_answer(got: &mut DarEngine, want: &mut DarEngine) {
     let got = got.query(&RuleQuery::default()).unwrap();
     let want = want.query(&RuleQuery::default()).unwrap();
     assert!(!want.rules.is_empty(), "the planted blocks must yield rules");
@@ -112,9 +111,9 @@ fn engine_fixture_migrates_sealed_and_unsealed_byte_equal() {
         let (body, seq) = migrated(&input, &dir);
         assert_eq!(seq, want_seq, "{}: sealed seq", input.display());
         assert_eq!(body, want_body, "{}: migrated bytes", input.display());
-        let mut restored = EngineBackend::restore(&body, config(), false).unwrap();
-        assert_eq!(restored.engine().tuples(), 60);
-        assert_same_answer(&mut restored, &mut two_batch_engine().into());
+        let mut restored = DarEngine::restore(&body, config(), false).unwrap();
+        assert_eq!(restored.tuples(), 60);
+        assert_same_answer(&mut restored, &mut two_batch_engine());
     }
     std::fs::remove_dir_all(&dir).ok();
 }
@@ -128,9 +127,9 @@ fn ring_fixture_migrates_byte_equal() {
     let (body, seq) = migrated(&fixture("v1_ring.snap"), &dir);
     assert_eq!(seq, 5);
     assert_eq!(body, live.snapshot().unwrap());
-    let mut restored = EngineBackend::restore(&body, config(), true).unwrap();
+    let mut restored = DarEngine::restore(&body, config(), true).unwrap();
     assert_eq!(restored.window_span(), live.window_span());
-    assert_eq!(restored.engine().tuples(), live.engine().tuples());
+    assert_eq!(restored.tuples(), live.tuples());
     assert_same_answer(&mut restored, &mut live);
     std::fs::remove_dir_all(&dir).ok();
 }
@@ -186,14 +185,14 @@ fn migrated_snapshot_with_newer_wal_tail_recovers_exactly() {
 
     migrate(&snap_path, &snap_path).unwrap();
     let (mut recovered, report) =
-        recover_backend(engine().into(), storage, Some(&snap_path), Some(&wal_path)).unwrap();
+        recover_backend(engine(), storage, Some(&snap_path), Some(&wal_path)).unwrap();
     assert!(report.snapshot_source.is_some(), "the migrated snapshot must load");
     assert_eq!(report.wal_batches_replayed, 1, "only the post-snapshot tail replays");
-    assert_eq!(recovered.engine().tuples(), 90);
+    assert_eq!(recovered.tuples(), 90);
 
     let mut control = two_batch_engine();
     control.ingest(&rows(30, 2)).unwrap();
-    assert_same_answer(&mut recovered, &mut control.into());
+    assert_same_answer(&mut recovered, &mut control);
     std::fs::remove_dir_all(&dir).ok();
 }
 
@@ -204,8 +203,8 @@ fn unmigrated_v1_snapshots_fail_recovery_naming_migrate_and_stay_on_disk() {
     let dir = scratch_dir("cli_migrate_unmigrated");
     let spec = WindowSpec { batches: 2, slots: 2 };
     let cases = [
-        ("v1_engine.snap", EngineBackend::from(engine())),
-        ("v1_ring.snap", EngineBackend::new(partitioning(), config(), Some(spec)).unwrap()),
+        ("v1_engine.snap", engine()),
+        ("v1_ring.snap", DarEngine::with_window(partitioning(), config(), Some(spec)).unwrap()),
     ];
     for (name, fresh) in cases {
         let path = dir.join(name);

@@ -228,7 +228,7 @@ fn steady_state_merge_reuses_unmoved_shard_snapshots() {
 
 #[test]
 fn window_advance_invalidates_the_snapshot_cache() {
-    use dar_serve::{EngineBackend, WindowSpec};
+    use dar_serve::WindowSpec;
 
     // One windowed shard (4-batch windows: a single batch never seals on
     // its own). An explicit advance changes the shard's snapshot without
@@ -236,7 +236,7 @@ fn window_advance_invalidates_the_snapshot_cache() {
     // serve stale.
     let schema = Schema::interval_attrs(2);
     let partitioning = Partitioning::per_attribute(&schema, Metric::Euclidean);
-    let engine = EngineBackend::new(
+    let engine = DarEngine::with_window(
         partitioning,
         engine_config(),
         Some(WindowSpec { batches: 4, slots: 2 }),
@@ -265,7 +265,7 @@ fn window_advance_invalidates_the_snapshot_cache() {
 
 #[test]
 fn advance_passes_through_to_windowed_shards_and_subscribe_is_refused() {
-    use dar_serve::{EngineBackend, Json, WindowSpec};
+    use dar_serve::{Json, WindowSpec};
 
     // Two windowed shards behind a coordinator: the `advance` verb fans
     // out to every shard in order and reports each shard's seal.
@@ -274,7 +274,7 @@ fn advance_passes_through_to_windowed_shards_and_subscribe_is_refused() {
         .map(|_| {
             let schema = Schema::interval_attrs(2);
             let partitioning = Partitioning::per_attribute(&schema, Metric::Euclidean);
-            let engine = EngineBackend::new(partitioning, engine_config(), Some(spec)).unwrap();
+            let engine = DarEngine::with_window(partitioning, engine_config(), Some(spec)).unwrap();
             Server::start(engine, "127.0.0.1:0", shard_config()).unwrap()
         })
         .collect();
@@ -372,15 +372,11 @@ fn shard_crash_recovery_loses_no_acked_batch_and_rules_still_match() {
     crashed.shutdown();
     crashed.join().unwrap();
     let config = durable_shard_config(wal_paths[1].clone());
-    let (recovered, report) = recover_backend(
-        fresh_engine().into(),
-        Arc::clone(&config.storage),
-        None,
-        Some(&wal_paths[1]),
-    )
-    .unwrap();
+    let (recovered, report) =
+        recover_backend(fresh_engine(), Arc::clone(&config.storage), None, Some(&wal_paths[1]))
+            .unwrap();
     assert_eq!(report.wal_batches_replayed, 1, "shard 1 held one of the two round-1 batches");
-    assert_eq!(recovered.engine().tuples(), 40, "WAL replay must restore every acked tuple");
+    assert_eq!(recovered.tuples(), 40, "WAL replay must restore every acked tuple");
     handles[1] = Some(Server::start(recovered, &crashed_addr, config).unwrap());
 
     // Next round lands on both shards (the coordinator's clients

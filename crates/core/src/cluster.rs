@@ -28,6 +28,20 @@ pub struct ClusterSummary {
 }
 
 impl ClusterSummary {
+    /// Numbers per-set cluster lists with sequential ids in set order,
+    /// set 0's clusters first. Every producer of cluster lists numbers
+    /// them this way, so ids and rule keys compare across the one-shot
+    /// pipeline, engine epochs and snapshots.
+    pub fn number(per_set: impl IntoIterator<Item = Vec<Acf>>) -> Vec<ClusterSummary> {
+        let mut clusters = Vec::new();
+        for (set, acfs) in per_set.into_iter().enumerate() {
+            for acf in acfs {
+                clusters.push(ClusterSummary { id: ClusterId(clusters.len() as u32), set, acf });
+            }
+        }
+        clusters
+    }
+
     /// Number of member tuples (`|C_X|`, the frequency of Dfn 4.2).
     pub fn support(&self) -> u64 {
         self.acf.n()

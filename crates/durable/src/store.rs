@@ -19,7 +19,7 @@ use crate::batch::{decode_frame, encode_batch, encode_tagged_batch};
 use crate::error::DurableError;
 use crate::snapshot::{self, SnapshotSource};
 use crate::storage::Storage;
-use crate::wal;
+use crate::wal::{self, WalRecord};
 use std::path::{Path, PathBuf};
 use std::sync::Arc;
 
@@ -124,23 +124,8 @@ impl DurableStore {
                 // appending to a log we could not repair is unsafe.
                 wal::rewrite(storage.as_ref(), path, &records)?;
             }
-            for record in records {
-                last_seq = last_seq.max(record.seq);
-                if record.seq <= snapshot_seq {
-                    continue; // already inside the snapshot
-                }
-                match decode_frame(&record.body) {
-                    Ok((tag, rows)) => frames.push((record.seq, tag, rows)),
-                    // CRC passed but the payload doesn't decode: an
-                    // encoder/decoder version skew, not a torn tail.
-                    Err(detail) => {
-                        return Err(DurableError::corrupt(
-                            path,
-                            format!("record seq={}: {detail}", record.seq),
-                        ));
-                    }
-                }
-            }
+            last_seq = records.iter().fold(last_seq, |last, record| last.max(record.seq));
+            frames = decode_frames(path, &records, snapshot_seq)?;
         }
         report.wal_batches_replayed = frames.iter().filter(|(_, _, rows)| !rows.is_empty()).count();
 
@@ -167,6 +152,22 @@ impl DurableStore {
     /// Whether [`DurableStore::log_batch`] is available.
     pub fn wal_enabled(&self) -> bool {
         self.wal_path.is_some()
+    }
+
+    /// Re-reads the WAL and decodes its committed records with sequence
+    /// above `after_seq`, in log order, as [`DurableStore::open`] does past
+    /// the snapshot it found — for a host that restores some other
+    /// snapshot later. Empty without a WAL.
+    ///
+    /// # Errors
+    /// I/O failures, a damaged WAL header, or a record that passes its
+    /// checksum but does not decode.
+    pub fn frames_after(&self, after_seq: u64) -> Result<Vec<WalFrame>, DurableError> {
+        let Some(path) = &self.wal_path else {
+            return Ok(Vec::new());
+        };
+        let (records, _) = wal::read_records(self.storage.as_ref(), path)?;
+        decode_frames(path, &records, after_seq)
     }
 
     /// The sequence number the last logged batch received (0 if none).
@@ -258,6 +259,28 @@ impl DurableStore {
         let kept: Vec<_> = records.into_iter().filter(|r| r.seq > keep_after).collect();
         wal::rewrite(self.storage.as_ref(), path, &kept)
     }
+}
+
+/// Decodes the records with sequence above `after_seq` into frames.
+///
+/// # Errors
+/// A record whose checksum passed but whose payload does not decode: an
+/// encoder/decoder version skew, not a torn tail.
+fn decode_frames(
+    path: &Path,
+    records: &[WalRecord],
+    after_seq: u64,
+) -> Result<Vec<WalFrame>, DurableError> {
+    records
+        .iter()
+        .filter(|record| record.seq > after_seq)
+        .map(|record| {
+            let (tag, rows) = decode_frame(&record.body).map_err(|detail| {
+                DurableError::corrupt(path, format!("record seq={}: {detail}", record.seq))
+            })?;
+            Ok((record.seq, tag, rows))
+        })
+        .collect()
 }
 
 #[cfg(test)]

@@ -1,13 +1,15 @@
 //! The long-lived engine: live Phase I forest + lazily-closed epochs with
-//! memoized Phase II artifacts.
+//! memoized Phase II artifacts, over all history or a sliding window.
 
 use crate::answer::SharedRules;
 use crate::config::EngineConfig;
-use crate::snapshot;
+use crate::snapshot::{self, RingHeader, Snapshot, RING_V2_TAG};
 use crate::stats::EngineStats;
-use birch::{refine_forest_output, AcfForest};
-use dar_core::{ClusterId, ClusterSummary, CoreError, Partitioning};
+use birch::{refine_forest_output, AcfForest, AcfTree};
+use dar_core::{ClusterSummary, CoreError, Partitioning};
 use dar_rank::RankSpec;
+use dar_stream::{AdvanceOutcome, WindowRing, WindowSpec, WindowedIngest};
+use mining::persist::MIGRATE_HINT;
 use mining::rules::Dar;
 use mining::{Measure, Phase2Artifacts, RuleQuery};
 use std::borrow::Borrow;
@@ -229,6 +231,20 @@ fn ranked_for(
 
 /// A long-lived incremental DAR mining engine. See the crate docs for the
 /// lifecycle; see `DarEngine::restore` for resuming from a snapshot.
+///
+/// Its horizon is either all history or, with a window ring, only the
+/// most recent windows. Phase I is a fold of ACF additions, and Phase II
+/// reads only the folded summaries (Theorem 6.1), so a sliding window
+/// only changes which tuples are in the fold. The forest is the only
+/// Phase I state either way: with a ring, each leaf entry and outlier
+/// also keeps one column per live window that put rows into it, and every
+/// row lands in its entry's total and in the open window's column. When a
+/// window retires, its columns are dropped and each entry's total becomes
+/// the fold of the columns left, so the forest holds exactly the live
+/// rows and queries cost what they cost on all history. Nothing is ever
+/// subtracted, so retirement is exact on real-valued rows, at any worker
+/// count. The epoch carries forward, so epochs stay monotonic across
+/// slides and `s0` always reflects the live tuple count.
 pub struct DarEngine {
     partitioning: Partitioning,
     config: EngineConfig,
@@ -240,15 +256,30 @@ pub struct DarEngine {
     tuples: u64,
     epoch_state: Option<EpochState>,
     stats: EngineStats,
+    /// The sliding-window ring; `None` mines all history.
+    ring: Option<WindowRing>,
 }
 
 impl DarEngine {
-    /// Creates an empty engine for `partitioning`.
+    /// Creates an empty engine for `partitioning` that mines all history.
     ///
     /// # Errors
     /// Rejects `initial_thresholds` whose arity differs from the
     /// partitioning's set count.
     pub fn new(partitioning: Partitioning, config: EngineConfig) -> Result<Self, CoreError> {
+        Self::with_window(partitioning, config, None)
+    }
+
+    /// Creates an empty engine: all-history mining when `window` is
+    /// `None`, sliding-window mining under that geometry otherwise.
+    ///
+    /// # Errors
+    /// As [`DarEngine::new`].
+    pub fn with_window(
+        partitioning: Partitioning,
+        config: EngineConfig,
+        window: Option<WindowSpec>,
+    ) -> Result<Self, CoreError> {
         let forest = match &config.initial_thresholds {
             Some(t) => {
                 if t.len() != partitioning.num_sets() {
@@ -258,21 +289,45 @@ impl DarEngine {
                         partitioning.num_sets()
                     )));
                 }
-                AcfForest::with_initial_thresholds(partitioning.clone(), &config.birch, t)
+                AcfForest::with_initial_thresholds(partitioning, &config.birch, t)
             }
-            None => AcfForest::new(partitioning.clone(), &config.birch),
+            None => AcfForest::new(partitioning, &config.birch),
         };
+        let engine = Self::with_forest(forest, 0, 0, config);
+        Ok(match window {
+            Some(spec) => engine.with_ring(WindowRing::new(spec)),
+            None => engine,
+        })
+    }
+
+    /// Builds an engine around an already-populated live forest. `tuples`
+    /// is the number of tuples the forest summarizes (it drives `s0`); the
+    /// epoch starts at `epoch_base` and *open*, so the first query closes
+    /// `epoch_base + 1`.
+    fn with_forest(forest: AcfForest, tuples: u64, epoch_base: u64, config: EngineConfig) -> Self {
+        let partitioning = forest.partitioning().clone();
+        let stats = EngineStats { tuples_ingested: tuples, ..EngineStats::default() };
         let pool = dar_par::ThreadPool::resolve(config.threads);
-        Ok(DarEngine {
+        DarEngine {
             partitioning,
             config,
             forest,
             pool,
-            epoch: 0,
-            tuples: 0,
+            epoch: epoch_base,
+            tuples,
             epoch_state: None,
-            stats: EngineStats::default(),
-        })
+            stats,
+            ring: None,
+        }
+    }
+
+    /// Puts the engine under `ring`: the forest turns windowed with the
+    /// ring's open window open, so every later row also lands in that
+    /// window's column of its entry. No tuple moves, so the epoch stays.
+    fn with_ring(mut self, ring: WindowRing) -> Self {
+        self.forest.open_window(ring.open_seq());
+        self.ring = Some(ring);
+        self
     }
 
     /// The row width [`DarEngine::ingest`] requires: one value per
@@ -289,9 +344,15 @@ impl DarEngine {
     }
 
     /// Feeds a batch of full tuples (indexed by attribute, matching the
-    /// partitioning's id space) into the live forest. Invalidates the
-    /// current epoch and its Phase II cache: the next query or snapshot
-    /// closes a fresh epoch reflecting all tuples ingested so far.
+    /// partitioning's id space) into the live forest, then counts it into
+    /// the ring's open window when there is one. Invalidates the current
+    /// epoch and its Phase II cache: the next query or snapshot closes a
+    /// fresh epoch reflecting every tuple in the horizon.
+    ///
+    /// The ring advances (and possibly retires) at the window boundary,
+    /// and a retirement slides the forest to the live horizon. Empty
+    /// batches are no-ops at the window layer (see [`WindowRing::ingest`]).
+    /// Returns what the batch did to the ring; `None` without one.
     ///
     /// Large batches fan out across the per-attribute-set trees on the
     /// engine's worker pool (see [`EngineConfig::threads`]); every tree
@@ -305,8 +366,15 @@ impl DarEngine {
     /// Rows whose width differs from [`DarEngine::required_row_width`] are
     /// rejected with [`CoreError::ArityMismatch`]; NaN or infinite values
     /// are rejected with [`CoreError::NonFiniteValue`]. Either way the
-    /// reject is counted in [`EngineStats::rejected_batches`].
-    pub fn ingest(&mut self, rows: &[Vec<f64>]) -> Result<(), CoreError> {
+    /// reject is counted in [`EngineStats::rejected_batches`], and the ring
+    /// is untouched too.
+    pub fn ingest(&mut self, rows: &[Vec<f64>]) -> Result<Option<WindowedIngest>, CoreError> {
+        self.insert(rows)?;
+        Ok(self.ring_ingest(rows))
+    }
+
+    /// The forest half of [`DarEngine::ingest`]: validation, then Phase I.
+    fn insert(&mut self, rows: &[Vec<f64>]) -> Result<(), CoreError> {
         let width = self.required_row_width();
         for (r, row) in rows.iter().enumerate() {
             if row.len() != width {
@@ -334,6 +402,108 @@ impl DarEngine {
         Ok(())
     }
 
+    /// The ring half of an ingest whose rows the forest already took.
+    fn ring_ingest(&mut self, rows: &[Vec<f64>]) -> Option<WindowedIngest> {
+        let ring = self.ring.as_mut()?;
+        let window_seq = ring.open_seq();
+        let advance = ring.ingest(rows.len());
+        let window_span = ring.window_span();
+        if let Some(outcome) = advance {
+            self.slide(outcome);
+        }
+        Some(WindowedIngest {
+            window_seq,
+            advanced: advance.is_some(),
+            retired: advance.is_some_and(|a| a.retired_seq.is_some()),
+            window_span,
+        })
+    }
+
+    /// Seals the open window explicitly (the `advance` verb), sliding the
+    /// forest if the ring retired a window.
+    ///
+    /// # Errors
+    /// An all-history engine has no windows to advance.
+    pub fn advance(&mut self) -> Result<AdvanceOutcome, CoreError> {
+        let ring = self.ring.as_mut().ok_or_else(|| {
+            CoreError::LayoutMismatch(
+                "advance requires a windowed engine (--window-batches)".into(),
+            )
+        })?;
+        let outcome = ring.advance();
+        self.slide(outcome);
+        Ok(outcome)
+    }
+
+    /// Moves the forest along with a ring advance: the new window's
+    /// columns open, and a retired window's columns leave the forest.
+    fn slide(&mut self, outcome: AdvanceOutcome) {
+        self.forest.open_window(outcome.opened_seq);
+        if let Some(seq) = outcome.retired_seq {
+            let live = self.ring.as_ref().expect("only a ring advances").live_tuples();
+            self.retire_through(seq, live);
+        }
+    }
+
+    /// Retires every window up to `seq` from the windowed forest
+    /// ([`AcfForest::retire_through`]). `live_tuples` is the count the
+    /// forest summarizes afterwards.
+    ///
+    /// The engine is left exactly as [`DarEngine::with_forest`] would build
+    /// it around the retired forest with `epoch_base = self.epoch()`: the
+    /// epoch carries over and stays open, so the next query closes a fresh
+    /// one over the slid horizon, and the counters restart from
+    /// `tuples_ingested = live_tuples`.
+    fn retire_through(&mut self, seq: u64, live_tuples: u64) {
+        self.forest.retire_through(seq);
+        self.tuples = live_tuples;
+        self.epoch_state = None;
+        self.stats = EngineStats { tuples_ingested: live_tuples, ..EngineStats::default() };
+    }
+
+    /// True when a window ring bounds the horizon.
+    pub fn is_windowed(&self) -> bool {
+        self.ring.is_some()
+    }
+
+    /// The live horizon `(oldest seq, open seq)`, if windowed.
+    pub fn window_span(&self) -> Option<(u64, u64)> {
+        self.ring.as_ref().map(WindowRing::window_span)
+    }
+
+    /// The window geometry, if windowed.
+    pub fn window_spec(&self) -> Option<WindowSpec> {
+        self.ring.as_ref().map(WindowRing::spec)
+    }
+
+    /// Replays one recovered write-ahead-log frame — the one replay path
+    /// of both modes. `tag` is the window sequence the frame was logged
+    /// under: the ring advances until that window is open (reconstructing
+    /// explicit advances, which are logged as empty tagged frames), then
+    /// non-empty rows are ingested exactly as live and counted in
+    /// [`EngineStats::wal_batches_replayed`]. Untagged frames (all-history
+    /// or pre-windowing logs) ingest directly; without a ring the tag is
+    /// ignored. Forest insertion is purely sequential, so an engine fed
+    /// its frames in log order answers exactly as the uncrashed one would.
+    ///
+    /// # Errors
+    /// Propagates ingest validation errors; frames replayed before the
+    /// failing one remain applied (they were committed and valid).
+    pub fn replay_frame(&mut self, tag: Option<u64>, rows: &[Vec<f64>]) -> Result<(), CoreError> {
+        if let Some(seq) = tag {
+            while self.ring.as_ref().is_some_and(|ring| ring.open_seq() < seq) {
+                self.advance()?;
+            }
+        }
+        if !rows.is_empty() {
+            self.insert(rows)?;
+            self.stats.wal_batches_replayed += 1;
+            crate::metrics::metrics().wal_batches_replayed.inc();
+            self.ring_ingest(rows);
+        }
+        Ok(())
+    }
+
     /// Closes the current epoch if ingest invalidated it (or none was ever
     /// closed): extracts cluster summaries from the live forest — without
     /// consuming it — and resets the Phase II cache.
@@ -349,16 +519,7 @@ impl DarEngine {
         if self.config.refine_clusters {
             per_set = refine_forest_output(per_set, &tree_thresholds);
         }
-        // Sequential ids in per-set order — identical to the one-shot
-        // pipeline, so persisted ids and rule keys are comparable.
-        let mut clusters = Vec::new();
-        let mut next_id = 0u32;
-        for (set, acfs) in per_set.into_iter().enumerate() {
-            for acf in acfs {
-                clusters.push(ClusterSummary { id: ClusterId(next_id), set, acf });
-                next_id += 1;
-            }
-        }
+        let clusters = ClusterSummary::number(per_set);
         let s0 = ((self.config.min_support_frac * self.tuples as f64).ceil() as u64).max(1);
         self.epoch_state = Some(EpochState::new(clusters, tree_thresholds, s0));
         self.epoch += 1;
@@ -489,10 +650,46 @@ impl DarEngine {
         }))
     }
 
-    /// Serializes the current epoch — closing it first if needed — to the
-    /// v2 binary snapshot format (engine header + `mining::persist` v2
-    /// body), encoding cluster records on the engine's worker pool.
+    /// Serializes the engine for durability. Without a ring this is
+    /// [`DarEngine::pull_snapshot`]. With one it is the full ring in the
+    /// layout [`snapshot`] documents: one engine body per live window,
+    /// each holding that window's columns under the forest's thresholds.
+    /// The ring snapshot leaves the epoch as it is.
+    ///
+    /// # Errors
+    /// Propagates serialization failures.
     pub fn snapshot(&mut self) -> Result<Vec<u8>, CoreError> {
+        let Some(ring) = &self.ring else {
+            return self.pull_snapshot();
+        };
+        let header =
+            RingHeader { epoch: self.epoch, open_batches: ring.open_batches(), spec: ring.spec() };
+        let thresholds = self.forest.thresholds();
+        let mut windows = Vec::new();
+        for (seq, tuples) in ring.live_windows() {
+            let clusters = ClusterSummary::number(self.forest.window_columns(seq));
+            let body = snapshot::write_snapshot_bytes(
+                seq,
+                tuples,
+                &self.partitioning,
+                &thresholds,
+                &clusters,
+                &self.pool,
+            )?;
+            windows.push((seq, body));
+        }
+        Ok(snapshot::write_ring_bytes(&header, &windows))
+    }
+
+    /// Serializes the *mergeable* view: the current epoch of the horizon
+    /// (all history, or the live windows only), closing it first if
+    /// needed, as one engine body. This is what a cluster coordinator
+    /// pulls; the result feeds [`DarEngine::merge_parsed_snapshots`].
+    /// Cluster records are encoded on the engine's worker pool.
+    ///
+    /// # Errors
+    /// Propagates serialization failures.
+    pub fn pull_snapshot(&mut self) -> Result<Vec<u8>, CoreError> {
         self.ensure_epoch();
         let state = self.epoch_state.as_ref().expect("epoch just ensured");
         let t = Instant::now();
@@ -510,72 +707,70 @@ impl DarEngine {
         Ok(bytes)
     }
 
-    /// Resumes an engine from a snapshot produced by [`DarEngine::snapshot`].
+    /// Resumes an engine from a [`DarEngine::snapshot`], routing on the
+    /// header. Snapshots sealed by `dar-durable` (a trailing checksum
+    /// footer) are verified and unsealed first; unsealed ones restore as
+    /// they are. `windowed` is whether the caller is configured for a
+    /// window ring; a snapshot of the other kind is refused before
+    /// anything is parsed. The window geometry comes from the ring header;
+    /// `config` supplies everything else.
     ///
-    /// The snapshot's cluster summaries are installed as the current epoch
-    /// (so queries before any further ingest answer exactly as the
-    /// snapshotting engine would have) *and* replayed into a fresh forest
-    /// via ACF-entry insertion, so subsequent [`DarEngine::ingest`] calls
-    /// continue clustering from the summarized state. As in any BIRCH-style
-    /// restart from summaries, post-restore epochs see history at summary
+    /// An all-history snapshot's cluster summaries are installed as the
+    /// current epoch (so queries before any further ingest answer exactly
+    /// as the snapshotting engine would have) *and* inserted into a fresh
+    /// forest as entries, so later ingest continues clustering from the
+    /// summarized state. A ring's window sections are inserted as their
+    /// windows' columns, oldest first, so WAL replay on top continues the
+    /// same ring; its epoch is left open. As in any BIRCH-style restart
+    /// from summaries, post-restore epochs see history at summary
     /// granularity rather than tuple granularity.
     ///
-    /// Snapshots sealed by `dar-durable` (a trailing checksum footer) are
-    /// verified and unsealed first; unsealed pre-durability snapshots
-    /// restore as before. The body must be the v2 binary layout this
-    /// engine writes.
-    ///
     /// # Errors
-    /// Rejects malformed snapshots, pre-v2 text snapshots (naming `dar
-    /// migrate`), checksum-footer mismatches, and thresholds/partitioning
-    /// arity mismatches.
-    pub fn restore(bytes: &[u8], config: EngineConfig) -> Result<Self, CoreError> {
+    /// Rejects a snapshot whose kind (windowed or all-history) differs
+    /// from `windowed`, pre-v2 text snapshots (naming `dar migrate`),
+    /// checksum-footer mismatches, window sections out of seq order, and
+    /// malformed snapshots of either kind.
+    pub fn restore(bytes: &[u8], config: EngineConfig, windowed: bool) -> Result<Self, CoreError> {
         let body = dar_durable::unseal_bytes(bytes)
             .map_err(|detail| CoreError::LayoutMismatch(format!("snapshot footer: {detail}")))?
             .0;
+        let ring_snapshot = body.starts_with(b"dar-stream v");
+        if ring_snapshot && !body.starts_with(RING_V2_TAG.as_bytes()) {
+            return Err(CoreError::LayoutMismatch(format!(
+                "not a dar-stream v2 ring snapshot; {MIGRATE_HINT}"
+            )));
+        }
+        if ring_snapshot != windowed {
+            let kind = |w: bool| if w { "windowed" } else { "static" };
+            return Err(CoreError::LayoutMismatch(format!(
+                "snapshot is a {} engine but the engine is configured {} — \
+                 match --window-batches to the snapshot",
+                kind(ring_snapshot),
+                kind(windowed),
+            )));
+        }
         let pool = dar_par::ThreadPool::resolve(config.threads);
+        if ring_snapshot {
+            let (header, snaps) = snapshot::parse_ring_bytes(body, &pool)?;
+            let forest = restore_forest(&snaps, &config, "window section", true)?;
+            let windows = snaps.iter().map(|snap| (snap.epoch, snap.tuples)).collect();
+            let spec =
+                WindowSpec { batches: header.spec.batches.max(1), slots: header.spec.slots.max(1) };
+            let ring = WindowRing::resume(spec, windows, header.open_batches);
+            let engine = Self::with_forest(forest, ring.live_tuples(), header.epoch, config);
+            return Ok(engine.with_ring(ring));
+        }
         let t = Instant::now();
         let snap = snapshot::parse_snapshot_bytes(body, &pool)?;
         let m = crate::metrics::persist_metrics();
         m.decode_ns.observe_duration(t.elapsed());
         m.snapshot_bytes.set(body.len() as i64);
-        Ok(Self::from_parsed_snapshot(snap, config, pool))
-    }
-
-    /// [`DarEngine::restore`] over an already-parsed snapshot — the path
-    /// taken by callers that cache parsed snapshots (the coordinator) or
-    /// embed them in a larger serialization (`dar-stream`).
-    pub fn restore_parsed(snap: snapshot::Snapshot, config: EngineConfig) -> Self {
-        let pool = dar_par::ThreadPool::resolve(config.threads);
-        Self::from_parsed_snapshot(snap, config, pool)
-    }
-
-    fn from_parsed_snapshot(
-        snap: snapshot::Snapshot,
-        config: EngineConfig,
-        pool: dar_par::ThreadPool,
-    ) -> Self {
-        let mut forest = AcfForest::with_initial_thresholds(
-            snap.partitioning.clone(),
-            &config.birch,
-            &snap.thresholds,
-        );
-        for c in &snap.clusters {
-            forest.insert_entry(c.set, c.acf.clone());
-        }
+        let forest = restore_forest(std::slice::from_ref(&snap), &config, "snapshot", false)?;
         let s0 = ((config.min_support_frac * snap.tuples as f64).ceil() as u64).max(1);
-        let stats =
-            EngineStats { tuples_ingested: snap.tuples, epochs: 1, ..EngineStats::default() };
-        DarEngine {
-            partitioning: snap.partitioning,
-            config,
-            forest,
-            pool,
-            epoch: snap.epoch,
-            tuples: snap.tuples,
-            epoch_state: Some(EpochState::new(snap.clusters, snap.thresholds, s0)),
-            stats,
-        }
+        let mut engine = Self::with_forest(forest, snap.tuples, snap.epoch, config);
+        engine.stats.epochs = 1;
+        engine.epoch_state = Some(EpochState::new(snap.clusters, snap.thresholds, s0));
+        Ok(engine)
     }
 
     /// Builds a coordinator engine from one parsed snapshot per shard — the
@@ -598,145 +793,24 @@ impl DarEngine {
     /// closes `epoch_base + 1` — mirroring a single engine whose matching
     /// ingest round has just finished.
     ///
-    /// Every shard must have been built under the same partitioning. Tree
-    /// thresholds are combined element-wise by maximum: each shard's
-    /// threshold is the radius its leaf entries are known to satisfy, and
-    /// re-inserting summaries under a smaller threshold could split what a
-    /// shard had already absorbed.
-    ///
     /// # Errors
     /// Rejects an empty `snaps` slice, and partitionings or threshold
     /// arities that differ across shards.
-    pub fn merge_parsed_snapshots<S: Borrow<snapshot::Snapshot>>(
+    pub fn merge_parsed_snapshots<S: Borrow<Snapshot>>(
         snaps: impl AsRef<[S]>,
         epoch_base: u64,
         config: EngineConfig,
     ) -> Result<Self, CoreError> {
         let snaps = snaps.as_ref();
-        let Some(first) = snaps.first().map(Borrow::borrow) else {
-            return Err(CoreError::LayoutMismatch("merge_parsed_snapshots of zero shards".into()));
-        };
-        let partitioning = first.partitioning.clone();
-        let mut thresholds = first.thresholds.clone();
-        let mut tuples = 0u64;
-        for (i, snap) in snaps.iter().map(Borrow::borrow).enumerate() {
-            if snap.partitioning != partitioning {
-                return Err(CoreError::InvalidPartitioning(format!(
-                    "shard {i} snapshot was built under a different partitioning"
-                )));
-            }
-            if snap.thresholds.len() != thresholds.len() {
-                return Err(CoreError::LayoutMismatch(format!(
-                    "shard {i} snapshot has {} thresholds, expected {}",
-                    snap.thresholds.len(),
-                    thresholds.len()
-                )));
-            }
-            for (t, s) in thresholds.iter_mut().zip(&snap.thresholds) {
-                *t = t.max(*s);
-            }
-            tuples += snap.tuples;
-        }
-        let mut forest =
-            AcfForest::with_initial_thresholds(partitioning.clone(), &config.birch, &thresholds);
-        for snap in snaps {
-            for c in &snap.borrow().clusters {
-                forest.insert_entry(c.set, c.acf.clone());
-            }
-        }
-        let stats = EngineStats { tuples_ingested: tuples, ..EngineStats::default() };
-        let pool = dar_par::ThreadPool::resolve(config.threads);
-        Ok(DarEngine {
-            partitioning,
-            config,
-            forest,
-            pool,
-            epoch: epoch_base,
-            tuples,
-            // Left open on purpose: the first query runs ensure_epoch and
-            // closes epoch_base + 1, extracting sequential cluster ids from
-            // the merged forest exactly as a single engine would after its
-            // matching ingest round.
-            epoch_state: None,
-            stats,
-        })
+        let forest = restore_forest(snaps, &config, "shard snapshot", false)?;
+        let tuples = snaps.iter().map(|snap| snap.borrow().tuples).sum();
+        Ok(Self::with_forest(forest, tuples, epoch_base, config))
     }
 
-    /// Builds an engine around an already-populated live forest — the
-    /// in-process analogue of [`DarEngine::merge_parsed_snapshots`], used
-    /// by the sliding-window layer (`dar-stream`) to stand up the engine
-    /// over a restored windowed forest. `tuples` is the number of
-    /// tuples the forest summarizes (it drives `s0`); like
-    /// `merge_parsed_snapshots`, the epoch starts at `epoch_base` and
-    /// *open*, so the first query closes `epoch_base + 1`.
-    pub fn with_forest(
-        forest: AcfForest,
-        tuples: u64,
-        epoch_base: u64,
-        config: EngineConfig,
-    ) -> Self {
-        let partitioning = forest.partitioning().clone();
-        let stats = EngineStats { tuples_ingested: tuples, ..EngineStats::default() };
-        let pool = dar_par::ThreadPool::resolve(config.threads);
-        DarEngine {
-            partitioning,
-            config,
-            forest,
-            pool,
-            epoch: epoch_base,
-            tuples,
-            epoch_state: None,
-            stats,
-        }
-    }
-
-    /// Makes the forest windowed with window `seq` open: every later row
-    /// also lands in that window's column of its entry
-    /// ([`AcfForest::open_window`]). No tuple moves, so the epoch stays.
-    pub fn open_window(&mut self, seq: u64) {
-        self.forest.open_window(seq);
-    }
-
-    /// Retires every window up to `seq` from the windowed forest
-    /// ([`AcfForest::retire_through`]): the sliding-window layer's
-    /// retirement. `live_tuples` is the count the forest summarizes
-    /// afterwards.
-    ///
-    /// The engine is left exactly as [`DarEngine::with_forest`] would build
-    /// it around the retired forest with `epoch_base = self.epoch()`: the
-    /// epoch carries over and stays open, so the next query closes a fresh
-    /// one over the slid horizon, and the counters restart from
-    /// `tuples_ingested = live_tuples`.
-    pub fn retire_through(&mut self, seq: u64, live_tuples: u64) {
-        self.forest.retire_through(seq);
-        self.tuples = live_tuples;
-        self.epoch_state = None;
-        self.stats = EngineStats { tuples_ingested: live_tuples, ..EngineStats::default() };
-    }
-
-    /// The live Phase I forest (read-only): a windowed ring snapshot reads
-    /// its window columns and thresholds.
-    pub fn forest(&self) -> &AcfForest {
-        &self.forest
-    }
-
-    /// Replays one write-ahead-log batch recovered by `dar-durable` on top
-    /// of a restored (or fresh) engine. Identical to ingesting it live —
-    /// forest insertion is purely sequential — so a crash-recovered engine
-    /// fed its batches in log order answers queries exactly as the
-    /// uncrashed one would have. Counts the batch in
-    /// [`EngineStats::wal_batches_replayed`].
-    ///
-    /// # Errors
-    /// Propagates validation errors from [`DarEngine::ingest`]; batches
-    /// replayed before the failing one remain applied (they were committed
-    /// and valid), so the caller can surface the error without losing
-    /// state.
-    pub fn replay_batch(&mut self, rows: &[Vec<f64>]) -> Result<(), CoreError> {
-        self.ingest(rows)?;
-        self.stats.wal_batches_replayed += 1;
-        crate::metrics::metrics().wal_batches_replayed.inc();
-        Ok(())
+    /// Tree `set` of the live Phase I forest, read-only: its entries with
+    /// their window columns, and its invariant check.
+    pub fn tree(&self, set: usize) -> &AcfTree {
+        self.forest.tree(set)
     }
 
     /// Cumulative engine statistics (forest rebuild count and retained
@@ -773,16 +847,61 @@ impl DarEngine {
         &self.config
     }
 
-    /// The worker pool resolved from [`EngineConfig::threads`].
-    pub fn pool(&self) -> &dar_par::ThreadPool {
-        &self.pool
-    }
-
     /// The cluster summaries of the current epoch, closing it if needed.
     pub fn clusters(&mut self) -> &[ClusterSummary] {
         self.ensure_epoch();
         &self.epoch_state.as_ref().expect("epoch just ensured").clusters
     }
+}
+
+/// The forest every restore stands up from parsed snapshots: the static
+/// restore (one snapshot), a coordinator merge (one per shard) and a ring
+/// restore (one per window). The snapshots must share a partitioning and
+/// threshold arity; the trees start at the element-wise maximum of their
+/// thresholds, since each is the radius its leaf entries are known to
+/// satisfy and re-inserting under a smaller one could split what a
+/// snapshot had already absorbed. Each cluster goes in as an entry or,
+/// with `columns`, as window `snap.epoch`'s column. `what` names a
+/// snapshot in errors.
+fn restore_forest<S: Borrow<Snapshot>>(
+    snaps: &[S],
+    config: &EngineConfig,
+    what: &str,
+    columns: bool,
+) -> Result<AcfForest, CoreError> {
+    let Some(first) = snaps.first().map(Borrow::borrow) else {
+        return Err(CoreError::LayoutMismatch(format!("no {what} to restore from")));
+    };
+    let mut thresholds = first.thresholds.clone();
+    for (i, snap) in snaps.iter().map(Borrow::borrow).enumerate() {
+        if snap.partitioning != first.partitioning {
+            return Err(CoreError::InvalidPartitioning(format!(
+                "{what} {i} was built under a different partitioning"
+            )));
+        }
+        if snap.thresholds.len() != thresholds.len() {
+            return Err(CoreError::LayoutMismatch(format!(
+                "{what} {i} has {} thresholds, expected {}",
+                snap.thresholds.len(),
+                thresholds.len()
+            )));
+        }
+        for (t, s) in thresholds.iter_mut().zip(&snap.thresholds) {
+            *t = t.max(*s);
+        }
+    }
+    let mut forest =
+        AcfForest::with_initial_thresholds(first.partitioning.clone(), &config.birch, &thresholds);
+    for snap in snaps.iter().map(Borrow::borrow) {
+        for c in &snap.clusters {
+            if columns {
+                forest.insert_column(c.set, snap.epoch, c.acf.clone());
+            } else {
+                forest.insert_entry(c.set, c.acf.clone());
+            }
+        }
+    }
+    Ok(forest)
 }
 
 #[cfg(test)]
@@ -1069,9 +1188,9 @@ mod tests {
         let (retired_rows, live_rows) = (block_rows(30, 0), block_rows(50, 3));
         let q = RuleQuery::default();
         let windowed = |e: &mut DarEngine| {
-            e.open_window(0);
+            e.forest.open_window(0);
             e.ingest(&retired_rows).unwrap();
-            e.open_window(1);
+            e.forest.open_window(1);
             e.ingest(&live_rows).unwrap();
         };
 
@@ -1123,5 +1242,35 @@ mod tests {
         }
         assert_eq!(in_place.epoch(), epoch_base + 1, "the first query closed a fresh epoch");
         assert_eq!(counters(&in_place.stats()), counters(&rebuilt.stats()), "final stats");
+    }
+
+    /// A ring header claiming a trillion windows, followed by one section
+    /// line: too few bytes for the claim, so restore must refuse before
+    /// sizing anything by it.
+    #[test]
+    fn v2_ring_header_with_an_impossible_window_count_is_refused() {
+        let oversized = b"dar-stream v2 epoch=1 open_batches=0 policy=subtract window_batches=1 \
+             slots=1 windows=1000000000000\nwindow seq=0 bytes=0\n";
+        let err = DarEngine::restore(oversized, EngineConfig::default(), true).err();
+        assert!(
+            matches!(&err, Some(CoreError::LayoutMismatch(m)) if m.contains("1000000000000 windows")),
+            "{err:?}"
+        );
+    }
+
+    /// Any ring version but v2 — the v1 text rings `dar migrate` converts,
+    /// or an unknown one — is refused naming the migration, whichever kind
+    /// of engine the caller configured.
+    #[test]
+    fn non_v2_ring_snapshots_are_refused_naming_migrate() {
+        let old = b"dar-stream v0 epoch=1 open_batches=0 policy=subtract window_batches=1 \
+             slots=1 windows=1\nwindow seq=0 lines=0\n";
+        for windowed in [true, false] {
+            let err = DarEngine::restore(old, EngineConfig::default(), windowed).err();
+            assert!(
+                matches!(&err, Some(CoreError::LayoutMismatch(m)) if m.contains("dar migrate")),
+                "{err:?}"
+            );
+        }
     }
 }

@@ -14,8 +14,17 @@
 //! * **Epoch snapshots** ([`DarEngine::snapshot`] / [`DarEngine::restore`]):
 //!   the engine closes an *epoch* by extracting cluster summaries from the
 //!   live forest (without consuming it) and can persist them — header plus
-//!   the `mining::persist` v1 body — so a process restart resumes from the
-//!   last epoch instead of rescanning history.
+//!   the `mining::persist` v2 body ([`snapshot`]) — so a process restart
+//!   resumes from the last epoch instead of rescanning history.
+//! * **Sliding windows** ([`DarEngine::with_window`]): with a
+//!   [`dar_stream::WindowSpec`] the horizon is only the most recent
+//!   windows. The engine owns a [`dar_stream::WindowRing`]; each leaf
+//!   entry keeps one ACF column per live window, and a retirement drops
+//!   the retired window's columns and resets each entry to the fold of
+//!   the rest, so retirement is exact (ACF additivity, Eq. 7). Ingest
+//!   reports what a batch did to the ring, [`DarEngine::advance`] seals a
+//!   window early, [`DarEngine::replay_frame`] replays window-tagged WAL
+//!   frames, and the ring snapshot frames one engine body per window.
 //! * **Cached Phase II** ([`DarEngine::query`]): the expensive clustering
 //!   graph + maximal cliques ([`mining::Phase2Artifacts`]) are memoized per
 //!   density setting per epoch; re-tuned queries (different `D0`, arity,

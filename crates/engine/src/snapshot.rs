@@ -1,7 +1,8 @@
-//! Epoch snapshot serialization: an engine header wrapped around the
-//! `mining::persist` cluster body.
+//! Snapshot serialization: the engine header wrapped around the
+//! `mining::persist` cluster body, and the ring layout that frames one
+//! such body per live window.
 //!
-//! One format, binary, all integers and floats little-endian:
+//! The engine format is binary, all integers and floats little-endian:
 //!
 //! ```text
 //! magic "DARS" | version u32=2 | epoch u64 | tuples u64 | num_sets u32
@@ -13,10 +14,26 @@
 //!
 //! Floats round-trip bit-exactly as raw IEEE-754 bytes, and the body ends
 //! with a newline byte so the `dar-durable` seal footer never has to alter
-//! it. Snapshots written before this format (`dar-engine v1` text) are
-//! refused with [`MIGRATE_HINT`]; `dar migrate` converts them once.
+//! it. A windowed engine's ring snapshot is a text header line framing one
+//! engine body per live window, oldest first, the open window last:
+//!
+//! ```text
+//! dar-stream v2 epoch=<e> open_batches=<b> policy=remerge window_batches=<W> slots=<S> windows=<k>
+//! window seq=<s> bytes=<B>
+//! <B bytes of engine body, epoch=<s> tuples=<window tuples>>
+//! …
+//! ```
+//!
+//! A window's section holds that window's column of every entry and
+//! outlier, per set in tree order, under the forest's thresholds. The
+//! `policy=` field is always `remerge`: rings once chose between two
+//! retirement policies, and readers still accept either name. Snapshots
+//! written before these formats (`dar-engine v1` and `dar-stream v1`
+//! text) are refused with [`MIGRATE_HINT`]; `dar migrate` converts them
+//! once.
 
 use dar_core::{AttrSet, ClusterSummary, CoreError, Metric, Partitioning, Schema};
+use dar_stream::WindowSpec;
 use mining::persist::{decode_clusters, encode_clusters, MIGRATE_HINT};
 
 /// The v2 binary engine-snapshot magic.
@@ -26,9 +43,7 @@ pub const V2_MAGIC: [u8; 4] = *b"DARS";
 pub const V2_VERSION: u32 = 2;
 
 /// A parsed snapshot, ready to install into an engine. Public so the
-/// sliding-window layer (`dar-stream`) can embed per-window engine
-/// snapshots inside its own ring serialization, and so the cluster
-/// coordinator can cache parsed shard snapshots across merges.
+/// cluster coordinator can cache parsed shard snapshots across merges.
 #[derive(Debug, Clone)]
 pub struct Snapshot {
     /// The epoch the snapshot captured.
@@ -178,6 +193,172 @@ pub fn parse_snapshot_bytes(
     }
     let clusters = decode_clusters(&bytes[cur.pos..], pool)?;
     Ok(Snapshot { epoch, tuples, partitioning, thresholds, clusters })
+}
+
+/// The version tag that opens every ring snapshot.
+pub const RING_V2_TAG: &str = "dar-stream v2 ";
+
+/// The `policy=` value every ring header carries. Rings once retired by
+/// re-merge or by CF subtraction and named the policy here; there is one
+/// retirement now, and readers accept either old name.
+const RING_POLICY: &str = "remerge";
+
+/// The shortest window section: its `window seq=…` line alone.
+const MIN_SECTION_BYTES: usize = "window seq=0\n".len();
+
+/// The header line of a ring snapshot: the ring's state apart from its
+/// windows.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct RingHeader {
+    /// The engine epoch at snapshot time.
+    pub epoch: u64,
+    /// Non-empty batches already in the open window.
+    pub open_batches: u64,
+    /// The window geometry as written (restore reads a zero as one).
+    pub spec: WindowSpec,
+}
+
+impl RingHeader {
+    /// Parses the `key=value` fields that follow a ring header's version
+    /// tag, before `rest` bytes of window sections. Returns the header and
+    /// its window count.
+    ///
+    /// # Errors
+    /// A missing or malformed field, a `policy=` other than `remerge` or
+    /// `subtract`, zero windows, or a window count the
+    /// `rest` bytes cannot hold (each section needs at least its
+    /// `window seq=…` line), refused before anything is sized by it.
+    pub fn parse(fields: &str, rest: usize) -> Result<(RingHeader, usize), CoreError> {
+        let bad = |msg: String| CoreError::LayoutMismatch(msg);
+        let policy = field(fields, "policy=")?;
+        if !matches!(policy, "remerge" | "subtract") {
+            return Err(bad(format!("unknown retire policy {policy:?}")));
+        }
+        let header = RingHeader {
+            epoch: number(fields, "epoch=")?,
+            open_batches: number(fields, "open_batches=")?,
+            spec: WindowSpec {
+                batches: number(fields, "window_batches=")?,
+                slots: number(fields, "slots=")? as usize,
+            },
+        };
+        let num_windows = number(fields, "windows=")? as usize;
+        if num_windows == 0 {
+            return Err(bad("dar-stream snapshot with zero windows".into()));
+        }
+        if num_windows > rest / MIN_SECTION_BYTES {
+            return Err(bad(format!(
+                "dar-stream header claims {num_windows} windows but only {rest} bytes follow"
+            )));
+        }
+        Ok((header, num_windows))
+    }
+}
+
+/// Frames per-window engine snapshot bodies, oldest first as `(seq,
+/// body)`, under a ring header — the one writer of the ring layout.
+pub fn write_ring_bytes(header: &RingHeader, windows: &[(u64, Vec<u8>)]) -> Vec<u8> {
+    let mut out = format!(
+        "{RING_V2_TAG}epoch={} open_batches={} policy={RING_POLICY} window_batches={} slots={} \
+         windows={}\n",
+        header.epoch,
+        header.open_batches,
+        header.spec.batches,
+        header.spec.slots,
+        windows.len(),
+    )
+    .into_bytes();
+    for (seq, body) in windows {
+        out.extend_from_slice(format!("window seq={seq} bytes={}\n", body.len()).as_bytes());
+        out.extend_from_slice(body);
+    }
+    out
+}
+
+/// Parses a ring snapshot body that opens with [`RING_V2_TAG`] into its
+/// header and its window sections, oldest first, each fanned across
+/// `pool` as [`parse_snapshot_bytes`] does.
+///
+/// # Errors
+/// A malformed header or section line, a truncated or malformed embedded
+/// body, sections whose seq does not match their body's epoch or is not
+/// increasing, and bytes after the last section.
+pub(crate) fn parse_ring_bytes(
+    bytes: &[u8],
+    pool: &dar_par::ThreadPool,
+) -> Result<(RingHeader, Vec<Snapshot>), CoreError> {
+    let bad = |msg: String| CoreError::LayoutMismatch(msg);
+    let line_end = |from: usize| -> Result<usize, CoreError> {
+        bytes[from..]
+            .iter()
+            .position(|&b| b == b'\n')
+            .map(|p| from + p)
+            .ok_or_else(|| bad("dar-stream snapshot truncated mid-line".into()))
+    };
+    let header_end = line_end(0)?;
+    let header = std::str::from_utf8(&bytes[..header_end])
+        .map_err(|_| bad("dar-stream header is not UTF-8".into()))?;
+    let fields = header
+        .strip_prefix(RING_V2_TAG)
+        .ok_or_else(|| bad(format!("not a dar-stream v2 ring snapshot; {MIGRATE_HINT}")))?;
+    let (header, num_windows) = RingHeader::parse(fields, bytes.len() - header_end - 1)?;
+    let mut pos = header_end + 1;
+    let mut snaps: Vec<Snapshot> = Vec::with_capacity(num_windows);
+    for i in 0..num_windows {
+        if pos >= bytes.len() {
+            return Err(bad(format!("missing window section {i}")));
+        }
+        let section_end = line_end(pos)?;
+        let section = std::str::from_utf8(&bytes[pos..section_end])
+            .map_err(|_| bad(format!("window section {i} is not UTF-8")))?;
+        let seq = section_field(section, "seq=")?;
+        let body_bytes = section_field(section, "bytes=")? as usize;
+        pos = section_end + 1;
+        if bytes.len() - pos < body_bytes {
+            return Err(bad(format!("window {seq}: truncated embedded snapshot")));
+        }
+        let snap = parse_snapshot_bytes(&bytes[pos..pos + body_bytes], pool)?;
+        if snap.epoch != seq || snaps.last().is_some_and(|prev| prev.epoch >= seq) {
+            return Err(bad(format!(
+                "window section {i}: seq {seq} does not match its body's epoch {} \
+                 or does not follow the previous section's",
+                snap.epoch
+            )));
+        }
+        snaps.push(snap);
+        pos += body_bytes;
+    }
+    if pos != bytes.len() {
+        return Err(bad(format!(
+            "{} unexpected bytes after the last window section",
+            bytes.len() - pos
+        )));
+    }
+    Ok((header, snaps))
+}
+
+/// The number after `key` in a `window …` section line.
+fn section_field(section: &str, key: &str) -> Result<u64, CoreError> {
+    let rest = section.strip_prefix("window ").ok_or_else(|| {
+        CoreError::LayoutMismatch(format!("expected window line, got {section:?}"))
+    })?;
+    number(rest, key)
+}
+
+/// The whitespace-terminated value after `key` in a header or section
+/// line.
+fn field<'a>(line: &'a str, key: &str) -> Result<&'a str, CoreError> {
+    let start = line
+        .find(key)
+        .ok_or_else(|| CoreError::LayoutMismatch(format!("missing {key} in {line:?}")))?
+        + key.len();
+    Ok(line[start..].split_whitespace().next().unwrap_or(""))
+}
+
+fn number(line: &str, key: &str) -> Result<u64, CoreError> {
+    field(line, key)?
+        .parse()
+        .map_err(|_| CoreError::LayoutMismatch(format!("bad {key} field in {line:?}")))
 }
 
 /// A bounds-checked little-endian reader over the v2 header; errors name

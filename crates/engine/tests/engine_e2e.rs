@@ -47,7 +47,7 @@ fn batched_ingest_snapshot_restore_matches_one_shot_mining() {
 
     // --- snapshot, then restore into a second engine --------------------
     let text = engine.snapshot().unwrap();
-    let mut restored = DarEngine::restore(&text, config.clone()).unwrap();
+    let mut restored = DarEngine::restore(&text, config.clone(), false).unwrap();
     assert_eq!(restored.tuples(), 120);
     assert_eq!(restored.partitioning().num_sets(), 3);
 
@@ -94,7 +94,7 @@ fn ingest_after_restore_keeps_mining() {
     engine.ingest(&rows(60, 0)).unwrap();
     let text = engine.snapshot().unwrap();
 
-    let mut restored = DarEngine::restore(&text, config).unwrap();
+    let mut restored = DarEngine::restore(&text, config, false).unwrap();
     let before = restored.query(&RuleQuery::default()).unwrap();
     restored.ingest(&rows(60, 60)).unwrap();
     let after = restored.query(&RuleQuery::default()).unwrap();

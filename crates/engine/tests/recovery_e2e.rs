@@ -53,11 +53,11 @@ impl Host {
             DurableStore::open(storage, Some(dir.join("epoch.snap")), Some(dir.join("ingest.wal")))
                 .unwrap();
         let mut engine = match &recovered.snapshot {
-            Some(body) => DarEngine::restore(body, config()).unwrap(),
+            Some(body) => DarEngine::restore(body, config(), false).unwrap(),
             None => DarEngine::new(partitioning(), config()).unwrap(),
         };
         for (_, _, rows) in &recovered.frames {
-            engine.replay_batch(rows).unwrap();
+            engine.replay_frame(None, rows).unwrap();
         }
         (Host { store, engine }, recovered)
     }
@@ -161,7 +161,7 @@ fn corrupt_newest_snapshot_falls_back_and_replays() {
     // seq, so the fallback still finds everything it needs: seq 3 and 4.
     assert_eq!(recovered.frames.len(), 2);
 
-    let mut control = DarEngine::restore(&prev_text, config()).unwrap();
+    let mut control = DarEngine::restore(&prev_text, config(), false).unwrap();
     control.ingest(&batch(2)).unwrap();
     control.ingest(&batch(3)).unwrap();
     assert_same_answers(&mut host.engine, &mut control);
@@ -200,6 +200,7 @@ fn snapshot_install_crashes_lose_nothing() {
                 c.snapshot().unwrap()
             },
             config(),
+            false,
         )
         .unwrap();
         control.ingest(&batch(2)).unwrap();

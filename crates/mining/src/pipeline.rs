@@ -7,7 +7,7 @@ use crate::graph::{ClusterDistance, ClusteringGraph};
 use crate::query::{DensitySpec, Phase2Artifacts, RuleQuery};
 use crate::rules::Dar;
 use birch::{refine_forest_output, AcfForest, BirchConfig, ForestStats};
-use dar_core::{Cf, ClusterId, ClusterSummary, CoreError, Partitioning, Relation, SetId};
+use dar_core::{Cf, ClusterSummary, CoreError, Partitioning, Relation, SetId};
 use std::time::{Duration, Instant};
 
 /// Configuration of a full mining run: the Phase I scan parameters plus one
@@ -223,14 +223,7 @@ impl DarMiner {
         let phase1 = t0.elapsed();
 
         // Assign ids; keep every cluster for inspection.
-        let mut clusters = Vec::new();
-        let mut next_id = 0u32;
-        for (set, acfs) in per_set.into_iter().enumerate() {
-            for acf in acfs {
-                clusters.push(ClusterSummary { id: ClusterId(next_id), set, acf });
-                next_id += 1;
-            }
-        }
+        let clusters = ClusterSummary::number(per_set);
 
         // ---------------- Phase II ----------------
         let t1 = Instant::now();

@@ -16,7 +16,7 @@
 use crate::json::Json;
 use crate::shared::SharedEngine;
 use dar_durable::{DurableError, DurableStore, RecoveryReport, Storage};
-use dar_stream::EngineBackend;
+use dar_engine::DarEngine;
 use std::io;
 use std::path::Path;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
@@ -114,10 +114,10 @@ impl Durability {
     }
 }
 
-/// Recovers an [`EngineBackend`] from the durable artifacts at boot:
+/// Recovers a [`DarEngine`] from the durable artifacts at boot:
 /// loads the newest verifiable snapshot (falling back past corrupt ones),
 /// restores it — or keeps `fresh` when no snapshot survives — and replays
-/// the WAL suffix *frame by frame* ([`EngineBackend::replay_frame`]):
+/// the WAL suffix *frame by frame* ([`DarEngine::replay_frame`]):
 /// tagged frames fast-forward a window ring to the sequence they carry
 /// (empty tagged frames are explicit-advance markers), so a crash-restart
 /// rebuilds the exact ring the acknowledged history produced.
@@ -128,11 +128,11 @@ impl Durability {
 /// configuration, or replay failures — all conditions where silently
 /// starting empty would masquerade as data loss.
 pub fn recover_backend(
-    fresh: EngineBackend,
+    fresh: DarEngine,
     storage: Arc<dyn Storage>,
     snapshot_path: Option<&Path>,
     wal_path: Option<&Path>,
-) -> io::Result<(EngineBackend, RecoveryReport)> {
+) -> io::Result<(DarEngine, RecoveryReport)> {
     let (_, recovered) = DurableStore::open(
         storage,
         snapshot_path.map(Path::to_path_buf),
@@ -141,17 +141,15 @@ pub fn recover_backend(
     .map_err(io::Error::other)?;
     let invalid =
         |e: dar_core::CoreError| io::Error::new(io::ErrorKind::InvalidData, e.to_string());
-    let mut backend = match &recovered.snapshot {
-        Some(body) => {
-            EngineBackend::restore(body, fresh.engine().config().clone(), fresh.is_windowed())
-                .map_err(invalid)?
-        }
+    let mut engine = match &recovered.snapshot {
+        Some(body) => DarEngine::restore(body, fresh.config().clone(), fresh.is_windowed())
+            .map_err(invalid)?,
         None => fresh,
     };
     for (_, tag, rows) in &recovered.frames {
-        backend.replay_frame(*tag, rows).map_err(invalid)?;
+        engine.replay_frame(*tag, rows).map_err(invalid)?;
     }
-    Ok((backend, recovered.report))
+    Ok((engine, recovered.report))
 }
 
 /// Closes the current epoch and installs it through the atomic snapshot

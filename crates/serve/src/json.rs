@@ -634,6 +634,11 @@ impl<'a> Parser<'a> {
         if self.pos == digits_start {
             return Err(self.err("expected digits"));
         }
+        if self.bytes[digits_start] == b'0' && self.pos - digits_start > 1 {
+            // RFC 8259: an integer part is `0` or starts with 1-9.
+            self.pos = digits_start + 1;
+            return Err(self.err("leading zeros are not allowed"));
+        }
         let plain = !matches!(self.peek(), Some(b'.' | b'e' | b'E'));
         if self.peek() == Some(b'.') {
             self.pos += 1;

@@ -42,10 +42,10 @@
 //!   replay, window-tag-aware for sliding-window servers), apply-then-log
 //!   ingest acknowledged only after the WAL append, atomic snapshot
 //!   installs, and sticky degraded (read-only) mode when the log fails.
-//! * **Streaming**: a server started over an [`EngineBackend`] with a
-//!   window ring additionally serves `advance` (explicit window seal,
-//!   logged as a tagged WAL marker) and `subscribe` — a long-lived
-//!   connection receiving newline-JSON rule-churn events (`{added,
+//! * **Streaming**: a server started over a windowed engine
+//!   ([`dar_engine::DarEngine::with_window`]) additionally serves
+//!   `advance` (explicit window seal, logged as a tagged WAL marker) and
+//!   `subscribe` — a long-lived connection receiving newline-JSON rule-churn events (`{added,
 //!   dropped, epoch, window_span}`) diffed after every window advance by
 //!   the [`churn`]-feed machinery, with a bounded per-subscriber queue
 //!   that cuts the laggard, never the server.
@@ -78,5 +78,5 @@ pub use shared::SharedEngine;
 pub use stats::{ServerStats, StatsSnapshot};
 
 // Re-exported so server embedders don't need a direct dar-stream dep to
-// name the types in [`Server::start`] / [`recover_backend`] signatures.
-pub use dar_stream::{AdvanceOutcome, EngineBackend, WindowSpec, WindowedIngest};
+// name the window types a windowed engine takes and reports.
+pub use dar_stream::{AdvanceOutcome, WindowSpec, WindowedIngest};

@@ -23,7 +23,8 @@ use crate::shared::SharedEngine;
 use crate::stats::{ServerStats, StatsSnapshot};
 use dar_core::CoreError;
 use dar_durable::{DiskStorage, DurableError, DurableStore, Storage};
-use dar_stream::{EngineBackend, WindowedIngest};
+use dar_engine::DarEngine;
+use dar_stream::WindowedIngest;
 use mining::RuleQuery;
 use std::io;
 use std::net::{SocketAddr, TcpStream};
@@ -120,13 +121,9 @@ impl Server {
     ///
     /// Note: the engine passed in should already be recovered (see
     /// [`crate::recover_backend`]); this constructor only reopens the
-    /// durable store to position the WAL sequence counter. Accepts a plain
-    /// [`dar_engine::DarEngine`] (all history) or an [`EngineBackend`].
-    pub fn start(
-        engine: impl Into<EngineBackend>,
-        addr: &str,
-        config: ServeConfig,
-    ) -> io::Result<ServerHandle> {
+    /// durable store to position the WAL sequence counter. The engine
+    /// mines all history or, built with a window, a sliding window.
+    pub fn start(engine: DarEngine, addr: &str, config: ServeConfig) -> io::Result<ServerHandle> {
         let durability = if config.snapshot_path.is_some() || config.wal_path.is_some() {
             Some(Durability::open(
                 Arc::clone(&config.storage),
@@ -489,7 +486,7 @@ impl ServeHandler {
         Ok(applied)
     }
 
-    /// Commits an `ingest`/`shard_ingest` batch. A windowed backend's
+    /// Commits an `ingest`/`shard_ingest` batch. A windowed engine's
     /// batches are logged as *tagged* frames carrying the window sequence
     /// they landed in, so recovery rebuilds the ring exactly; a batch that
     /// sealed a window also publishes rule churn to subscribers (after the
@@ -511,7 +508,7 @@ impl ServeHandler {
         Ok((total, windowed))
     }
 
-    /// The `advance` verb: seal the open window explicitly (windowed backend
+    /// The `advance` verb: seal the open window explicitly (windowed engine
     /// only), log an empty tagged frame as the advance marker so recovery
     /// replays the seal at the same point in the batch order, and publish the
     /// resulting rule churn.
@@ -591,13 +588,7 @@ impl ServeHandler {
         let (records, _) = dar_durable::wal::read_records(&*self.config.storage, wal_path)
             .map_err(|e| ("io", e.to_string()))?;
         let partitioning = self.shared.partitioning();
-        let width = partitioning
-            .sets()
-            .iter()
-            .flat_map(|s| s.attrs.iter())
-            .copied()
-            .max()
-            .map_or(0, |m| m + 1);
+        let (_, _, width) = self.shared.meta();
         let mut builder = dar_core::RelationBuilder::new(dar_core::Schema::interval_attrs(width));
         for record in &records {
             let (_, rows) = dar_durable::decode_frame(&record.body)

@@ -1,4 +1,4 @@
-//! The epoch-aware concurrency wrapper around an [`EngineBackend`].
+//! The epoch-aware concurrency wrapper around a [`DarEngine`].
 //!
 //! Theorem 6.1 makes the engine naturally read-concurrent: once an epoch
 //! is closed, a query is a pure function of the cached ACF summaries and
@@ -6,38 +6,37 @@
 //! discipline — many readers answer re-tuned queries from the cached
 //! cliques in parallel through [`dar_engine::DarEngine::query_cached`];
 //! the write lock is taken only to ingest, advance a window, close an
-//! epoch, build a missing density setting, or snapshot. The backend mines
+//! epoch, build a missing density setting, or snapshot. The engine mines
 //! all history or, with a window ring, a sliding window; the lock
 //! discipline is identical.
 
 use dar_core::{ClusterSummary, CoreError};
-use dar_engine::{EngineStats, QueryOutcome};
-use dar_stream::{AdvanceOutcome, EngineBackend, WindowedIngest};
+use dar_engine::{DarEngine, EngineStats, QueryOutcome};
+use dar_stream::{AdvanceOutcome, WindowedIngest};
 use mining::RuleQuery;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{RwLock, RwLockReadGuard, RwLockWriteGuard};
 
-/// An [`EngineBackend`] shared between one writer path and many reader
+/// A [`DarEngine`] shared between one writer path and many reader
 /// threads.
 pub struct SharedEngine {
-    engine: RwLock<EngineBackend>,
+    engine: RwLock<DarEngine>,
     /// Queries answered entirely under the read lock (the engine's own
     /// counters need `&mut`, so the read path keeps its tally here).
     read_hits: AtomicU64,
 }
 
 impl SharedEngine {
-    /// Wraps an engine for shared use. Accepts a plain
-    /// [`dar_engine::DarEngine`] (all history) or an [`EngineBackend`].
-    pub fn new(engine: impl Into<EngineBackend>) -> Self {
-        SharedEngine { engine: RwLock::new(engine.into()), read_hits: AtomicU64::new(0) }
+    /// Wraps an engine, all-history or windowed, for shared use.
+    pub fn new(engine: DarEngine) -> Self {
+        SharedEngine { engine: RwLock::new(engine), read_hits: AtomicU64::new(0) }
     }
 
-    fn read(&self) -> RwLockReadGuard<'_, EngineBackend> {
+    fn read(&self) -> RwLockReadGuard<'_, DarEngine> {
         self.engine.read().unwrap_or_else(|poisoned| poisoned.into_inner())
     }
 
-    fn write(&self) -> RwLockWriteGuard<'_, EngineBackend> {
+    fn write(&self) -> RwLockWriteGuard<'_, DarEngine> {
         self.engine.write().unwrap_or_else(|poisoned| poisoned.into_inner())
     }
 
@@ -53,7 +52,7 @@ impl SharedEngine {
     pub fn query(&self, query: &RuleQuery) -> Result<QueryOutcome, CoreError> {
         {
             let engine = self.read();
-            if let Some(outcome) = engine.engine().query_cached(query)? {
+            if let Some(outcome) = engine.query_cached(query)? {
                 self.read_hits.fetch_add(1, Ordering::Relaxed);
                 return Ok(outcome);
             }
@@ -65,7 +64,7 @@ impl SharedEngine {
     }
 
     /// Ingests a batch (single-writer path), returning the engine's total
-    /// tuple count after the batch plus, for a windowed backend, what the
+    /// tuple count after the batch plus, for a windowed engine, what the
     /// batch did to the window ring (the serving layer tags the WAL frame
     /// and publishes rule churn from it).
     ///
@@ -75,18 +74,18 @@ impl SharedEngine {
     pub fn ingest(&self, rows: &[Vec<f64>]) -> Result<(u64, Option<WindowedIngest>), CoreError> {
         let mut engine = self.write();
         let windowed = engine.ingest(rows)?;
-        Ok((engine.engine().tuples(), windowed))
+        Ok((engine.tuples(), windowed))
     }
 
-    /// Seals the open window explicitly (windowed backend only).
+    /// Seals the open window explicitly (windowed engine only).
     ///
     /// # Errors
-    /// The static backend has no windows to advance.
+    /// An all-history engine has no windows to advance.
     pub fn advance(&self) -> Result<AdvanceOutcome, CoreError> {
         self.write().advance()
     }
 
-    /// Whether the backend mines a sliding window.
+    /// Whether the engine mines a sliding window.
     pub fn is_windowed(&self) -> bool {
         self.read().is_windowed()
     }
@@ -100,24 +99,24 @@ impl SharedEngine {
     /// `(bytes, epoch, tuples)`.
     ///
     /// # Errors
-    /// Serialization errors from the backend snapshot.
+    /// Serialization errors from the engine snapshot.
     pub fn snapshot(&self) -> Result<(Vec<u8>, u64, u64), CoreError> {
         let mut engine = self.write();
         let bytes = engine.snapshot()?;
-        Ok((bytes, engine.engine().epoch(), engine.engine().tuples()))
+        Ok((bytes, engine.epoch(), engine.tuples()))
     }
 
-    /// The backend's *mergeable* serialization for a coordinator's
+    /// The engine's *mergeable* serialization for a coordinator's
     /// `pull_snapshot` — a plain engine-v2 body even on a windowed
-    /// backend (live horizon only, no ring framing), returning
+    /// engine (live horizon only, no ring framing), returning
     /// `(bytes, epoch, tuples)`.
     ///
     /// # Errors
-    /// Serialization errors from the backend snapshot.
+    /// Serialization errors from the engine snapshot.
     pub fn pull_snapshot(&self) -> Result<(Vec<u8>, u64, u64), CoreError> {
         let mut engine = self.write();
         let bytes = engine.pull_snapshot()?;
-        Ok((bytes, engine.engine().epoch(), engine.engine().tuples()))
+        Ok((bytes, engine.epoch(), engine.tuples()))
     }
 
     /// The current epoch's cluster summaries (closing the epoch if
@@ -125,25 +124,24 @@ impl SharedEngine {
     pub fn clusters(&self) -> (u64, Vec<ClusterSummary>) {
         let mut engine = self.write();
         let clusters = engine.clusters().to_vec();
-        (engine.engine().epoch(), clusters)
+        (engine.epoch(), clusters)
     }
 
     /// Engine counters plus the read-path hit tally.
     pub fn stats(&self) -> (EngineStats, u64) {
-        (self.read().engine().stats(), self.read_hits.load(Ordering::Relaxed))
+        (self.read().stats(), self.read_hits.load(Ordering::Relaxed))
     }
 
     /// Tuples in the mining horizon (read lock only) — lifetime count for
-    /// an all-history backend, live-window count for a windowed one.
+    /// an all-history engine, live-window count for a windowed one.
     pub fn tuples(&self) -> u64 {
-        self.read().engine().tuples()
+        self.read().tuples()
     }
 
     /// Shard-identity summary for the `shard_stats` verb: `(epoch,
     /// tuples, required row width)` under one read lock.
     pub fn meta(&self) -> (u64, u64, usize) {
         let engine = self.read();
-        let engine = engine.engine();
         (engine.epoch(), engine.tuples(), engine.required_row_width())
     }
 
@@ -151,14 +149,14 @@ impl SharedEngine {
     /// `shard_rescan` verb assigns WAL rows to coordinator-supplied
     /// clusters under it.
     pub fn partitioning(&self) -> dar_core::Partitioning {
-        self.read().engine().partitioning().clone()
+        self.read().partitioning().clone()
     }
 
     /// The engine's configured worker-thread count (read lock only) —
     /// `shard_rescan` parallelizes its WAL re-scan with the same budget
     /// the engine mines under.
     pub fn engine_threads(&self) -> usize {
-        self.read().engine().config().threads
+        self.read().config().threads
     }
 
     /// Cache hits served entirely under the read lock.
@@ -171,8 +169,8 @@ impl SharedEngine {
 mod tests {
     use super::*;
     use dar_core::{Metric, Partitioning, Schema};
-    use dar_engine::{DarEngine, EngineConfig};
-    use dar_stream::{EngineBackend, WindowSpec};
+    use dar_engine::EngineConfig;
+    use dar_stream::WindowSpec;
 
     fn config() -> EngineConfig {
         let mut config = EngineConfig::default();
@@ -229,14 +227,17 @@ mod tests {
 
     #[test]
     fn windowed_backend_reports_window_movement() {
-        let engine =
-            EngineBackend::new(partitioning(), config(), Some(WindowSpec { batches: 1, slots: 2 }))
-                .unwrap();
+        let engine = DarEngine::with_window(
+            partitioning(),
+            config(),
+            Some(WindowSpec { batches: 1, slots: 2 }),
+        )
+        .unwrap();
         let windowed = SharedEngine::new(engine);
         assert!(windowed.is_windowed());
         assert_eq!(windowed.window_span(), Some((0, 0)));
         let (total, info) = windowed.ingest(&rows(40)).unwrap();
-        let info = info.expect("windowed backend reports window movement");
+        let info = info.expect("windowed engine reports window movement");
         assert_eq!(total, 40, "one-batch windows: the batch fills window 0");
         assert!(info.advanced);
         assert_eq!(info.window_seq, 0);
@@ -246,6 +247,6 @@ mod tests {
 
         let fixed = shared();
         assert!(!fixed.is_windowed());
-        assert!(fixed.advance().is_err(), "static backend refuses advance");
+        assert!(fixed.advance().is_err(), "static engine refuses advance");
     }
 }

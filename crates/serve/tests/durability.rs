@@ -157,9 +157,9 @@ fn restart_replays_every_acked_batch() {
     handle.join().unwrap();
 
     let (mut recovered, report) =
-        recover_backend(engine().into(), storage, None, Some(&dir.join("ingest.wal"))).unwrap();
+        recover_backend(engine(), storage, None, Some(&dir.join("ingest.wal"))).unwrap();
     assert_eq!(report.wal_batches_replayed, 2);
-    assert_eq!(recovered.engine().tuples(), 60);
+    assert_eq!(recovered.tuples(), 60);
 
     let mut control = engine();
     control.ingest(&batch(0)).unwrap();

@@ -141,7 +141,7 @@ fn k_tcp_clients_get_byte_identical_rules_then_graceful_shutdown() {
     // restored engine answers the same query with the same rules.
     let bytes = std::fs::read(&snapshot_path).unwrap();
     let (_, restore_config, _) = engine();
-    let mut restored = DarEngine::restore(&bytes, restore_config).unwrap();
+    let mut restored = DarEngine::restore(&bytes, restore_config, false).unwrap();
     assert_eq!(restored.tuples(), 120);
     let after_restart = restored.query(&query).unwrap();
     assert_eq!(after_restart.rules, local.query(&query).unwrap().rules);

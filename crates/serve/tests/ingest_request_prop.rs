@@ -188,6 +188,9 @@ fn tagged_frames_both_fields_and_neither_are_refused() {
     for neither in [r#"{"verb":"ingest"}"#, r#"{"verb":"shard_ingest","seq":1}"#] {
         assert!(refusal(neither).contains("rows"), "{neither}");
     }
+    // A leading zero is not JSON: `"seq":00` must not parse as seq 0.
+    let err = json::parse(r#"{"verb":"shard_ingest","seq":00,"rows":[[1,2]]}"#).unwrap_err();
+    assert_eq!((err.message.as_str(), err.at), ("leading zeros are not allowed", 30));
     for (bad, needle) in [
         (r#"{"verb":"ingest","rows_b64":7}"#, "rows_b64"),
         (r#"{"verb":"ingest","rows_b64":"AAA"}"#, "base64"),

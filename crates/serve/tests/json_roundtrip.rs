@@ -143,9 +143,17 @@ fn number_encoder_matches_display() {
 fn integer_parse_path_matches_str_parse() {
     proptest!(|(digits in prop::collection::vec(0u8..10, 1..21), negative in 0u8..2, zeros in 0usize..4)| {
         let body: String = digits.iter().map(|d| char::from(b'0' + d)).collect();
-        // Leading zeros on both sides of the 15-digit cut-over.
+        // Leading zeros on both sides of the 15-digit cut-over: RFC 8259
+        // forbids them, so they are refused at the digit after the zero.
         for text in [body.clone(), format!("{}{body}", "0".repeat(zeros))] {
             let text = if negative == 1 { format!("-{text}") } else { text };
+            let unsigned = text.trim_start_matches('-');
+            if unsigned.len() > 1 && unsigned.starts_with('0') {
+                let err = parse(&text).expect_err(&text);
+                prop_assert_eq!(err.message.as_str(), "leading zeros are not allowed");
+                prop_assert_eq!(err.at, text.len() - unsigned.len() + 1, "{}", text);
+                continue;
+            }
             let parsed = parse(&text).map_err(|e| {
                 proptest::TestCaseError::Fail(format!("{e} while parsing {text:?}"))
             })?;
@@ -236,7 +244,7 @@ fn malformed_input_keeps_its_error_messages_and_offsets() {
         ("\"a\" x", "trailing characters after JSON value", 4),
         ("{\"a\" 1}", "expected ':'", 5),
         ("[1 2]", "expected ',' or ']' in array", 3),
-        ("01x", "trailing characters after JSON value", 2),
+        ("01x", "leading zeros are not allowed", 1),
         ("-", "expected digits", 1),
         ("1.", "expected fraction digits", 2),
         ("1e", "expected exponent digits", 2),

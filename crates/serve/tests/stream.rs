@@ -6,7 +6,7 @@
 
 use dar_core::{Metric, Partitioning, Schema};
 use dar_engine::{DarEngine, EngineConfig};
-use dar_serve::{protocol, Backoff, Client, EngineBackend, Json, ServeConfig, Server, WindowSpec};
+use dar_serve::{protocol, Backoff, Client, Json, ServeConfig, Server, WindowSpec};
 use mining::RuleQuery;
 use std::collections::BTreeSet;
 use std::path::Path;
@@ -40,8 +40,8 @@ fn dyadic_rows(n: usize, offset: usize) -> Vec<Vec<f64>> {
         .collect()
 }
 
-fn windowed(spec: WindowSpec) -> EngineBackend {
-    EngineBackend::new(partitioning(), config(), Some(spec)).unwrap()
+fn windowed(spec: WindowSpec) -> DarEngine {
+    DarEngine::with_window(partitioning(), config(), Some(spec)).unwrap()
 }
 
 fn serve_config(threads: usize) -> ServeConfig {
@@ -159,7 +159,7 @@ fn tagged_wal_rebuilds_the_ring_across_crash_restart() {
     .unwrap();
     assert_eq!(report.wal_records, 4, "3 tagged batches + 1 advance marker");
     assert_eq!(backend.window_span(), Some(pre_span), "ring shape must survive the restart");
-    assert_eq!(backend.engine().tuples(), pre_tuples);
+    assert_eq!(backend.tuples(), pre_tuples);
 
     // Serve from the recovered backend; the wire answer matches pre-crash.
     let handle = Server::start(backend, "127.0.0.1:0", serve_config(2)).unwrap();
@@ -238,7 +238,7 @@ fn dir_bytes(dir: &Path) -> Vec<(std::ffi::OsString, Vec<u8>)> {
 fn recovery_refuses_a_snapshot_of_the_other_kind_and_leaves_the_files() {
     let backend = |ring: bool| match ring {
         true => windowed(WindowSpec { batches: 2, slots: 2 }),
-        false => EngineBackend::from(DarEngine::new(partitioning(), config()).unwrap()),
+        false => DarEngine::new(partitioning(), config()).unwrap(),
     };
     for ring in [true, false] {
         let written = if ring { "windowed" } else { "static" };

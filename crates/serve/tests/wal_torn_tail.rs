@@ -8,8 +8,8 @@
 
 use dar_core::{Metric, Partitioning, Schema};
 use dar_durable::{encode_tagged_batch, wal, DiskStorage};
-use dar_engine::EngineConfig;
-use dar_serve::{protocol, Client, EngineBackend, ServeConfig, Server, WindowSpec};
+use dar_engine::{DarEngine, EngineConfig};
+use dar_serve::{protocol, Client, ServeConfig, Server, WindowSpec};
 use mining::RuleQuery;
 use std::path::{Path, PathBuf};
 use std::sync::Arc;
@@ -42,11 +42,11 @@ fn dyadic_rows(n: usize, offset: usize) -> Vec<Vec<f64>> {
         .collect()
 }
 
-fn fresh_backend(spec: WindowSpec) -> EngineBackend {
-    EngineBackend::new(partitioning(), config(), Some(spec)).unwrap()
+fn fresh_backend(spec: WindowSpec) -> DarEngine {
+    DarEngine::with_window(partitioning(), config(), Some(spec)).unwrap()
 }
 
-fn recover(spec: WindowSpec, wal_path: &Path) -> (EngineBackend, dar_durable::RecoveryReport) {
+fn recover(spec: WindowSpec, wal_path: &Path) -> (DarEngine, dar_durable::RecoveryReport) {
     dar_serve::recover_backend(fresh_backend(spec), Arc::new(DiskStorage), None, Some(wal_path))
         .unwrap()
 }
@@ -76,7 +76,7 @@ fn torn_tagged_frame_is_dropped_at_every_byte_and_the_ring_rebuilds() {
         ..ServeConfig::default()
     };
     let handle = Server::start(
-        EngineBackend::new(partitioning(), config(), Some(spec)).unwrap(),
+        DarEngine::with_window(partitioning(), config(), Some(spec)).unwrap(),
         "127.0.0.1:0",
         serve_config,
     )
@@ -105,7 +105,7 @@ fn torn_tagged_frame_is_dropped_at_every_byte_and_the_ring_rebuilds() {
     assert_eq!(control_report.wal_records, 4, "3 tagged batches + 1 advance marker");
     assert_eq!(control_report.wal_tail_dropped_bytes, 0);
     let control_span = control.window_span().expect("windowed backend");
-    let control_tuples = control.engine().tuples();
+    let control_tuples = control.tuples();
     assert_eq!(control_span, (1, 2), "two-slot ring: window 0 retired when window 1 sealed");
     assert_eq!(control_tuples, 80);
     let control_rules =
@@ -117,7 +117,7 @@ fn torn_tagged_frame_is_dropped_at_every_byte_and_the_ring_rebuilds() {
     std::fs::write(&wal_path, &full).unwrap();
     let (whole, whole_report) = recover(spec, &wal_path);
     assert_eq!(whole_report.wal_records, 5);
-    assert_eq!(whole.engine().tuples(), 120);
+    assert_eq!(whole.tuples(), 120);
 
     // Frame layout: len[0..4) crc[4..8) seq[8..16) sentinel[16..20)
     // window-seq[20..28) body[28..). Mine rules at cuts landing in each
@@ -135,7 +135,7 @@ fn torn_tagged_frame_is_dropped_at_every_byte_and_the_ring_rebuilds() {
         );
         assert_eq!(report.wal_records, 4, "cut at {cut}: every committed record must survive");
         assert_eq!(backend.window_span(), Some(control_span), "cut at {cut}: ring shape diverged");
-        assert_eq!(backend.engine().tuples(), control_tuples, "cut at {cut}: live tuples diverged");
+        assert_eq!(backend.tuples(), control_tuples, "cut at {cut}: live tuples diverged");
         if rule_check_cuts.contains(&cut) {
             let rules =
                 protocol::query_response(&backend.query(&RuleQuery::default()).unwrap()).encode();

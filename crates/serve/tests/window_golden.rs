@@ -9,9 +9,9 @@
 //! every thread count.
 
 use dar_core::{Metric, Partitioning};
-use dar_engine::EngineConfig;
+use dar_engine::{DarEngine, EngineConfig};
 use dar_serve::protocol::query_response;
-use dar_stream::{EngineBackend, WindowSpec};
+use dar_stream::WindowSpec;
 use datagen::wbcd::wbcd_relation;
 use mining::{Measure, RuleQuery};
 
@@ -61,7 +61,7 @@ fn run(threads: usize) -> Run {
     let relation = wbcd_relation(4_000, 0.1, 1997);
     let partitioning = Partitioning::per_attribute(relation.schema(), Metric::Euclidean);
     let mut engine =
-        EngineBackend::new(partitioning, config(threads), Some(SPEC)).expect("valid config");
+        DarEngine::with_window(partitioning, config(threads), Some(SPEC)).expect("valid config");
     let rows: Vec<Vec<f64>> = (0..relation.len()).map(|r| relation.row(r)).collect();
     let mut answers = String::new();
     for batch in rows.chunks(250) {
@@ -72,7 +72,7 @@ fn run(threads: usize) -> Run {
         }
     }
     let snapshot_digest = fnv64(&engine.snapshot().expect("snapshot"));
-    let s = engine.engine().stats();
+    let s = engine.stats();
     Run {
         answers,
         snapshot_digest,

@@ -21,6 +21,19 @@ struct WindowSlot {
     tuples: u64,
 }
 
+/// What one windowed ingest did to the ring.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct WindowedIngest {
+    /// The window the batch's rows landed in.
+    pub window_seq: u64,
+    /// Whether the batch filled the window and advanced it.
+    pub advanced: bool,
+    /// Whether the advance retired a window (the horizon slid).
+    pub retired: bool,
+    /// The live horizon after the ingest, `(oldest seq, open seq)`.
+    pub window_span: (u64, u64),
+}
+
 /// What one [`WindowRing::advance`] did.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct AdvanceOutcome {
@@ -67,7 +80,7 @@ impl WindowRing {
     ///
     /// # Panics
     /// Panics if `windows` is empty or the spec is degenerate.
-    pub(crate) fn resume(spec: WindowSpec, windows: Vec<(u64, u64)>, open_batches: u64) -> Self {
+    pub fn resume(spec: WindowSpec, windows: Vec<(u64, u64)>, open_batches: u64) -> Self {
         assert!(spec.batches >= 1, "a window must span at least one batch");
         assert!(spec.slots >= 1, "at least one live window");
         let mut sealed: VecDeque<WindowSlot> =
