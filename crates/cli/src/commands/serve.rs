@@ -33,30 +33,25 @@ use crate::data::parse_cluster_metric;
 use crate::CliError;
 use dar_core::{Metric, Partitioning, Schema};
 use dar_engine::{DarEngine, EngineConfig};
-use dar_serve::{recover_backend, ServeConfig, ServeSummary, Server, Verb, WindowSpec};
+use dar_serve::{ServeConfig, ServeSummary, Server, Verb, WindowSpec};
 use std::fmt::Write as _;
-use std::sync::Arc;
 use std::time::Duration;
 
 /// Runs the command: recover, serve until a wire `shutdown`, then report.
 pub fn run(args: &Args) -> Result<String, CliError> {
     let addr = args.required("addr")?.to_string();
-    let (mut engine, serve_config) = build(args)?;
-    if serve_config.snapshot_path.is_some() || serve_config.wal_path.is_some() {
-        let (recovered, report) = recover_backend(
-            engine,
-            Arc::clone(&serve_config.storage),
-            serve_config.snapshot_path.as_deref(),
-            serve_config.wal_path.as_deref(),
-        )
-        .map_err(|e| CliError::new(format!("recovery: {e}")))?;
-        engine = recovered;
+    let (engine, serve_config) = build(args)?;
+    // The server recovers before it binds; its errors say which failed.
+    let handle =
+        Server::start(engine, &addr, serve_config).map_err(|e| CliError::new(e.to_string()))?;
+    if let Some(report) = handle.recovery() {
+        let shared = handle.shared();
         eprintln!(
             "dar serve: recovered {} tuples (snapshot: {}, wal batches replayed: {}{}{})",
-            engine.tuples(),
+            shared.tuples(),
             report.snapshot_source.map_or_else(|| "none".into(), |s| format!("{s:?}")),
             report.wal_batches_replayed,
-            engine.window_span().map_or_else(String::new, |(oldest, open)| format!(
+            shared.window_span().map_or_else(String::new, |(oldest, open)| format!(
                 ", window span {oldest}..={open}"
             )),
             if report.degraded_artifacts() {
@@ -69,8 +64,6 @@ pub fn run(args: &Args) -> Result<String, CliError> {
             },
         );
     }
-    let handle = Server::start(engine, &addr, serve_config)
-        .map_err(|e| CliError::new(format!("bind {addr}: {e}")))?;
     // Announce on stderr immediately — stdout is the post-shutdown report.
     eprintln!("dar serve: listening on {}", handle.addr());
     if let Some(metrics_addr) = handle.metrics_addr() {

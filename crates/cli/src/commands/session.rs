@@ -44,7 +44,7 @@ use crate::commands::serve::window_options;
 use crate::data::{default_partitioning, load, parse_cluster_metric};
 use crate::CliError;
 use dar_core::{suggest_initial_thresholds, Schema};
-use dar_durable::{DiskStorage, DurableStore};
+use dar_durable::{DiskStorage, DurableStore, Storage, WalFrame};
 use dar_engine::{DarEngine, EngineConfig};
 use dar_serve::WindowSpec;
 use mining::describe::describe_rule;
@@ -82,6 +82,13 @@ struct Session {
     window: Option<WindowSpec>,
     /// The write-ahead log (`--wal-path`), if configured.
     store: Option<DurableStore>,
+    /// The committed frames the store's open decoded, held for the first
+    /// replay so the log is read once before it. No append can precede
+    /// that replay (appends need an engine, and every engine starts with
+    /// one); later replays re-read the log.
+    opened: Option<Vec<WalFrame>>,
+    /// Where the WAL lives and snapshots are installed.
+    storage: Arc<dyn Storage>,
 }
 
 impl Session {
@@ -92,15 +99,17 @@ impl Session {
     }
 
     /// Replays the WAL frames with sequence strictly above `after_seq`
-    /// into `engine`, read from the log, returning how many non-empty
-    /// batches were applied.
-    fn replay_into(&self, engine: &mut DarEngine, after_seq: u64) -> Result<u64, CliError> {
+    /// into `engine`, returning how many non-empty batches were applied.
+    fn replay_into(&mut self, engine: &mut DarEngine, after_seq: u64) -> Result<u64, CliError> {
         let Some(store) = &self.store else {
             return Ok(0);
         };
-        let frames = store.frames_after(after_seq).map_err(|e| CliError::new(e.to_string()))?;
+        let frames = match self.opened.take() {
+            Some(frames) => frames,
+            None => store.frames_after(after_seq).map_err(|e| CliError::new(e.to_string()))?,
+        };
         let mut replayed = 0u64;
-        for (_, tag, rows) in &frames {
+        for (_, tag, rows) in frames.iter().filter(|(seq, _, _)| *seq > after_seq) {
             engine.replay_frame(*tag, rows)?;
             if !rows.is_empty() {
                 replayed += 1;
@@ -112,19 +121,30 @@ impl Session {
 
 /// Interprets a full script, returning the accumulated output.
 pub fn run_script(script: &str, args: &Args) -> Result<String, CliError> {
+    run_script_on(script, args, Arc::new(DiskStorage))
+}
+
+/// [`run_script`] with the WAL and snapshot installs going through
+/// `storage`.
+pub fn run_script_on(
+    script: &str,
+    args: &Args,
+    storage: Arc<dyn Storage>,
+) -> Result<String, CliError> {
     let mut config = EngineConfig::default();
     config.birch.memory_budget = args.number::<usize>("memory-kb", 1024)? << 10;
     config.metric = parse_cluster_metric(args.optional("metric").unwrap_or("d2"))?;
     config.threads = args.number("threads", 0)?;
-    // Opening the log repairs a torn tail and positions the next
-    // sequence; the frames are read again when a replay needs them.
-    let store = match args.optional("wal-path") {
-        Some(path) => Some(
-            DurableStore::open(Arc::new(DiskStorage), None, Some(path.into()))
-                .map_err(|e| CliError::new(format!("{path}: {e}")))?
-                .0,
-        ),
-        None => None,
+    // Opening the log repairs a torn tail, positions the next sequence
+    // and decodes the committed frames the first replay applies.
+    let (store, opened) = match args.optional("wal-path") {
+        Some(path) => {
+            let (store, recovered) =
+                DurableStore::open(Arc::clone(&storage), None, Some(path.into()))
+                    .map_err(|e| CliError::new(format!("{path}: {e}")))?;
+            (Some(store), Some(recovered.frames))
+        }
+        None => (None, None),
     };
     let mut session = Session {
         engine: None,
@@ -134,6 +154,8 @@ pub fn run_script(script: &str, args: &Args) -> Result<String, CliError> {
         config,
         window: window_options(args)?,
         store,
+        opened,
+        storage,
     };
 
     let mut out = String::new();
@@ -261,7 +283,7 @@ fn step(
             // and install atomically — a crash never leaves a torn file,
             // and a later `restore` replays only newer WAL records.
             let seq = session.store.as_ref().map_or(0, DurableStore::last_seq);
-            dar_durable::snapshot::install(&DiskStorage, Path::new(path), &bytes, seq)
+            dar_durable::snapshot::install(&*session.storage, Path::new(path), &bytes, seq)
                 .map_err(|e| CliError::new(format!("{path}: {e}")))?;
             let engine = session.engine()?;
             let _ = writeln!(

@@ -296,11 +296,11 @@ impl Coordinator {
             }
         }
         let t = Instant::now();
-        let result = shard
-            .client
-            .as_mut()
-            .expect("client dialed above")
-            .request_with_retry_deadline(request, &self.config.backoff, Some(deadline));
+        let result = shard.client.as_mut().expect("client dialed above").request_with_retry(
+            request,
+            &self.config.backoff,
+            Some(deadline),
+        );
         shard.request_ns.observe_duration(t.elapsed());
         match &result {
             Ok(_) => {

@@ -149,15 +149,10 @@ impl DurableStore {
         self.snapshot_path.as_deref()
     }
 
-    /// Whether [`DurableStore::log_batch`] is available.
-    pub fn wal_enabled(&self) -> bool {
-        self.wal_path.is_some()
-    }
-
     /// Re-reads the WAL and decodes its committed records with sequence
     /// above `after_seq`, in log order, as [`DurableStore::open`] does past
     /// the snapshot it found — for a host that restores some other
-    /// snapshot later. Empty without a WAL.
+    /// snapshot later, or scans the whole log. Empty without a WAL.
     ///
     /// # Errors
     /// I/O failures, a damaged WAL header, or a record that passes its
@@ -182,17 +177,7 @@ impl DurableStore {
     /// I/O failures (the caller should treat the batch as *not*
     /// committed and refuse to acknowledge it), or no WAL configured.
     pub fn log_batch(&mut self, rows: &[Vec<f64>]) -> Result<u64, DurableError> {
-        let Some(path) = &self.wal_path else {
-            return Err(DurableError::io(
-                "append",
-                PathBuf::new(),
-                std::io::Error::other("no WAL configured"),
-            ));
-        };
-        let seq = self.next_seq;
-        wal::append_record(self.storage.as_ref(), path, seq, &encode_batch(rows))?;
-        self.next_seq += 1;
-        Ok(seq)
+        self.append(&encode_batch(rows))
     }
 
     /// Commits one window-tagged ingest batch to the WAL — the sliding-
@@ -208,6 +193,11 @@ impl DurableStore {
         window_seq: u64,
         rows: &[Vec<f64>],
     ) -> Result<u64, DurableError> {
+        self.append(&encode_tagged_batch(window_seq, rows))
+    }
+
+    /// Appends one encoded frame under the next sequence number.
+    fn append(&mut self, frame: &[u8]) -> Result<u64, DurableError> {
         let Some(path) = &self.wal_path else {
             return Err(DurableError::io(
                 "append",
@@ -216,12 +206,7 @@ impl DurableStore {
             ));
         };
         let seq = self.next_seq;
-        wal::append_record(
-            self.storage.as_ref(),
-            path,
-            seq,
-            &encode_tagged_batch(window_seq, rows),
-        )?;
+        wal::append_record(self.storage.as_ref(), path, seq, frame)?;
         self.next_seq += 1;
         Ok(seq)
     }

@@ -201,34 +201,6 @@ fn mine_ranked(
     )
 }
 
-/// Answers through the epoch's rank cache: exact answers are memoized per
-/// knob-set, anytime answers never are (they depend on the wall clock).
-fn ranked_for(
-    state: &EpochState,
-    artifacts: &Arc<Phase2Artifacts>,
-    rkey: Vec<u64>,
-    query: &RuleQuery,
-    pool: &dar_par::ThreadPool,
-    tuples: u64,
-) -> (Arc<RankedAnswer>, Option<f64>) {
-    if query.budget_ms > 0 {
-        let (answer, coverage) = mine_ranked(artifacts, pool, tuples, query, false);
-        return (Arc::new(answer), coverage);
-    }
-    let hit = state.rank_cache.lock().unwrap_or_else(|poisoned| poisoned.into_inner()).get(&rkey);
-    if let Some(answer) = hit {
-        return (answer, None);
-    }
-    let (answer, _) = mine_ranked(artifacts, pool, tuples, query, true);
-    let answer = Arc::new(answer);
-    state
-        .rank_cache
-        .lock()
-        .unwrap_or_else(|poisoned| poisoned.into_inner())
-        .insert(rkey, Arc::clone(&answer));
-    (answer, None)
-}
-
 /// A long-lived incremental DAR mining engine. See the crate docs for the
 /// lifecycle; see `DarEngine::restore` for resuming from a snapshot.
 ///
@@ -540,11 +512,9 @@ impl DarEngine {
     /// Propagates arity errors from explicit density thresholds.
     pub fn query(&mut self, query: &RuleQuery) -> Result<QueryOutcome, CoreError> {
         self.ensure_epoch();
-        let num_sets = self.partitioning.num_sets();
         let state = self.epoch_state.as_ref().expect("epoch just ensured");
-        let density = query.density.resolve(&state.clusters, &state.tree_thresholds, num_sets)?;
+        let (density, key) = self.density_key(state, query)?;
         let s0 = state.s0;
-        let key: Vec<u64> = density.iter().map(|d| d.to_bits()).collect();
 
         let hit = state.cache.get(&key).cloned();
         let (artifacts, cached) = match hit {
@@ -557,7 +527,6 @@ impl DarEngine {
                 self.stats.cache_misses += 1;
                 crate::metrics::metrics().cache_misses.inc();
                 let t = Instant::now();
-                let state = self.epoch_state.as_ref().expect("epoch just ensured");
                 let frequent: Vec<ClusterSummary> =
                     state.clusters.iter().filter(|c| c.is_frequent(s0)).cloned().collect();
                 let artifacts = Arc::new(Phase2Artifacts::build_pooled(
@@ -573,38 +542,17 @@ impl DarEngine {
                     .as_mut()
                     .expect("epoch just ensured")
                     .cache
-                    .insert(key, Arc::clone(&artifacts));
+                    .insert(key.clone(), Arc::clone(&artifacts));
                 (artifacts, false)
             }
         };
 
         let t = Instant::now();
         let state = self.epoch_state.as_ref().expect("epoch just ensured");
-        let density_bits: Vec<u64> =
-            artifacts.density_thresholds.iter().map(|d| d.to_bits()).collect();
-        let (answer, coverage) = ranked_for(
-            state,
-            &artifacts,
-            rank_key(&density_bits, query),
-            query,
-            &self.pool,
-            self.tuples,
-        );
+        let outcome = self.answer(state, artifacts, &key, query, cached);
         self.stats.rule_time += t.elapsed();
         self.stats.queries += 1;
-        Ok(QueryOutcome {
-            rules: answer.rules.clone(),
-            values: answer.rules.values().to_vec(),
-            measure: query.measure,
-            truncated: answer.truncated,
-            cached,
-            artifacts,
-            s0,
-            epoch: self.epoch,
-            rules_in: answer.rules_in,
-            pruned: answer.pruned,
-            coverage,
-        })
+        Ok(outcome)
     }
 
     /// The read-only fast path for concurrent serving: answers a query
@@ -627,27 +575,67 @@ impl DarEngine {
         let Some(state) = self.epoch_state.as_ref() else {
             return Ok(None);
         };
-        let num_sets = self.partitioning.num_sets();
-        let density = query.density.resolve(&state.clusters, &state.tree_thresholds, num_sets)?;
-        let key: Vec<u64> = density.iter().map(|d| d.to_bits()).collect();
+        let (_, key) = self.density_key(state, query)?;
         let Some(artifacts) = state.cache.get(&key) else {
             return Ok(None);
         };
-        let (answer, coverage) =
-            ranked_for(state, artifacts, rank_key(&key, query), query, &self.pool, self.tuples);
-        Ok(Some(QueryOutcome {
+        Ok(Some(self.answer(state, Arc::clone(artifacts), &key, query, true)))
+    }
+
+    /// The density thresholds `query` resolves to on the epoch `state`,
+    /// and their bit patterns: the key of the epoch's artifact cache.
+    fn density_key(
+        &self,
+        state: &EpochState,
+        query: &RuleQuery,
+    ) -> Result<(Vec<f64>, Vec<u64>), CoreError> {
+        let num_sets = self.partitioning.num_sets();
+        let density = query.density.resolve(&state.clusters, &state.tree_thresholds, num_sets)?;
+        let key = density.iter().map(|d| d.to_bits()).collect();
+        Ok((density, key))
+    }
+
+    /// The outcome both query paths return: `query` mined and ranked over
+    /// `artifacts` (cached under the density `key` of epoch `state`)
+    /// through the epoch's rank cache. Exact answers are memoized per
+    /// knob set; anytime answers never are (they depend on the wall
+    /// clock).
+    fn answer(
+        &self,
+        state: &EpochState,
+        artifacts: Arc<Phase2Artifacts>,
+        key: &[u64],
+        query: &RuleQuery,
+        cached: bool,
+    ) -> QueryOutcome {
+        let mine = |memoize| mine_ranked(&artifacts, &self.pool, self.tuples, query, memoize);
+        let (answer, coverage) = if query.budget_ms > 0 {
+            let (answer, coverage) = mine(false);
+            (Arc::new(answer), coverage)
+        } else {
+            let rkey = rank_key(key, query);
+            let cache = || state.rank_cache.lock().unwrap_or_else(|poisoned| poisoned.into_inner());
+            let hit = cache().get(&rkey);
+            let answer = hit.unwrap_or_else(|| {
+                let answer = Arc::new(mine(true).0);
+                cache().insert(rkey, Arc::clone(&answer));
+                answer
+            });
+            (answer, None)
+        };
+        QueryOutcome {
             rules: answer.rules.clone(),
             values: answer.rules.values().to_vec(),
             measure: query.measure,
             truncated: answer.truncated,
-            cached: true,
-            artifacts: Arc::clone(artifacts),
+            cached,
+            artifacts,
             s0: state.s0,
             epoch: self.epoch,
             rules_in: answer.rules_in,
             pruned: answer.pruned,
             coverage,
-        }))
+        }
     }
 
     /// Serializes the engine for durability. Without a ring this is
@@ -662,6 +650,7 @@ impl DarEngine {
         let Some(ring) = &self.ring else {
             return self.pull_snapshot();
         };
+        let t = Instant::now();
         let header =
             RingHeader { epoch: self.epoch, open_batches: ring.open_batches(), spec: ring.spec() };
         let thresholds = self.forest.thresholds();
@@ -678,7 +667,9 @@ impl DarEngine {
             )?;
             windows.push((seq, body));
         }
-        Ok(snapshot::write_ring_bytes(&header, &windows))
+        let bytes = snapshot::write_ring_bytes(&header, &windows);
+        crate::metrics::record_encode(t, bytes.len());
+        Ok(bytes)
     }
 
     /// Serializes the *mergeable* view: the current epoch of the horizon
@@ -701,9 +692,7 @@ impl DarEngine {
             &state.clusters,
             &self.pool,
         )?;
-        let m = crate::metrics::persist_metrics();
-        m.encode_ns.observe_duration(t.elapsed());
-        m.snapshot_bytes.set(bytes.len() as i64);
+        crate::metrics::record_encode(t, bytes.len());
         Ok(bytes)
     }
 
@@ -750,8 +739,10 @@ impl DarEngine {
             )));
         }
         let pool = dar_par::ThreadPool::resolve(config.threads);
+        let t = Instant::now();
         if ring_snapshot {
             let (header, snaps) = snapshot::parse_ring_bytes(body, &pool)?;
+            crate::metrics::record_decode(t, body.len());
             let forest = restore_forest(&snaps, &config, "window section", true)?;
             let windows = snaps.iter().map(|snap| (snap.epoch, snap.tuples)).collect();
             let spec =
@@ -760,11 +751,8 @@ impl DarEngine {
             let engine = Self::with_forest(forest, ring.live_tuples(), header.epoch, config);
             return Ok(engine.with_ring(ring));
         }
-        let t = Instant::now();
         let snap = snapshot::parse_snapshot_bytes(body, &pool)?;
-        let m = crate::metrics::persist_metrics();
-        m.decode_ns.observe_duration(t.elapsed());
-        m.snapshot_bytes.set(body.len() as i64);
+        crate::metrics::record_decode(t, body.len());
         let forest = restore_forest(std::slice::from_ref(&snap), &config, "snapshot", false)?;
         let s0 = ((config.min_support_frac * snap.tuples as f64).ceil() as u64).max(1);
         let mut engine = Self::with_forest(forest, snap.tuples, snap.epoch, config);

@@ -5,6 +5,7 @@
 
 use dar_obs::{global, Counter, Gauge, Histogram};
 use std::sync::OnceLock;
+use std::time::Instant;
 
 /// The engine metric family.
 pub(crate) struct EngineMetrics {
@@ -64,8 +65,22 @@ pub(crate) struct PersistMetrics {
     pub snapshot_bytes: Gauge,
 }
 
+/// Records one snapshot serialization of `len` bytes begun at `started`.
+pub(crate) fn record_encode(started: Instant, len: usize) {
+    let m = persist_metrics();
+    m.encode_ns.observe_duration(started.elapsed());
+    m.snapshot_bytes.set(len as i64);
+}
+
+/// Records one snapshot parse of `len` bytes begun at `started`.
+pub(crate) fn record_decode(started: Instant, len: usize) {
+    let m = persist_metrics();
+    m.decode_ns.observe_duration(started.elapsed());
+    m.snapshot_bytes.set(len as i64);
+}
+
 /// The cached persistence handles.
-pub(crate) fn persist_metrics() -> &'static PersistMetrics {
+fn persist_metrics() -> &'static PersistMetrics {
     static METRICS: OnceLock<PersistMetrics> = OnceLock::new();
     METRICS.get_or_init(|| {
         let r = global();

@@ -137,11 +137,6 @@ impl DarMiner {
         DarMiner { config }
     }
 
-    /// A miner with default configuration.
-    pub fn with_defaults() -> Self {
-        DarMiner::new(DarConfig::default())
-    }
-
     /// The configuration.
     pub fn config(&self) -> &DarConfig {
         &self.config

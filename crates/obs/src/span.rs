@@ -19,11 +19,6 @@ impl Span {
     pub fn new(histogram: Histogram) -> Span {
         Span { histogram, started: Instant::now() }
     }
-
-    /// Nanoseconds elapsed so far (the span keeps running).
-    pub fn elapsed_ns(&self) -> u64 {
-        self.started.elapsed().as_nanos().min(u64::MAX as u128) as u64
-    }
 }
 
 impl Drop for Span {

@@ -5,10 +5,11 @@
 //! Structured server errors surface as a typed [`ServerError`] inside the
 //! returned `io::Error` (recover it with [`ServerError::of`]), so callers
 //! can distinguish transient conditions — `overloaded` backpressure,
-//! `degraded` read-only mode — from hard failures. The `*_with_retry`
-//! methods do that automatically under a bounded-exponential [`Backoff`]
-//! with deterministic jitter, reconnecting between attempts (a refused
-//! connection is answered and then hung up on, so the old socket is dead).
+//! `degraded` read-only mode — from hard failures.
+//! [`Client::request_with_retry`] does that automatically under a
+//! bounded-exponential [`Backoff`] with deterministic jitter, reconnecting
+//! between attempts (a refused connection is answered and then hung up
+//! on, so the old socket is dead).
 
 use crate::json::{self, Json};
 use crate::protocol::{self, Request};
@@ -167,29 +168,21 @@ impl Client {
 
     /// Sends a [`Request`], retrying transient failures — `overloaded`
     /// backpressure, `degraded` mode, or a connection the server hung up
-    /// on — under `backoff`, reconnecting before each retry. A read
-    /// timeout is not retried: a plain `ingest` is not idempotent, so
-    /// resending it after a timeout could apply it twice.
+    /// on — under `backoff`, reconnecting before each retry. Without a
+    /// `deadline` a read timeout is not retried: a plain `ingest` is not
+    /// idempotent, so resending it after a timeout could apply it twice.
     ///
-    /// # Errors
-    /// The last failure once retries are exhausted, or immediately on a
-    /// non-transient error.
-    pub fn request_with_retry(&mut self, request: &Request, backoff: &Backoff) -> io::Result<Json> {
-        self.request_with_retry_deadline(request, backoff, None)
-    }
-
-    /// The retry loop behind [`Client::request_with_retry`]. With a
-    /// `deadline`, the total spent across attempts, socket reads, and
-    /// backoff sleeps stays within the budget: each attempt's socket
+    /// With a `deadline`, the total spent across attempts, socket reads,
+    /// and backoff sleeps stays within the budget: each attempt's socket
     /// timeout is clamped to the remaining budget, read timeouts count as
     /// transient (the next attempt redials, escaping a blackholed
-    /// connection), and the loop never sleeps past the deadline. On
-    /// exhaustion the last failure is returned, or a `deadline`
-    /// [`ServerError`] when the budget ran out first.
+    /// connection), and the loop never sleeps past the deadline.
     ///
     /// # Errors
-    /// As [`Client::request_with_retry`], plus deadline exhaustion.
-    pub fn request_with_retry_deadline(
+    /// The last failure once retries are exhausted, immediately on a
+    /// non-transient error, or a `deadline` [`ServerError`] when the
+    /// budget ran out first.
+    pub fn request_with_retry(
         &mut self,
         request: &Request,
         backoff: &Backoff,
@@ -268,29 +261,12 @@ impl Client {
         Ok(response.get("total").and_then(Json::as_u64).unwrap_or(0))
     }
 
-    /// [`Client::ingest`] with transient failures retried under `backoff`.
-    ///
-    /// # Errors
-    /// As [`Client::request_with_retry`].
-    pub fn ingest_with_retry(&mut self, rows: Vec<Vec<f64>>, backoff: &Backoff) -> io::Result<u64> {
-        let response = self.request_with_retry(&Request::Ingest { rows }, backoff)?;
-        Ok(response.get("total").and_then(Json::as_u64).unwrap_or(0))
-    }
-
     /// `query`; returns the decoded response object.
     ///
     /// # Errors
     /// I/O failures or a structured server error.
     pub fn query(&mut self, query: RuleQuery) -> io::Result<Json> {
         self.expect_ok(&Request::Query { query })
-    }
-
-    /// [`Client::query`] with transient failures retried under `backoff`.
-    ///
-    /// # Errors
-    /// As [`Client::request_with_retry`].
-    pub fn query_with_retry(&mut self, query: RuleQuery, backoff: &Backoff) -> io::Result<Json> {
-        self.request_with_retry(&Request::Query { query }, backoff)
     }
 
     /// `stats`; returns the decoded response object.
@@ -335,47 +311,6 @@ impl Client {
     /// I/O failures or a structured server error.
     pub fn shutdown(&mut self) -> io::Result<()> {
         self.expect_ok(&Request::Shutdown).map(|_| ())
-    }
-
-    /// `shard_ingest`: an idempotent ingest tagged with the coordinator's
-    /// global batch sequence number. Returns `(applied, total)` — `applied`
-    /// is `false` when the shard had already committed this `seq` (a
-    /// retried delivery), in which case the batch was *not* re-applied.
-    ///
-    /// # Errors
-    /// I/O failures or a structured server error.
-    pub fn shard_ingest(&mut self, seq: u64, rows: Vec<Vec<f64>>) -> io::Result<(bool, u64)> {
-        let response = self.expect_ok(&Request::ShardIngest { seq, rows })?;
-        Ok(decode_shard_ingest(&response))
-    }
-
-    /// [`Client::shard_ingest`] with transient failures retried under
-    /// `backoff`. Safe to retry precisely because the verb is idempotent:
-    /// a duplicate delivery of `seq` acks without re-applying.
-    ///
-    /// # Errors
-    /// As [`Client::request_with_retry`].
-    pub fn shard_ingest_with_retry(
-        &mut self,
-        seq: u64,
-        rows: Vec<Vec<f64>>,
-        backoff: &Backoff,
-    ) -> io::Result<(bool, u64)> {
-        let response = self.request_with_retry(&Request::ShardIngest { seq, rows }, backoff)?;
-        Ok(decode_shard_ingest(&response))
-    }
-
-    /// `pull_snapshot`: the shard's sealed engine snapshot. Returns
-    /// `(epoch, tuples, sealed_bytes)`; the sealed body's footer carries
-    /// the shard's last committed coordinator batch seq, verified on
-    /// unseal. The body travels base64-encoded under `snapshot_b64`.
-    ///
-    /// # Errors
-    /// I/O failures or a structured server error.
-    pub fn pull_snapshot(&mut self) -> io::Result<(u64, u64, Vec<u8>)> {
-        let response = self.expect_ok(&Request::PullSnapshot)?;
-        protocol::decode_pull_snapshot(&response)
-            .map_err(|e| io::Error::new(io::ErrorKind::InvalidData, e))
     }
 
     /// `shard_stats`; returns the decoded response object (epoch, tuples,
@@ -616,12 +551,6 @@ impl Subscription {
         self.window_span = window_span.or(self.window_span);
         Ok(())
     }
-}
-
-fn decode_shard_ingest(response: &Json) -> (bool, u64) {
-    let applied = response.get("applied").and_then(Json::as_bool).unwrap_or(false);
-    let total = response.get("total").and_then(Json::as_u64).unwrap_or(0);
-    (applied, total)
 }
 
 #[cfg(test)]

@@ -15,7 +15,7 @@
 
 use crate::json::Json;
 use crate::shared::SharedEngine;
-use dar_durable::{DurableError, DurableStore, RecoveryReport, Storage};
+use dar_durable::{DurableError, DurableStore, Recovered, RecoveryReport, Storage};
 use dar_engine::DarEngine;
 use std::io;
 use std::path::Path;
@@ -49,10 +49,12 @@ struct Counters {
 }
 
 impl Durability {
-    /// Opens the durable store for the given paths. The recovered state is
-    /// discarded — callers recover the engine separately (see
-    /// [`recover_backend`]) before the server starts; this open only
-    /// re-derives the next WAL sequence number from disk.
+    /// Opens the durable store for the given paths and discards what it
+    /// recovered, so a host that recovered its engine some other way gets
+    /// only the next WAL sequence. [`Server::start`](crate::Server::start)
+    /// does not use this: it keeps the store its recovery opened. The
+    /// benchmark ledger's in-process model of `dar serve` is the only
+    /// caller.
     ///
     /// # Errors
     /// Unreadable/unrepairable artifacts, as [`DurableStore::open`].
@@ -61,13 +63,48 @@ impl Durability {
         snapshot_path: Option<&Path>,
         wal_path: Option<&Path>,
     ) -> io::Result<Durability> {
-        let (store, _) = DurableStore::open(
+        Ok(Self::open_store(storage, snapshot_path, wal_path)?.0)
+    }
+
+    /// Durable boot in one pass: opens the store once, restores its newest
+    /// verifiable snapshot (or keeps `fresh` when none survives), replays
+    /// the WAL suffix that open decoded, and keeps the same store for the
+    /// appends that follow. See [`recover_backend`].
+    ///
+    /// # Errors
+    /// As [`recover_backend`].
+    pub(crate) fn recover(
+        fresh: DarEngine,
+        storage: Arc<dyn Storage>,
+        snapshot_path: Option<&Path>,
+        wal_path: Option<&Path>,
+    ) -> io::Result<(Durability, DarEngine, RecoveryReport)> {
+        let (durability, recovered) = Self::open_store(storage, snapshot_path, wal_path)?;
+        let invalid =
+            |e: dar_core::CoreError| io::Error::new(io::ErrorKind::InvalidData, e.to_string());
+        let mut engine = match &recovered.snapshot {
+            Some(body) => DarEngine::restore(body, fresh.config().clone(), fresh.is_windowed())
+                .map_err(invalid)?,
+            None => fresh,
+        };
+        for (_, tag, rows) in &recovered.frames {
+            engine.replay_frame(*tag, rows).map_err(invalid)?;
+        }
+        Ok((durability, engine, recovered.report))
+    }
+
+    fn open_store(
+        storage: Arc<dyn Storage>,
+        snapshot_path: Option<&Path>,
+        wal_path: Option<&Path>,
+    ) -> io::Result<(Durability, Recovered)> {
+        let (store, recovered) = DurableStore::open(
             storage,
             snapshot_path.map(Path::to_path_buf),
             wal_path.map(Path::to_path_buf),
         )
         .map_err(io::Error::other)?;
-        Ok(Durability { store: Mutex::new(store), counters: Counters::default() })
+        Ok((Durability { store: Mutex::new(store), counters: Counters::default() }, recovered))
     }
 
     /// Locks the store. Callers must take this lock *before* any engine
@@ -122,6 +159,12 @@ impl Durability {
 /// (empty tagged frames are explicit-advance markers), so a crash-restart
 /// rebuilds the exact ring the acknowledged history produced.
 ///
+/// For hosts that do not go on to serve the store (tests, tools, the
+/// benchmark ledger's model). [`Server::start`](crate::Server::start)
+/// recovers itself, through the same code, and keeps the store it opened:
+/// hand it a fresh engine, not one recovered here from the same paths, or
+/// the WAL suffix replays twice.
+///
 /// # Errors
 /// Unrepairable artifacts, an unparseable (but checksum-valid) snapshot,
 /// a snapshot kind (windowed or all-history) mismatching `fresh`'s window
@@ -133,23 +176,8 @@ pub fn recover_backend(
     snapshot_path: Option<&Path>,
     wal_path: Option<&Path>,
 ) -> io::Result<(DarEngine, RecoveryReport)> {
-    let (_, recovered) = DurableStore::open(
-        storage,
-        snapshot_path.map(Path::to_path_buf),
-        wal_path.map(Path::to_path_buf),
-    )
-    .map_err(io::Error::other)?;
-    let invalid =
-        |e: dar_core::CoreError| io::Error::new(io::ErrorKind::InvalidData, e.to_string());
-    let mut engine = match &recovered.snapshot {
-        Some(body) => DarEngine::restore(body, fresh.config().clone(), fresh.is_windowed())
-            .map_err(invalid)?,
-        None => fresh,
-    };
-    for (_, tag, rows) in &recovered.frames {
-        engine.replay_frame(*tag, rows).map_err(invalid)?;
-    }
-    Ok((engine, recovered.report))
+    let (_, engine, report) = Durability::recover(fresh, storage, snapshot_path, wal_path)?;
+    Ok((engine, report))
 }
 
 /// Closes the current epoch and installs it through the atomic snapshot

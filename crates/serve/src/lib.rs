@@ -35,11 +35,12 @@
 //!   and [`ServeConfig::metrics_addr`] adds a plain-TCP Prometheus
 //!   text-exposition listener for scrapers.
 //! * [`Client`] — a small blocking client for scripting and load
-//!   generation, with bounded-backoff retry helpers for `overloaded`/
+//!   generation, with one bounded-backoff retry method for `overloaded`/
 //!   `degraded` responses.
-//! * [`recover_backend`] / [`Durability`] — the
-//!   `dar-durable` wiring: boot-time recovery (snapshot restore + WAL
-//!   replay, window-tag-aware for sliding-window servers), apply-then-log
+//! * [`Durability`] / [`recover_backend`] — the `dar-durable` wiring:
+//!   boot-time recovery inside [`Server::start`] (one store open: snapshot
+//!   restore + WAL replay, window-tag-aware for sliding-window servers,
+//!   and the same store kept for appends), apply-then-log
 //!   ingest acknowledged only after the WAL append, atomic snapshot
 //!   installs, and sticky degraded (read-only) mode when the log fails.
 //! * **Streaming**: a server started over a windowed engine

@@ -1,6 +1,7 @@
 //! `dar serve`: the engine's handler behind the shared [front
 //! door](crate::front), serving the newline-delimited JSON protocol over
-//! a [`SharedEngine`].
+//! a [`SharedEngine`]. A durable server recovers its engine from the
+//! store it then keeps, before it binds (see [`Server::start`]).
 //!
 //! The front door owns the sockets, the worker pool, request parsing,
 //! `metrics`/`shutdown` and per-request accounting. The handler here
@@ -22,7 +23,7 @@ use crate::protocol::{self, Request};
 use crate::shared::SharedEngine;
 use crate::stats::{ServerStats, StatsSnapshot};
 use dar_core::CoreError;
-use dar_durable::{DiskStorage, DurableError, DurableStore, Storage};
+use dar_durable::{DiskStorage, DurableError, DurableStore, RecoveryReport, Storage};
 use dar_engine::DarEngine;
 use dar_stream::WindowedIngest;
 use mining::RuleQuery;
@@ -111,28 +112,39 @@ struct ServeHandler {
 pub struct Server;
 
 impl Server {
-    /// Binds `addr` (e.g. `"127.0.0.1:7878"`, port 0 for ephemeral) and
-    /// starts the front door and (if configured) the snapshotter. Returns
-    /// immediately with a handle; the server runs on background threads
-    /// until [`ServerHandle::shutdown`] or a wire `shutdown` request.
+    /// Recovers, then binds `addr` (e.g. `"127.0.0.1:7878"`, port 0 for
+    /// ephemeral) and starts the front door and (if configured) the
+    /// snapshotter. Returns immediately with a handle; the server runs on
+    /// background threads until [`ServerHandle::shutdown`] or a wire
+    /// `shutdown` request.
+    ///
+    /// `engine` is the fresh engine the server mines with: all history
+    /// or, built with a window, a sliding window. With a snapshot path or
+    /// a WAL configured, the server first opens its durable store once,
+    /// restores the newest verifiable snapshot into `engine`'s
+    /// configuration and replays the WAL suffix (as
+    /// [`crate::recover_backend`] does), keeps that store for its appends, and
+    /// reports the outcome in [`ServerHandle::recovery`]. So a restart on
+    /// the same paths serves every acknowledged batch exactly once.
     ///
     /// # Errors
-    /// Propagates bind failures and unrepairable durability artifacts.
-    ///
-    /// Note: the engine passed in should already be recovered (see
-    /// [`crate::recover_backend`]); this constructor only reopens the
-    /// durable store to position the WAL sequence counter. The engine
-    /// mines all history or, built with a window, a sliding window.
+    /// Unrepairable durability artifacts (prefixed `recovery: `), then
+    /// bind failures (prefixed `bind <addr>: `).
     pub fn start(engine: DarEngine, addr: &str, config: ServeConfig) -> io::Result<ServerHandle> {
-        let durability = if config.snapshot_path.is_some() || config.wal_path.is_some() {
-            Some(Durability::open(
-                Arc::clone(&config.storage),
-                config.snapshot_path.as_deref(),
-                config.wal_path.as_deref(),
-            )?)
-        } else {
-            None
-        };
+        let context = |what: &str, e: io::Error| io::Error::new(e.kind(), format!("{what}: {e}"));
+        let (engine, durability, recovery) =
+            if config.snapshot_path.is_some() || config.wal_path.is_some() {
+                let (durability, engine, report) = Durability::recover(
+                    engine,
+                    Arc::clone(&config.storage),
+                    config.snapshot_path.as_deref(),
+                    config.wal_path.as_deref(),
+                )
+                .map_err(|e| context("recovery", e))?;
+                (engine, Some(durability), Some(report))
+            } else {
+                (engine, None, None)
+            };
         let front_config = FrontConfig {
             threads: config.threads,
             queue_depth: config.queue_depth,
@@ -150,7 +162,8 @@ impl Server {
             shard_last_seq: AtomicU64::new(0),
             shard_dup_batches: AtomicU64::new(0),
         });
-        let front = FrontDoor::start(addr, front_config, handler.clone())?;
+        let front = FrontDoor::start(addr, front_config, handler.clone())
+            .map_err(|e| context(&format!("bind {addr}"), e))?;
 
         let snapshotter = match (&handler.config.snapshot_path, handler.config.snapshot_interval) {
             (Some(_), Some(interval)) => {
@@ -171,7 +184,7 @@ impl Server {
             }
             _ => None,
         };
-        Ok(ServerHandle { front, handler, snapshotter })
+        Ok(ServerHandle { front, handler, snapshotter, recovery })
     }
 }
 
@@ -181,6 +194,7 @@ pub struct ServerHandle {
     front: FrontDoor,
     handler: Arc<ServeHandler>,
     snapshotter: Option<JoinHandle<()>>,
+    recovery: Option<RecoveryReport>,
 }
 
 /// What a graceful shutdown left behind.
@@ -202,6 +216,11 @@ impl ServerHandle {
     /// The shared engine, for in-process inspection alongside the server.
     pub fn shared(&self) -> &Arc<SharedEngine> {
         &self.handler.shared
+    }
+
+    /// How boot recovery went; `None` without a snapshot path or WAL.
+    pub fn recovery(&self) -> Option<&RecoveryReport> {
+        self.recovery.as_ref()
     }
 
     /// A point-in-time copy of the server counters.
@@ -566,7 +585,7 @@ impl ServeHandler {
         clusters: &str,
         rules: &[Vec<usize>],
     ) -> Result<Json, (&'static str, String)> {
-        let Some(wal_path) = &self.config.wal_path else {
+        let Some(wal) = self.wal() else {
             return Err(("no-wal", "shard_rescan needs a write-ahead log to re-read".into()));
         };
         let pool = dar_par::ThreadPool::resolve(self.shared.engine_threads());
@@ -585,18 +604,14 @@ impl ServeHandler {
                 ));
             }
         }
-        let (records, _) = dar_durable::wal::read_records(&*self.config.storage, wal_path)
-            .map_err(|e| ("io", e.to_string()))?;
+        // Under the store lock, so no append lands mid-read.
+        let frames = wal.lock().frames_after(0).map_err(|e| ("io", e.to_string()))?;
         let partitioning = self.shared.partitioning();
         let (_, _, width) = self.shared.meta();
         let mut builder = dar_core::RelationBuilder::new(dar_core::Schema::interval_attrs(width));
-        for record in &records {
-            let (_, rows) = dar_durable::decode_frame(&record.body)
-                .map_err(|e| ("io", format!("WAL record {}: {e}", record.seq)))?;
-            for row in &rows {
-                builder
-                    .push_row(row)
-                    .map_err(|e| ("io", format!("WAL record {}: {e}", record.seq)))?;
+        for (seq, _, rows) in &frames {
+            for row in rows {
+                builder.push_row(row).map_err(|e| ("io", format!("WAL record {seq}: {e}")))?;
             }
         }
         let relation = builder.finish();

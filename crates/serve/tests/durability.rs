@@ -7,7 +7,7 @@ use dar_core::{Metric, Partitioning, Schema};
 use dar_durable::storage::scratch_dir;
 use dar_durable::{FaultPlan, FaultyStorage};
 use dar_engine::{DarEngine, EngineConfig};
-use dar_serve::{recover_backend, Backoff, Client, ServeConfig, Server, ServerError};
+use dar_serve::{Backoff, Client, Request, ServeConfig, Server, ServerError};
 use mining::RuleQuery;
 use std::path::Path;
 use std::sync::Arc;
@@ -98,7 +98,8 @@ fn wal_failure_degrades_to_read_only() {
 
     // Bounded retry surfaces the same degraded error, not a hang.
     let backoff = Backoff { attempts: 2, base: Duration::from_millis(1), ..Backoff::default() };
-    let err = client.ingest_with_retry(batch(3), &backoff).unwrap_err();
+    let err =
+        client.request_with_retry(&Request::Ingest { rows: batch(3) }, &backoff, None).unwrap_err();
     assert_eq!(ServerError::of(&err).unwrap().code, "degraded");
 
     client.shutdown().unwrap();
@@ -138,9 +139,10 @@ fn snapshot_install_failures_are_counted_then_recover() {
     std::fs::remove_dir_all(&dir).ok();
 }
 
-/// Stop a WAL-only server without a final snapshot, recover, and restart:
-/// every acknowledged batch is replayed and the restarted server answers
-/// exactly as an uncrashed engine over the same batches.
+/// Stop a WAL-only server without a final snapshot and restart it on the
+/// same WAL with a fresh engine: the restart recovers every acknowledged
+/// batch and answers exactly as an uncrashed engine over the same
+/// batches.
 #[test]
 fn restart_replays_every_acked_batch() {
     let dir = scratch_dir("serve_restart");
@@ -156,21 +158,21 @@ fn restart_replays_every_acked_batch() {
     client.shutdown().unwrap();
     handle.join().unwrap();
 
-    let (mut recovered, report) =
-        recover_backend(engine(), storage, None, Some(&dir.join("ingest.wal"))).unwrap();
+    // The restart recovers from the WAL itself.
+    let handle = Server::start(engine(), "127.0.0.1:0", serve_config).unwrap();
+    let report = handle.recovery().expect("a WAL is configured");
     assert_eq!(report.wal_batches_replayed, 2);
-    assert_eq!(recovered.tuples(), 60);
+    assert_eq!(handle.shared().tuples(), 60);
 
     let mut control = engine();
     control.ingest(&batch(0)).unwrap();
     control.ingest(&batch(1)).unwrap();
-    let a = recovered.query(&RuleQuery::default()).unwrap();
+    let a = handle.shared().query(&RuleQuery::default()).unwrap();
     let b = control.query(&RuleQuery::default()).unwrap();
     assert_eq!(a.rules, b.rules);
     assert!(!a.rules.is_empty());
 
     // The restarted server serves the recovered engine as usual.
-    let handle = Server::start(recovered, "127.0.0.1:0", serve_config).unwrap();
     let mut client = Client::connect(handle.addr(), Duration::from_secs(10)).unwrap();
     let stats = client.stats().unwrap();
     let engine_stats = stats.get("engine").unwrap();
